@@ -22,6 +22,7 @@ see a half-written file.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import struct
 import tempfile
@@ -257,16 +258,22 @@ def read_snapshot_header(path):
     return _parse_header(blob, path)
 
 
+@functools.lru_cache(maxsize=8)
+def _snapshot_grid(dim, modes):
+    return make_grid(dim, modes)
+
+
 def read_snapshot(path):
     """Read a snapshot back into a SimulationState.
 
-    The stored grid is reconstructed from the header; ``step_index`` is
-    not serialized and comes back as 0.
+    The stored grid is reconstructed from the header, and snapshots of
+    the same dim and modes share one (read-only) grid object;
+    ``step_index`` is not serialized and comes back as 0.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     header = _parse_header(blob, path)
-    grid = make_grid(header.dim, header.modes)
+    grid = _snapshot_grid(header.dim, header.modes)
     n_fields = header.dim + 1
     expected = _HEADER.size + 16 * n_fields * grid.nmodes
     if len(blob) != expected:

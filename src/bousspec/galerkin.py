@@ -14,10 +14,13 @@ Expanding u = sum xi_j E_j, theta = sum eta_a e_a turns the PDE into
     deta_a/dt + kap tau_a eta_a + sum B[j,b,a] xi_j eta_b = 0
 
 with interaction tensors assembled analytically: each basis element has
-exactly two Fourier modes, so the triple products reduce to a handful of
-wavevector-cancellation terms and no quadrature is involved.  Advection
-only reshuffles energy, which shows up here as exact antisymmetry of A
-and B in their last two slots.
+exactly two Fourier modes, and three exponentials integrate to zero unless
+their wavevectors form a triad p + q + r = 0 (Waleffe 1992, Phys. Fluids A
+4, 350).  The triads are enumerated directly by integer wavevector lookup,
+with no quadrature and no FFT, and since about one entry in a hundred is
+non-zero, A and B are stored in COO form.  Advection only reshuffles
+energy, which shows up here as exact antisymmetry of A and B in their last
+two slots.
 
 When the basis covers exactly the dealias-retained modes of a grid, this
 ODE system is the same dynamical system the dealiased pseudospectral
@@ -97,14 +100,10 @@ def _canonical(k):
 
 def _pair_representatives(grid):
     """Canonical wavevectors inside the dealias mask, sorted by (|k|^2, lex)."""
-    wv = grid.wavevectors()
-    reps = set()
     c = grid.dealias_cutoff
-    for row in wv:
-        if np.all(row == 0) or np.any(np.abs(row) > c):
-            continue
-        reps.add(_canonical(row))
-    return sorted(reps, key=lambda k: (sum(c * c for c in k), k))
+    reps = {_canonical(row) for row in grid.wavevectors()
+            if np.any(row) and np.all(np.abs(row) <= c)}
+    return sorted(reps, key=lambda k: (sum(v * v for v in k), k))
 
 
 def _tangent_directions(k):
@@ -143,15 +142,7 @@ def build_basis(grid: GridSpec, m: int | None = None):
     for k in _pair_representatives(grid):
         for ell, d in _tangent_directions(k):
             for parity in ("cos", "sin"):
-                vel.append(
-                    BasisElement(
-                        wavevector=k,
-                        parity=parity,
-                        amplitude=amp,
-                        direction=tuple(d),
-                        direction_index=ell,
-                    )
-                )
+                vel.append(BasisElement(k, parity, amp, tuple(d), ell))
         for parity in ("cos", "sin"):
             scal.append(BasisElement(wavevector=k, parity=parity, amplitude=amp))
     if m is not None:
@@ -165,33 +156,53 @@ def build_basis(grid: GridSpec, m: int | None = None):
     return vel, scal
 
 
+def _flat_modes(basis, dim):
+    """Owner element, integer wavevector and coefficients of every mode:
+    element e owns mode 2e at its wavevector k and mode 2e + 1 at -k."""
+    n = len(basis)
+    ncomp = dim if n and basis[0].direction is not None else 1
+    k = np.array([e.wavevector for e in basis], dtype=np.int64).reshape(n, dim)
+    w = np.array([np.atleast_1d(e.plus_mode()) for e in basis],
+                 dtype=complex).reshape(n, ncomp)
+    return (np.repeat(np.arange(n), 2),
+            np.stack([k, -k], axis=1).reshape(2 * n, dim),
+            np.stack([w, w.conj()], axis=1).reshape(2 * n, ncomp))
+
+
+def _at(field, k):
+    """Coefficients of ``field`` with a component axis first (length 1 for
+    scalars), and the index of the wavevector rows ``k`` into them."""
+    vector = isinstance(field, SpectralVectorField)
+    return (field.coeffs if vector else field.coeffs[None],
+            (slice(None), *(k % field.grid.modes).T))
+
+
 def basis_field(element: BasisElement, grid: GridSpec):
     """Spectral field of a basis element (two conjugate modes)."""
-    k = element.wavevector
-    plus = element.plus_mode()
-    idx_p = tuple(c % grid.modes for c in k)
-    idx_m = tuple(-c % grid.modes for c in k)
-    if element.direction is None:
-        f = SpectralScalarField(grid)
-        f.coeffs[idx_p] = plus
-        f.coeffs[idx_m] = np.conj(plus)
-        return f
-    f = SpectralVectorField(grid)
-    for i in range(grid.dim):
-        f.coeffs[i][idx_p] = plus[i]
-        f.coeffs[i][idx_m] = np.conj(plus[i])
+    vector = element.direction is not None
+    f = SpectralVectorField(grid) if vector else SpectralScalarField(grid)
+    _, k, w = _flat_modes([element], grid.dim)
+    coeffs, at = _at(f, k)
+    coeffs[at] = w.T
     return f
 
 
 @dataclass
 class GalerkinSystem:
-    """Assembled tensors and eigenvalues for one truncation level."""
+    """Assembled tensors and eigenvalues for one truncation level.
+
+    ``A`` and ``B`` are COO tensors: values beside (nnz, 3) keys that are
+    unique and sorted, a key being absent exactly when its sum over triads
+    is 0.  The buoyancy coupling ``C`` has O(m) non-zeros and stays dense.
+    """
 
     grid: GridSpec
     vel_basis: list
     scalar_basis: list
-    A: np.ndarray  # (m, m, m): (E_k . grad E_l, E_j)
-    B: np.ndarray  # (m, ms, ms): (E_j . grad e_b, e_a)
+    A: np.ndarray  # (nnz_A,) values
+    A_index: np.ndarray  # (nnz_A, 3) int: (a, b, c)
+    B: np.ndarray  # (nnz_B,) values
+    B_index: np.ndarray  # (nnz_B, 3) int: (j, b, a)
     C: np.ndarray  # (ms, m): (e_g e_N, E_j)
     lam: np.ndarray
     tau_eig: np.ndarray
@@ -201,82 +212,74 @@ class GalerkinSystem:
         return len(self.vel_basis)
 
 
-def _element_modes(element):
-    plus = element.plus_mode()
-    k = np.asarray(element.wavevector)
-    return [(k, np.atleast_1d(plus)), (-k, np.conj(np.atleast_1d(plus)))]
+def _key(k, half):
+    """Integer key of each wavevector row of ``k`` in the box |k_i| <= half."""
+    return np.ravel_multi_index((k + half).T, (2 * half + 1,) * k.shape[1])
+
+
+def _lookup(k, half):
+    """Table from wavevector key to the modes there, ascending, -1 padded."""
+    keys = _key(k, half)
+    counts = np.bincount(keys, minlength=(2 * half + 1) ** k.shape[1])
+    order = np.argsort(keys, kind="stable")
+    slot = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys[order]]
+    table = np.full((len(counts), counts.max(initial=0)), -1)
+    table[keys[order], slot] = order
+    return table
+
+
+def _receivers(s, table, half):
+    """(row, mode) for every mode in ``table`` at -s[row]."""
+    hits = table[_key(-s, half)]
+    row, slot = np.nonzero(hits >= 0)
+    return row, hits[row, slot]
+
+
+def _advection_coo(vmodes, modes, table, half, vol):
+    """COO values and (a, b, c) keys of (E_a . grad f_b, f_c).
+
+    Every pair of modes (p of E_a, q of f_b) meets the modes r = -(p + q)
+    of f, each triad adding vol Re[i (w_a . q)(w_b . w_c)].  Triads are
+    summed per key in the order (a, p, b, q, c); zero sums are dropped.
+    """
+    owner_a, p, wa = vmodes
+    owner, q, w = modes
+    i, j = np.indices((len(p), len(q))).reshape(2, -1)
+    pair, r = _receivers(p[i] + q[j], table, half)
+    i, j = i[pair], j[pair]
+    values = vol * (1j * (wa @ q.T)[i, j] * (w @ w.T)[j, r]).real
+    shape = (len(p) // 2, len(q) // 2, len(q) // 2)
+    keys, inverse = np.unique(np.ravel_multi_index(
+        (owner_a[i], owner[j], owner[r]), shape), return_inverse=True)
+    sums = np.bincount(inverse, weights=values)
+    keep = sums != 0
+    return sums[keep], np.stack(np.unravel_index(keys[keep], shape), axis=1)
 
 
 def assemble_tensors(vel_basis, scalar_basis, grid: GridSpec,
                      buoyancy_axis: int | None = None):
-    """Interaction tensors by analytic mode matching.
-
-    The inner product of three exponentials vanishes unless the
-    wavevectors cancel, so each tensor entry is a short sum over the
-    (at most eight) mode triples with p + q + r = 0.
-    """
+    """Interaction tensors by analytic triad matching; the receiving
+    modes are looked up in the box |k_i| <= 2 * cutoff of all sums."""
     axis = (grid.dim if buoyancy_axis is None else buoyancy_axis) - 1
     vol = TWO_PI**grid.dim
-    m = len(vel_basis)
-    ms = len(scalar_basis)
+    half = 2 * grid.dealias_cutoff
+    vmodes = _flat_modes(vel_basis, grid.dim)
+    smodes = _flat_modes(scalar_basis, grid.dim)
+    vtable = _lookup(vmodes[1], half)
+    A, A_index = _advection_coo(vmodes, vmodes, vtable, half, vol)
+    B, B_index = _advection_coo(vmodes, smodes, _lookup(smodes[1], half),
+                                half, vol)
 
-    vmodes = [_element_modes(e) for e in vel_basis]
-    smodes = [_element_modes(e) for e in scalar_basis]
-
-    def index_by_wavevector(basis):
-        table = {}
-        for i, e in enumerate(basis):
-            table.setdefault(e.wavevector, []).append(i)
-        return table
-
-    vtable = index_by_wavevector(vel_basis)
-    stable = index_by_wavevector(scalar_basis)
-
-    def receivers(s, table, modes):
-        """Elements with a mode at r = -s, with that mode's coefficients."""
-        if not np.any(s):
-            return
-        canon = _canonical(s)
-        for c in table.get(canon, ()):
-            for r, w in modes[c]:
-                if np.array_equal(r, -s):
-                    yield c, w
-
-    A = np.zeros((m, m, m))
-    B = np.zeros((m, ms, ms))
-    for a in range(m):
-        for p, wa in vmodes[a]:
-            for b in range(m):
-                for q, wb in vmodes[b]:
-                    adv = 1j * np.dot(wa, q.astype(float))
-                    s = p + q
-                    for c, wc in receivers(s, vtable, vmodes):
-                        A[a, b, c] += vol * (adv * np.dot(wb, wc)).real
-            for b in range(ms):
-                for q, wb in smodes[b]:
-                    adv = 1j * np.dot(wa, q.astype(float))
-                    s = p + q
-                    for c, wc in receivers(s, stable, smodes):
-                        B[a, b, c] += vol * (adv * wb[0] * wc[0]).real
-
-    C = np.zeros((ms, m))
-    for gidx in range(ms):
-        for p, wg in smodes[gidx]:
-            for c, wc in receivers(p, vtable, vmodes):
-                C[gidx, c] += vol * (wg[0] * wc[axis]).real
+    # scalar mode p forces the velocity modes at -p
+    g, c = _receivers(smodes[1], vtable, half)
+    C = np.zeros((len(scalar_basis), len(vel_basis)))
+    np.add.at(C, (smodes[0][g], vmodes[0][c]),
+              vol * (smodes[2][g, 0] * vmodes[2][c, axis]).real)
 
     lam = np.array([e.eigenvalue for e in vel_basis])
     tau_eig = np.array([e.eigenvalue for e in scalar_basis])
-    return GalerkinSystem(
-        grid=grid,
-        vel_basis=list(vel_basis),
-        scalar_basis=list(scalar_basis),
-        A=A,
-        B=B,
-        C=C,
-        lam=lam,
-        tau_eig=tau_eig,
-    )
+    return GalerkinSystem(grid, list(vel_basis), list(scalar_basis),
+                          A, A_index, B, B_index, C, lam, tau_eig)
 
 
 @dataclass
@@ -293,14 +296,16 @@ def galerkin_rhs(state: GalerkinState, system: GalerkinSystem,
                  params: PhysicalParams):
     """Right-hand sides (dxi/dt, deta/dt) of the truncated system."""
     xi, eta = state.xi, state.eta
+    a, b, c = system.A_index.T
+    j, g, h = system.B_index.T
     dxi = (
         -params.nu * system.lam * xi
-        - np.einsum("abc,a,b->c", system.A, xi, xi)
+        - np.bincount(c, weights=system.A * xi[a] * xi[b], minlength=len(xi))
         + np.einsum("gc,g->c", system.C, eta)
     )
     deta = (
         -params.kappa * system.tau_eig * eta
-        - np.einsum("abc,a,b->c", system.B, xi, eta)
+        - np.bincount(h, weights=system.B * xi[j] * eta[g], minlength=len(eta))
     )
     return dxi, deta
 
@@ -378,36 +383,27 @@ def integrate_galerkin(system: GalerkinSystem, initial: GalerkinState,
 def project_state(u: SpectralVectorField, theta: SpectralScalarField,
                   system: GalerkinSystem, t: float = 0.0):
     """Coordinates (xi, eta) of (u, theta) in the basis."""
-    vol = TWO_PI**system.grid.dim
-    modes = system.grid.modes
+    grid = system.grid
 
-    def coord(coeffs, element, vector):
-        total = 0.0j
-        for k, w in _element_modes(element):
-            idx = tuple(c % modes for c in k)
-            if vector:
-                total += np.dot(coeffs[(slice(None),) + idx], np.conj(w))
-            else:
-                total += coeffs[idx] * np.conj(w[0])
-        return vol * total.real
+    def coords(field, basis):
+        _, k, w = _flat_modes(basis, grid.dim)
+        coeffs, at = _at(field, k)
+        total = np.sum(coeffs[at].T * w.conj(), axis=1).reshape(-1, 2).sum(1)
+        return TWO_PI**grid.dim * total.real
 
-    xi = np.array([coord(u.coeffs, e, True) for e in system.vel_basis])
-    eta = np.array([coord(theta.coeffs, e, False) for e in system.scalar_basis])
-    return GalerkinState(xi, eta, t)
+    return GalerkinState(coords(u, system.vel_basis),
+                         coords(theta, system.scalar_basis), t)
 
 
 def reconstruct(state: GalerkinState, system: GalerkinSystem):
     """Spectral fields u = sum xi_j E_j, theta = sum eta_a e_a."""
     grid = system.grid
-    u = SpectralVectorField(grid)
-    theta = SpectralScalarField(grid)
-    for j, e in enumerate(system.vel_basis):
-        for k, w in _element_modes(e):
-            idx = tuple(c % grid.modes for c in k)
-            for i in range(grid.dim):
-                u.coeffs[i][idx] += state.xi[j] * w[i]
-    for a, e in enumerate(system.scalar_basis):
-        for k, w in _element_modes(e):
-            idx = tuple(c % grid.modes for c in k)
-            theta.coeffs[idx] += state.eta[a] * w[0]
-    return u, theta
+
+    def synthesize(field, x, basis):
+        owner, k, w = _flat_modes(basis, grid.dim)
+        np.add.at(*_at(field, k), x[owner] * w.T)
+        return field
+
+    return (synthesize(SpectralVectorField(grid), state.xi, system.vel_basis),
+            synthesize(SpectralScalarField(grid), state.eta,
+                       system.scalar_basis))

@@ -113,6 +113,12 @@ class GridSpec:
         kmax = np.sqrt(self.dim) * (m // 2)
         object.__setattr__(self, "tau_cap", _TAU_CAP_EXPONENT / kmax)
 
+        # grids are shared (``read_snapshot`` keeps one per size), so no
+        # caller may write into their meshes or the half-spectrum views
+        # taken from them below
+        for value in (freq1d, k, k2, self.kmag, mask):
+            value.flags.writeable = False
+
         # real-transform layout: the half spectrum keeps last-axis labels
         # 0..m/2 (what rfftn returns); the other labels m/2+1..m-1 hold
         # the conjugates of their reflections
@@ -129,11 +135,11 @@ class GridSpec:
         object.__setattr__(self, "_plane_ix", np.ix_(*reflect, np.arange(2)))
 
     # computed on first use: only grids that operators run on need these,
-    # not the one ``read_snapshot`` builds per file
+    # not the ones ``read_snapshot`` builds
     @functools.cached_property
     def k_over_k2(self):
         """j / |j|^2 mesh, zero at j = 0 (the Leray projection's weight)."""
-        return self.k / np.where(self.k2 == 0, 1.0, self.k2)
+        return _read_only(self.k / np.where(self.k2 == 0, 1.0, self.k2))
 
     @functools.cached_property
     def half_k_over_k2(self):
@@ -143,7 +149,7 @@ class GridSpec:
     @functools.cached_property
     def half_ik_masked(self):
         """i k on the retained modes of the half spectrum, zero elsewhere."""
-        return 1j * (self.k * self.dealias_mask)[self.half_slice]
+        return _read_only(1j * (self.k * self.dealias_mask)[self.half_slice])
 
     # grids carry large derived arrays, so equality compares the defining
     # scalars only
@@ -204,6 +210,11 @@ class GridSpec:
         out = np.empty(self.shape, dtype=complex)
         out[self._lex_ix] = np.asarray(flat, dtype=complex).reshape(self.shape)
         return out
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 def make_grid(dim, modes, dealias_fraction=Fraction(2, 3)):

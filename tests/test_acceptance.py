@@ -203,14 +203,27 @@ def test_03_convection_route_equivalence():
     assert time_ok, line
 
 
+def _dense(index, values, shape):
+    """Dense array of a COO tensor, duplicate keys summed."""
+    out = np.zeros(shape)
+    np.add.at(out, tuple(np.asarray(index).T), values)
+    return out
+
+
 def test_04_interaction_tensor_identities():
     """On a 2D truncation containing every wavevector with |k| <= 3, the
     advection tensors are antisymmetric in their last two slots and the
-    cubic energy fluxes vanish on random states."""
+    cubic energy fluxes vanish on random states.  The stored COO entries
+    are checked both as dense tensors and as they are: every stored
+    (a, b, c) has its partner (a, c, b), and the flux summed over the
+    stored entries vanishes."""
     started = time.perf_counter()
     grid = make_grid(2, 10)
     vel_basis, scalar_basis = build_basis(grid)
     system = assemble_tensors(vel_basis, scalar_basis, grid)
+    m, ms = len(vel_basis), len(scalar_basis)
+    A = _dense(system.A_index, system.A, (m, m, m))
+    B = _dense(system.B_index, system.B, (m, ms, ms))
 
     covered = {e.wavevector for e in scalar_basis}
     wanted = {
@@ -222,32 +235,46 @@ def test_04_interaction_tensor_identities():
     cover_ok = all(k in covered or tuple(-c for c in k) in covered
                    for k in wanted)
 
-    asym_A = float(np.max(np.abs(system.A + system.A.swapaxes(1, 2))))
-    asym_B = float(np.max(np.abs(system.B + system.B.swapaxes(1, 2))))
+    asym_A = float(np.max(np.abs(A + A.swapaxes(1, 2))))
+    asym_B = float(np.max(np.abs(B + B.swapaxes(1, 2))))
     antisym_ok = asym_A <= 1e-13 and asym_B <= 1e-13
+
+    unpaired = 0
+    for index in (system.A_index, system.B_index):
+        keys = {tuple(row) for row in index.tolist()}
+        unpaired += sum((a, c, b) not in keys for a, b, c in keys)
+    partner_ok = unpaired == 0
 
     rng = np.random.default_rng(4)
     worst_flux = 0.0
+    worst_sparse = 0.0
     for _ in range(100):
         xi = rng.standard_normal(len(vel_basis))
         eta = rng.standard_normal(len(scalar_basis))
         xi /= np.linalg.norm(xi)
         eta /= np.linalg.norm(eta)
-        flux_u = np.einsum("abc,a,b,c->", system.A, xi, xi, xi)
-        flux_t = np.einsum("abc,a,b,c->", system.B, xi, eta, eta)
+        flux_u = np.einsum("abc,a,b,c->", A, xi, xi, xi)
+        flux_t = np.einsum("abc,a,b,c->", B, xi, eta, eta)
         worst_flux = max(worst_flux, abs(flux_u), abs(flux_t))
+        a, b, c = system.A_index.T
+        j, g, h = system.B_index.T
+        sparse_u = np.sum(system.A * xi[a] * xi[b] * xi[c])
+        sparse_t = np.sum(system.B * xi[j] * eta[g] * eta[h])
+        worst_sparse = max(worst_sparse, abs(sparse_u), abs(sparse_t))
     elapsed = time.perf_counter() - started
 
-    flux_ok = worst_flux <= 1e-12
+    flux_ok = worst_flux <= 1e-12 and worst_sparse <= 1e-12
     time_ok = elapsed < 10.0
     line = _report(
         4, "interaction tensor identities",
-        cover_ok and antisym_ok and flux_ok and time_ok,
+        cover_ok and antisym_ok and partner_ok and flux_ok and time_ok,
         f"antisymmetry defects {asym_A:.3e}/{asym_B:.3e} (tol 1e-13), "
-        f"max |cubic flux| {worst_flux:.3e} over 100 states (tol 1e-12), "
-        f"{elapsed:.2f}s (budget 10s)")
+        f"{unpaired} stored entries without partner, "
+        f"max |cubic flux| {worst_flux:.3e} dense, {worst_sparse:.3e} "
+        f"sparse over 100 states (tol 1e-12), {elapsed:.2f}s (budget 10s)")
     assert cover_ok, line
     assert antisym_ok, line
+    assert partner_ok, line
     assert flux_ok, line
     assert time_ok, line
 

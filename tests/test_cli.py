@@ -139,10 +139,35 @@ class TestOracleCheck:
         assert "solver vs Galerkin ODE" in out
         assert "MISMATCH" not in out
 
-    def test_skips_ode_above_truncation_limit(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
+    def test_passes_on_3d_grid(self, tmp_path, capsys):
+        # 8^3 keeps |j_i| <= 2: 248 velocity elements, the largest 3D
+        # basis the ODE clause admits
+        cfg = write_config(tmp_path, """
+            dim = 3
+            modes = 8
+            t_final = 0.01
+            dt = 1e-3
+            seed = 5
+        """)
         assert main(["oracle-check", cfg]) == 0
-        assert "skipped" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "solver vs Galerkin ODE (T = " in out
+        assert "MISMATCH" not in out
+
+    def test_skips_ode_above_truncation_limit(self, tmp_path, capsys):
+        # 34^2 keeps |j_i| <= 11: 528 velocity elements, above the 440
+        # of 32^2
+        cfg = write_config(tmp_path, """
+            dim = 2
+            modes = 34
+            t_final = 0.01
+            dt = 1e-3
+            seed = 5
+        """)
+        assert main(["oracle-check", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "skipped (528 basis elements" in out
+        assert "transform vs convolution" in out
 
     def test_grid_too_large_for_convolution(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """

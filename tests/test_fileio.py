@@ -165,6 +165,21 @@ class TestSnapshots:
         assert (header.nu, header.kappa) == (0.25, 2.0)
         assert header.format_version == FORMAT_VERSION
 
+    def test_snapshots_of_one_size_share_a_read_only_grid(self, tmp_path):
+        paths = []
+        for seed in (1, 2):
+            state = random_state(make_grid(2, 8), seed=seed, t=0.5 * seed)
+            paths.append(str(tmp_path / f"state{seed}.bin"))
+            write_snapshot(state, PhysicalParams(1.0, 1.0), paths[-1])
+        first, second = (read_snapshot(path) for path in paths)
+        assert first.u.grid is second.u.grid
+        assert first.theta.grid is first.u.grid
+        assert not np.array_equal(first.u.coeffs, second.u.coeffs)
+        grid = first.u.grid
+        for mesh in (grid.k, grid.k2, grid.kmag, grid.dealias_mask,
+                     grid.half_k, grid.k_over_k2, grid.half_ik_masked):
+            assert not mesh.flags.writeable
+
     def test_payload_position_of_known_mode(self, tmp_path):
         # independent layout oracle: on M = 8 the serialized order runs
         # lexicographically over j in {-3..4}^2, so mode (1, 2) of the

@@ -35,6 +35,46 @@ def small_system():
     return assemble_tensors(vel, scal, grid)
 
 
+@pytest.fixture(scope="module")
+def small_system_3d():
+    grid = make_grid(3, 4)  # mask |j_i| <= 1: 13 pairs, 52 + 26 elements
+    vel, scal = build_basis(grid)
+    return assemble_tensors(vel, scal, grid)
+
+
+def _dense(index, values, shape):
+    """Dense array of a COO tensor, duplicate keys summed."""
+    out = np.zeros(shape)
+    np.add.at(out, tuple(np.asarray(index).T), values)
+    return out
+
+
+def _dense_tensors(sys):
+    m, ms = sys.m, len(sys.scalar_basis)
+    return (_dense(sys.A_index, sys.A, (m, m, m)),
+            _dense(sys.B_index, sys.B, (m, ms, ms)))
+
+
+def _partner_gaps(index, values, size):
+    """Keys (a, b, c) whose (a, c, b) is not stored, and the largest
+    |T[a, b, c] + T[a, c, b]| over all stored keys (absent entries are 0)."""
+    a, b, c = np.asarray(index).T
+    key = (a * size + b) * size + c
+    swapped = (a * size + c) * size + b
+    order = np.argsort(key)
+    pos = np.clip(np.searchsorted(key, swapped, sorter=order), 0, len(key) - 1)
+    partner = order[pos]
+    found = key[partner] == swapped
+    defect = np.abs(values + np.where(found, values[partner], 0.0))
+    return int(np.count_nonzero(~found)), float(defect.max(initial=0.0))
+
+
+def _cubic_flux(index, values, x, y):
+    """sum T[a, b, c] x_a y_b y_c over the stored entries."""
+    a, b, c = np.asarray(index).T
+    return float(np.sum(values * x[a] * y[b] * y[c]))
+
+
 class TestBasis:
     def test_axis_mode_tangent(self):
         # k = (1, 0): the only tangent direction is e_2
@@ -91,39 +131,82 @@ class TestBasis:
 
 class TestTensors:
     def test_advection_antisymmetry(self, small_system):
-        sys = small_system
-        assert np.max(np.abs(sys.A + sys.A.transpose(0, 2, 1))) <= 1e-13
-        assert np.max(np.abs(sys.B + sys.B.transpose(0, 2, 1))) <= 1e-13
+        A, B = _dense_tensors(small_system)
+        assert np.max(np.abs(A + A.transpose(0, 2, 1))) <= 1e-13
+        assert np.max(np.abs(B + B.transpose(0, 2, 1))) <= 1e-13
 
-    def test_velocity_tensor_against_quadrature(self, small_system):
-        # independent route: evaluate (E_a . grad E_b, E_c) by dealiased
-        # products on the grid and spectral inner products
+    def test_sparse_form_identities(self, small_system):
+        # on the stored COO entries themselves: keys unique, every
+        # (a, b, c) has its partner (a, c, b), and the cubic fluxes vanish
         sys = small_system
-        grid = sys.grid
-        rng = np.random.default_rng(0)
-        for _ in range(12):
-            a, b, c = rng.integers(0, sys.m, size=3)
-            Ea = basis_field(sys.vel_basis[a], grid)
-            Eb = basis_field(sys.vel_basis[b], grid)
-            Ec = basis_field(sys.vel_basis[c], grid)
-            conv = convect_pseudospectral(Ea, Eb, grid).field
-            want = l2_inner(conv, Ec).real
-            assert sys.A[a, b, c] == pytest.approx(want, abs=1e-12)
-
-    def test_scalar_tensor_against_quadrature(self, small_system):
-        sys = small_system
-        grid = sys.grid
-        rng = np.random.default_rng(1)
         ms = len(sys.scalar_basis)
-        for _ in range(12):
-            j = rng.integers(0, sys.m)
-            b, a = rng.integers(0, ms, size=2)
-            Ej = basis_field(sys.vel_basis[j], grid)
-            eb = basis_field(sys.scalar_basis[b], grid)
-            ea = basis_field(sys.scalar_basis[a], grid)
-            conv = convect_pseudospectral(Ej, eb, grid).field
-            want = l2_inner(conv, ea).real
-            assert sys.B[j, b, a] == pytest.approx(want, abs=1e-12)
+        rng = np.random.default_rng(8)
+        for index, values, size in ((sys.A_index, sys.A, sys.m),
+                                    (sys.B_index, sys.B, ms)):
+            assert len(np.unique(index, axis=0)) == len(index)
+            assert np.all(values != 0)
+            missing, defect = _partner_gaps(index, values, size)
+            assert missing == 0
+            assert defect <= 1e-13
+        for _ in range(100):
+            xi = rng.standard_normal(sys.m)
+            eta = rng.standard_normal(ms)
+            flux_u = _cubic_flux(sys.A_index, sys.A, xi, xi)
+            flux_t = _cubic_flux(sys.B_index, sys.B, xi, eta)
+            assert abs(flux_u) <= 1e-12 * max(np.sum(xi**2) ** 1.5, 1.0)
+            assert abs(flux_t) <= 1e-12 * max(
+                np.sum(xi**2) ** 0.5 * np.sum(eta**2), 1.0)
+
+    def test_three_dimensional_identities(self):
+        # 6^3 keeps |j_i| <= 2: 248 velocity and 124 scalar elements.  A
+        # stored entry whose exact value is 0 (E_a orthogonal to q) may
+        # keep roundoff while its partner rounds to exactly 0, so absent
+        # partners count as 0 in the antisymmetry defect
+        grid = make_grid(3, 6)
+        sys = assemble_tensors(*build_basis(grid), grid)
+        ms = len(sys.scalar_basis)
+        for index, values, size in ((sys.A_index, sys.A, sys.m),
+                                    (sys.B_index, sys.B, ms)):
+            _, defect = _partner_gaps(index, values, size)
+            assert defect <= 1e-13
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            xi = rng.standard_normal(sys.m)
+            eta = rng.standard_normal(ms)
+            xi /= np.linalg.norm(xi)
+            eta /= np.linalg.norm(eta)
+            assert abs(_cubic_flux(sys.A_index, sys.A, xi, xi)) <= 1e-12
+            assert abs(_cubic_flux(sys.B_index, sys.B, xi, eta)) <= 1e-12
+
+    def test_velocity_tensor_against_quadrature(self, small_system,
+                                                small_system_3d):
+        # independent route: evaluate every (E_a . grad E_b, E_c), the
+        # zeros the sparse form omits included, by dealiased products on
+        # the grid and spectral inner products
+        for sys in (small_system, small_system_3d):
+            grid = sys.grid
+            A, _ = _dense_tensors(sys)
+            fields = [basis_field(e, grid) for e in sys.vel_basis]
+            for a, Ea in enumerate(fields):
+                for b, Eb in enumerate(fields):
+                    conv = convect_pseudospectral(Ea, Eb, grid).field
+                    want = [l2_inner(conv, Ec).real for Ec in fields]
+                    np.testing.assert_allclose(A[a, b], want, rtol=0,
+                                               atol=1e-12)
+
+    def test_scalar_tensor_against_quadrature(self, small_system,
+                                              small_system_3d):
+        for sys in (small_system, small_system_3d):
+            grid = sys.grid
+            _, B = _dense_tensors(sys)
+            scalars = [basis_field(e, grid) for e in sys.scalar_basis]
+            for j, e in enumerate(sys.vel_basis):
+                Ej = basis_field(e, grid)
+                for b, eb in enumerate(scalars):
+                    conv = convect_pseudospectral(Ej, eb, grid).field
+                    want = [l2_inner(conv, ea).real for ea in scalars]
+                    np.testing.assert_allclose(B[j, b], want, rtol=0,
+                                               atol=1e-12)
 
     def test_buoyancy_tensor_against_inner_products(self, small_system):
         sys = small_system
@@ -140,13 +223,14 @@ class TestTensors:
         # antisymmetry makes the advection terms move energy without
         # creating it: sum A[a,b,c] xi_a xi_b xi_c = 0 for every state
         sys = small_system
+        A, B = _dense_tensors(sys)
         rng = np.random.default_rng(7)
         ms = len(sys.scalar_basis)
         for _ in range(100):
             xi = rng.standard_normal(sys.m)
             eta = rng.standard_normal(ms)
-            flux_u = np.einsum("abc,a,b,c->", sys.A, xi, xi, xi)
-            flux_t = np.einsum("abc,a,b,c->", sys.B, xi, eta, eta)
+            flux_u = np.einsum("abc,a,b,c->", A, xi, xi, xi)
+            flux_t = np.einsum("abc,a,b,c->", B, xi, eta, eta)
             scale_u = max(np.sum(xi**2) ** 1.5, 1.0)
             scale_t = max(np.sum(xi**2) ** 0.5 * np.sum(eta**2), 1.0)
             assert abs(flux_u) <= 1e-12 * scale_u
@@ -235,6 +319,7 @@ class TestIntegration:
         order = np.log2(res[4e-3] / res[2e-3])
         assert order >= 3.9, f"residual order {order:.2f}, residuals {res}"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_abort_keeps_last_state(self, small_system):
         sys = small_system
         rng = np.random.default_rng(2)
