@@ -99,14 +99,14 @@ def _cmd_run(args):
 
 
 def _cmd_diagnose(args):
-    states = sorted(
-        (read_snapshot(path) for path in args.snapshots),
-        key=lambda s: s.t,
-    )
-    header = read_snapshot_header(args.snapshots[0])
-    params = PhysicalParams(nu=header.nu, kappa=header.kappa)
-    budget = BudgetAccumulator(params) if len(states) >= 2 else None
-    records = [build_record(s, params, budget) for s in states]
+    # order by the time in each header, then read and diagnose one
+    # snapshot at a time, so only one state is held
+    headers = [read_snapshot_header(path) for path in args.snapshots]
+    order = sorted(range(len(headers)), key=lambda i: headers[i].t)
+    params = PhysicalParams(nu=headers[0].nu, kappa=headers[0].kappa)
+    budget = BudgetAccumulator(params) if len(headers) >= 2 else None
+    records = [build_record(read_snapshot(args.snapshots[i]), params, budget)
+               for i in order]
     if args.output_dir is not None:
         os.makedirs(args.output_dir, exist_ok=True)
         path = os.path.join(args.output_dir, "diagnostics.csv")

@@ -28,17 +28,22 @@ Laplacian p = -div(u . grad u) + div(theta e_N) mode by mode.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields as _dc_fields
 
 import numpy as np
 
 from .fields import (
+    GevreyParams,
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
+    _gevrey_weight,
+    _norm_of,
+    _power,
+    _weigh,
     divergence_max,
     leray_project,
-    norm,
 )
 from .grid import TWO_PI, GridSpec
 from .nonlinear import convect_pseudospectral
@@ -112,49 +117,54 @@ class RadiusFit:
     quality: float
 
 
-def _envelope_amplitudes(field):
-    """Per-mode amplitude array: |coeffs|, or the vector magnitude."""
-    if isinstance(field, SpectralVectorField):
-        return np.sqrt(np.sum(np.abs(field.coeffs) ** 2, axis=0))
-    return np.abs(field.coeffs)
+@functools.lru_cache(maxsize=8)
+def _shell_plan(grid):
+    """Shell bookkeeping of a grid, shared by every envelope on it.
+
+    Returns, as read-only arrays, the stable permutation that sorts the
+    flat modes by integer radius shell floor(|j| + 1/2) (modes of one
+    shell keep their flat order), the shell of each sorted position, the
+    start of each non-empty shell in the sorted order, and |j| in sorted
+    order.
+    """
+    shell = np.floor(grid.kmag + 0.5).astype(int).ravel()
+    order = np.argsort(shell, kind="stable")
+    sorted_shell = shell[order]
+    starts = np.flatnonzero(np.diff(sorted_shell, prepend=-1))
+    plan = (order, sorted_shell, starts, grid.kmag.ravel()[order])
+    for value in plan:
+        value.flags.writeable = False
+    return plan
+
+
+def _envelope(grid, amp):
+    """``shell_envelope`` of the per-mode amplitudes ``amp``."""
+    order, sorted_shell, starts, sorted_kmag = _shell_plan(grid)
+    ranked = amp.ravel()[order]
+    peak = np.zeros(sorted_shell[-1] + 1)
+    peak_kmag = np.zeros(sorted_shell[-1] + 1)
+    peak[sorted_shell[starts]] = np.maximum.reduceat(ranked, starts)
+    # where the loudest mode of each shell sits on the |j| axis; of equal
+    # peaks the one last in flat order counts
+    loud = np.flatnonzero(ranked == peak[sorted_shell])
+    last = loud[np.flatnonzero(np.diff(sorted_shell[loud], append=-1))]
+    peak_kmag[sorted_shell[last]] = sorted_kmag[last]
+    return peak, peak_kmag
 
 
 def shell_envelope(field):
     """Peak amplitude per integer-radius shell [n - 1/2, n + 1/2) on |j|.
 
     Returns (peak, peak_kmag): the loudest amplitude in each shell and
-    the |j| where it sits.  Shell 0 holds only the (zero) mean mode.
+    the |j| where it sits.  Shell 0 holds only the (zero) mean mode.  The
+    amplitude of a vector mode is the magnitude over its components.
     """
-    grid = field.grid
-    amp = _envelope_amplitudes(field)
-    shell = np.floor(grid.kmag + 0.5).astype(int)
-
-    n_shells = int(shell.max()) + 1
-    peak = np.zeros(n_shells)
-    peak_kmag = np.zeros(n_shells)
-    flat_shell = shell.ravel()
-    flat_amp = amp.ravel()
-    flat_kmag = grid.kmag.ravel()
-    # loudest mode per shell, remembering where it sits on the |j| axis
-    order = np.lexsort((flat_amp, flat_shell))
-    np.maximum.at(peak, flat_shell, flat_amp)
-    last_of_shell = np.flatnonzero(np.diff(flat_shell[order], append=-1))
-    peak_kmag[flat_shell[order][last_of_shell]] = flat_kmag[order][last_of_shell]
-    return peak, peak_kmag
+    return _envelope(field.grid, np.sqrt(_power(field)))
 
 
-def fit_radius(field, s: float = 1.0):
-    """Estimate the analyticity radius from the coefficient envelope.
-
-    Each shell contributes its loudest mode (the envelope — the Gevrey
-    class constrains peaks, not means) at that mode's own |j|.  A line
-    through (|j|^{1/s}, log amplitude) gives tau_est = -slope, clamped
-    at zero.  Returns None when fewer than 4 shells rise above the
-    amplitude floor: too little spectrum to call it a fit.
-    """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    peak, peak_kmag = shell_envelope(field)
+def _fit(grid, amp, s):
+    """``fit_radius`` of the per-mode amplitudes ``amp``."""
+    peak, peak_kmag = _envelope(grid, amp)
 
     floor = AMPLITUDE_FLOOR_RATIO * peak.max()
     usable = np.flatnonzero(peak > max(floor, 0.0))
@@ -177,6 +187,28 @@ def fit_radius(field, s: float = 1.0):
     )
 
 
+def fit_radius(field, s: float = 1.0):
+    """Estimate the analyticity radius from the coefficient envelope.
+
+    Each shell contributes its loudest mode (the envelope — the Gevrey
+    class constrains peaks, not means) at that mode's own |j|.  A line
+    through (|j|^{1/s}, log amplitude) gives tau_est = -slope, clamped
+    at zero.  Returns None when fewer than 4 shells rise above the
+    amplitude floor: too little spectrum to call it a fit.
+    """
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    return _fit(field.grid, np.sqrt(_power(field)), s)
+
+
+def _gevrey_x(grid, tau, h1_u, h1_theta):
+    """X from the H1 densities |j|^2 |c_j|^2 of u and theta, both
+    weighted by one Gevrey factor exp(2 tau |j|)."""
+    weight = _gevrey_weight(grid, tau, 1.0, double=True)
+    return (1.0 + _norm_of(grid, weight * h1_u) ** 2
+            + _norm_of(grid, weight * h1_theta) ** 2)
+
+
 def gevrey_energy(state, tau_schedule=None):
     """X(t) = 1 + ||L e^{tau L} u||^2 + ||L e^{tau L} theta||^2.
 
@@ -190,26 +222,13 @@ def gevrey_energy(state, tau_schedule=None):
         tau = min(state.t, grid.tau_cap)
     else:
         tau = min(tau_schedule(state.t), grid.tau_cap)
-    return (
-        1.0
-        + norm(state.u, r=1.0, tau=tau) ** 2
-        + norm(state.theta, r=1.0, tau=tau) ** 2
-    )
+    GevreyParams(tau=tau)  # validate the range
+    return _gevrey_x(grid, tau, _weigh(grid, _power(state.u), r=1.0),
+                     _weigh(grid, _power(state.theta), r=1.0))
 
 
 # ----------------------------------------------------------------------
 # energy budgets
-
-
-def _dissipation_densities(u, theta):
-    """Per-mode |j|^2 |u_j|^2 (summed over components) and |j|^2 |theta_j|^2.
-
-    Summed and scaled by (2 pi)^N they give ||grad u||^2 and
-    ||grad theta||^2.
-    """
-    k2 = u.grid.k2
-    return (k2 * np.sum(np.abs(u.coeffs) ** 2, axis=0),
-            k2 * np.abs(theta.coeffs) ** 2)
 
 
 def _buoyancy_flux(u, theta, params):
@@ -271,17 +290,26 @@ class BudgetAccumulator:
         self._int_cross = 0.0
 
     def update(self, u, theta, t):
-        e_u = norm(u) ** 2
-        e_theta = norm(theta) ** 2
-        dens_u, dens_theta = _dissipation_densities(u, theta)
-        cross = _buoyancy_flux(u, theta, self.params)
+        grid = u.grid
+        power_u, power_theta = _power(u), _power(theta)
+        return self._advance(
+            grid, t, _norm_of(grid, power_u) ** 2,
+            _norm_of(grid, power_theta) ** 2,
+            _weigh(grid, power_u, r=1.0), _weigh(grid, power_theta, r=1.0),
+            _buoyancy_flux(u, theta, self.params),
+        )
+
+    def _advance(self, grid, t, e_u, e_theta, dens_u, dens_theta, cross):
+        """``update`` from the state's energies ||u||^2 and ||theta||^2,
+        its dissipation densities |j|^2 |c_j|^2 (summed over components)
+        and its buoyancy flux (theta e_N, u)."""
         if self._prev is None:
             self._e0_u = e_u
             self._e0_theta = e_theta
         else:
             t_prev, dens_u_prev, dens_theta_prev, cross_prev = self._prev
             h = t - t_prev
-            scale = h * TWO_PI**u.grid.dim
+            scale = h * TWO_PI**grid.dim
             self._int_u += scale * _exp_fitted_sum(dens_u_prev, dens_u)
             self._int_theta += scale * _exp_fitted_sum(dens_theta_prev,
                                                        dens_theta)
@@ -396,16 +424,27 @@ def build_record(state, params: PhysicalParams,
     """
     u, theta, t = state.u, state.theta, state.t
     grid = u.grid
-    res_theta, res_u = (0.0, 0.0) if budget is None else budget.update(u, theta, t)
+    # one |c_j|^2 pass per field feeds every field of the record
+    power_u, power_theta = _power(u), _power(theta)
+    h1_u = _weigh(grid, power_u, r=1.0)
+    h1_theta = _weigh(grid, power_theta, r=1.0)
+    l2_u, l2_theta = _norm_of(grid, power_u), _norm_of(grid, power_theta)
+    if budget is None:
+        res_theta, res_u = 0.0, 0.0
+    else:
+        res_theta, res_u = budget._advance(
+            grid, t, l2_u**2, l2_theta**2, h1_u, h1_theta,
+            _buoyancy_flux(u, theta, params),
+        )
     tau = min(t, grid.tau_cap)
-    fit = fit_radius(u)
+    fit = _fit(grid, np.sqrt(power_u), 1.0)
     return DiagnosticsRecord(
         t=t,
-        l2_u=norm(u),
-        l2_theta=norm(theta),
-        h1_u=norm(u, r=1.0),
-        h1_theta=norm(theta, r=1.0),
-        gevrey_X=gevrey_energy(state),
+        l2_u=l2_u,
+        l2_theta=l2_theta,
+        h1_u=_norm_of(grid, h1_u),
+        h1_theta=_norm_of(grid, h1_theta),
+        gevrey_X=_gevrey_x(grid, tau, h1_u, h1_theta),
         tau_used=tau,
         radius_fit=0.0 if fit is None else fit.tau_est,
         radius_fit_quality=0.0 if fit is None else fit.quality,

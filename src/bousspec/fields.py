@@ -283,6 +283,36 @@ def apply_gevrey(field, gev: GevreyParams):
     return cls(field.grid, field.coeffs * weight)
 
 
+def _power(field):
+    """Per-mode |c_j|^2 as re^2 + im^2, summed over a vector's components."""
+    c = field.coeffs
+    power = np.square(c.real)
+    power += np.square(c.imag)
+    if isinstance(field, SpectralVectorField):
+        power = power.sum(axis=0)
+    return power
+
+
+def _weigh(grid, power, r=0.0, tau=0.0, s=1.0):
+    """``power`` times |j|^(2r), then times exp(2 tau |j|^(1/s)).
+
+    r = 1 multiplies by the exact integer |j|^2; r = 0 and tau = 0 leave
+    ``power`` as it is.
+    """
+    if r == 1.0:
+        power = grid.k2 * power
+    elif r != 0.0:
+        power = grid.kmag ** (2.0 * r) * power
+    if tau != 0.0:
+        power = _gevrey_weight(grid, tau, s, double=True) * power
+    return power
+
+
+def _norm_of(grid, weighted):
+    """sqrt((2 pi)^N sum_j weighted_j), the norm of a weighted power."""
+    return float(np.sqrt(TWO_PI**grid.dim * np.sum(weighted)))
+
+
 def norm(field, r: float = 0.0, tau: float = 0.0, s: float = 1.0):
     """Weighted spectral norm; see the module docstring for the convention.
 
@@ -292,13 +322,7 @@ def norm(field, r: float = 0.0, tau: float = 0.0, s: float = 1.0):
     """
     GevreyParams(tau=tau, r=r, s=s)  # validate ranges
     grid = field.grid
-    weight = grid.kmag ** (2.0 * r)
-    if tau != 0.0:
-        weight = weight * _gevrey_weight(grid, tau, s, double=True)
-    dens = np.abs(field.coeffs) ** 2
-    if isinstance(field, SpectralVectorField):
-        dens = dens.sum(axis=0)
-    return float(np.sqrt(TWO_PI**grid.dim * np.sum(weight * dens)))
+    return _norm_of(grid, _weigh(grid, _power(field), r, tau, s))
 
 
 def l2_inner(f, g):

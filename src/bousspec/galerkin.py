@@ -106,26 +106,26 @@ def _pair_representatives(grid):
     return sorted(reps, key=lambda k: (sum(v * v for v in k), k))
 
 
-def _tangent_directions(k):
-    """Orthonormal tangents to k from Gram-Schmidt over projected axes.
+def _tangents(k):
+    """Integer tangents to k from Gram-Schmidt over projected axes.
 
     Projecting the coordinate vectors e_l onto the plane orthogonal to k
-    in ascending l and orthonormalizing yields dim-1 unit tangents; the
-    returned list pairs each with the 1-based l that produced it.
+    in ascending l and removing the earlier tangents, with every step
+    scaled to stay in integers, yields dim-1 tangents; the returned list
+    pairs each with the 1-based l that produced it.  Exact arithmetic
+    decides which projections vanish and which dot products with integer
+    wavevectors are 0.
     """
-    k = np.asarray(k, dtype=float)
-    k2 = np.dot(k, k)
-    dirs = []
+    k = np.asarray(k, dtype=np.int64)
+    tangents = []
     for ell in range(len(k)):
-        v = np.zeros(len(k))
-        v[ell] = 1.0
-        v -= (k[ell] / k2) * k
-        for _, d in dirs:
-            v -= np.dot(v, d) * d
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            dirs.append((ell + 1, v / nrm))
-    return dirs
+        t = -k[ell] * k
+        t[ell] += k @ k
+        for _, d in tangents:
+            t = (d @ d) * t - (t @ d) * d
+        if np.any(t):
+            tangents.append((ell + 1, t // np.gcd.reduce(t)))
+    return tangents
 
 
 def build_basis(grid: GridSpec, m: int | None = None):
@@ -140,9 +140,10 @@ def build_basis(grid: GridSpec, m: int | None = None):
     vel = []
     scal = []
     for k in _pair_representatives(grid):
-        for ell, d in _tangent_directions(k):
+        for ell, t in _tangents(k):
+            d = tuple(t / np.linalg.norm(t))
             for parity in ("cos", "sin"):
-                vel.append(BasisElement(k, parity, amp, tuple(d), ell))
+                vel.append(BasisElement(k, parity, amp, d, ell))
         for parity in ("cos", "sin"):
             scal.append(BasisElement(wavevector=k, parity=parity, amplitude=amp))
     if m is not None:
@@ -169,6 +170,15 @@ def _flat_modes(basis, dim):
             np.stack([w, w.conj()], axis=1).reshape(2 * n, ncomp))
 
 
+def _mode_tangents(basis, dim):
+    """Integer vector every mode's direction is parallel to, ordered as
+    in ``_flat_modes``: the element's tangent, or 1 for scalar elements."""
+    if not basis or basis[0].direction is None:
+        return np.ones((2 * len(basis), 1), dtype=np.int64)
+    t = [dict(_tangents(e.wavevector))[e.direction_index] for e in basis]
+    return np.repeat(np.array(t, dtype=np.int64).reshape(-1, dim), 2, axis=0)
+
+
 def _at(field, k):
     """Coefficients of ``field`` with a component axis first (length 1 for
     scalars), and the index of the wavevector rows ``k`` into them."""
@@ -193,7 +203,9 @@ class GalerkinSystem:
 
     ``A`` and ``B`` are COO tensors: values beside (nnz, 3) keys that are
     unique and sorted, a key being absent exactly when its sum over triads
-    is 0.  The buoyancy coupling ``C`` has O(m) non-zeros and stays dense.
+    is 0; triads whose exact value is 0 add nothing, so no entry is bare
+    roundoff.  The buoyancy coupling ``C`` has O(m) non-zeros and stays
+    dense.
     """
 
     grid: GridSpec
@@ -235,19 +247,32 @@ def _receivers(s, table, half):
     return row, hits[row, slot]
 
 
-def _advection_coo(vmodes, modes, table, half, vol):
+def _dots(x, y, tx, ty):
+    """x @ y.T, exactly 0 where the integer rows tx and ty that the rows of
+    x and y are parallel to are orthogonal."""
+    dots = x @ y.T
+    dots[tx @ ty.T == 0] = 0.0
+    return dots
+
+
+def _advection_coo(vmodes, vtangents, modes, tangents, table, half, vol):
     """COO values and (a, b, c) keys of (E_a . grad f_b, f_c).
 
     Every pair of modes (p of E_a, q of f_b) meets the modes r = -(p + q)
-    of f, each triad adding vol Re[i (w_a . q)(w_b . w_c)].  Triads are
-    summed per key in the order (a, p, b, q, c); zero sums are dropped.
+    of f, each triad adding vol Re[i (w_a . q)(w_b . w_c)].  The two dot
+    products are exactly 0 where the integer vectors the directions are
+    parallel to (``vtangents`` of E_a, ``tangents`` of f) are orthogonal
+    to q or to each other; such triads add nothing, where floating point
+    would leave roundoff.  Triads are summed per key in the order
+    (a, p, b, q, c); zero sums are dropped.
     """
     owner_a, p, wa = vmodes
     owner, q, w = modes
     i, j = np.indices((len(p), len(q))).reshape(2, -1)
     pair, r = _receivers(p[i] + q[j], table, half)
     i, j = i[pair], j[pair]
-    values = vol * (1j * (wa @ q.T)[i, j] * (w @ w.T)[j, r]).real
+    values = vol * (1j * _dots(wa, q, vtangents, q)[i, j]
+                    * _dots(w, w, tangents, tangents)[j, r]).real
     shape = (len(p) // 2, len(q) // 2, len(q) // 2)
     keys, inverse = np.unique(np.ravel_multi_index(
         (owner_a[i], owner[j], owner[r]), shape), return_inverse=True)
@@ -265,10 +290,13 @@ def assemble_tensors(vel_basis, scalar_basis, grid: GridSpec,
     half = 2 * grid.dealias_cutoff
     vmodes = _flat_modes(vel_basis, grid.dim)
     smodes = _flat_modes(scalar_basis, grid.dim)
+    vtangents = _mode_tangents(vel_basis, grid.dim)
     vtable = _lookup(vmodes[1], half)
-    A, A_index = _advection_coo(vmodes, vmodes, vtable, half, vol)
-    B, B_index = _advection_coo(vmodes, smodes, _lookup(smodes[1], half),
+    A, A_index = _advection_coo(vmodes, vtangents, vmodes, vtangents, vtable,
                                 half, vol)
+    B, B_index = _advection_coo(vmodes, vtangents, smodes,
+                                _mode_tangents(scalar_basis, grid.dim),
+                                _lookup(smodes[1], half), half, vol)
 
     # scalar mode p forces the velocity modes at -p
     g, c = _receivers(smodes[1], vtable, half)

@@ -4,9 +4,10 @@
 collocation space, multiply, transform back, with the 2/3-rule mask
 applied to inputs and output so quadratic aliasing never reaches a
 retained mode.  It works on the half spectrum with real-to-complex
-transforms (``irfftn``/``rfftn``), so the collocation values are real
-and the full output, rebuilt from its half, is Hermitian by
-construction.  ``convect_state`` and the time stepper share its kernel.
+transforms (those of ``irfftn``/``rfftn``, pruned of the masked
+columns), so the collocation values are real and the full output,
+rebuilt from its half, is Hermitian by construction.
+``convect_state`` and the time stepper share its kernel.
 
 ``convect_convolution`` is the oracle: the truncated convolution
 
@@ -75,24 +76,38 @@ def _advect(grid, u_half, comps_half):
     The shared kernel of :func:`convect_state` and
     :func:`convect_pseudospectral` and the stepper's right-hand side.
     ``u_half`` is (dim, *half) and ``comps_half`` (n, *half), both in the
-    half-spectrum layout of ``GridSpec``.  One batched ``irfftn`` takes
-    the masked velocity and all n * dim masked gradients to the
-    collocation points, one batched ``rfftn`` brings the n products back.
-    The result is masked, with a zero mean mode.
+    half-spectrum layout of ``GridSpec``.  One batched inverse transform
+    takes the masked velocity and all n * dim masked gradients to the
+    collocation points, one batched forward transform brings the n
+    products back.  The result is masked, with a zero mean mode.
+
+    The transforms are those of ``irfftn``/``rfftn``, one axis at a time
+    and in their order, pruned of the last-axis columns above the
+    dealiasing cutoff (Orszag 1971): the masked inputs are zero there,
+    so the leading-axis inverse transforms skip them and ``irfft`` pads
+    them back; the masked output is zero there, so the leading-axis
+    forward transforms skip them.  Every transform that runs sees the
+    same numbers as in the unpruned ``irfftn``/``rfftn``, so the result
+    is the same to the last bit.
     """
     dim = grid.dim
     n = len(comps_half)
-    axes = tuple(range(-dim, 0))
-    mask = grid.half_mask
+    kept = np.s_[..., : grid.dealias_cutoff + 1]
+    mask = grid.half_mask[kept]
     spec = np.empty((dim + n * dim,) + mask.shape, dtype=complex)
-    np.multiply(u_half, mask, out=spec[:dim])
-    np.multiply(grid.half_ik_masked, comps_half[:, np.newaxis],
+    np.multiply(u_half[kept], mask, out=spec[:dim])
+    np.multiply(grid.half_ik_masked[kept], comps_half[:, np.newaxis][kept],
                 out=spec[dim:].reshape((n, dim) + mask.shape))
-    phys = np.fft.irfftn(spec, s=grid.shape, axes=axes, norm="forward")
+    for axis in range(-dim, -1):
+        spec = np.fft.ifft(spec, axis=axis, norm="forward")
+    phys = np.fft.irfft(spec, n=grid.modes, axis=-1, norm="forward")
     grads = phys[dim:].reshape((n, dim) + grid.shape)
     w = np.einsum("i...,ci...->c...", phys[:dim], grads)
-    out = np.fft.rfftn(w, axes=axes, norm="forward")
-    out *= mask
+    w_hat = np.fft.rfft(w, axis=-1, norm="forward")[kept]
+    for axis in range(-2, -dim - 1, -1):
+        w_hat = np.fft.fft(w_hat, axis=axis, norm="forward")
+    out = np.zeros((n,) + grid.half_mask.shape, dtype=complex)
+    np.multiply(w_hat, mask, out=out[kept])
     out[(Ellipsis,) + grid.zero_index] = 0.0
     return out
 

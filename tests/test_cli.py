@@ -117,6 +117,21 @@ class TestDiagnose:
         assert main(["diagnose", snap, "--output-dir", str(dest)]) == 0
         assert len(read_diagnostics(str(dest / "diagnostics.csv"))) == 1
 
+    def test_rebuilds_the_run_records_in_time_order(self, tmp_path, capsys):
+        # snapshots of every step, given out of order: diagnose reads
+        # them one at a time in time order and writes the run's own CSV
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(
+            "snapshot_every = 5", "snapshot_every = 1"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
+        snaps = sorted(str(p) for p in out.glob("snapshot_*.bin"))
+        assert len(snaps) == 11
+        dest = tmp_path / "diag"
+        assert main(["diagnose", *snaps[1::2], *snaps[::-2],
+                     "--output-dir", str(dest)]) == 0
+        assert ((dest / "diagnostics.csv").read_bytes()
+                == (out / "diagnostics.csv").read_bytes())
+
     def test_corrupt_snapshot_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"XXXXXXXX" + bytes(64))

@@ -9,6 +9,7 @@ from bousspec import (
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
+    divergence_max,
     enforce_constraints,
     l2_inner,
     leray_project,
@@ -26,6 +27,7 @@ from bousspec.diagnostics import (
     gevrey_energy,
     helmholtz_check,
     recover_pressure,
+    shell_envelope,
 )
 from bousspec.stepper import SimulationState, run_simulation
 
@@ -100,6 +102,53 @@ class TestRadiusFit:
         u.coeffs[:, grid.zero_index[0], grid.zero_index[1]] = 0.0
         fit = fit_radius(u)
         assert fit.tau_est == pytest.approx(0.2, abs=1e-3)
+
+
+def lexsort_envelope(field):
+    """Shell envelope by a full lexsort on (shell, amplitude): the loudest
+    mode per shell, of equal ones the last in flat order."""
+    grid = field.grid
+    power = field.coeffs.real**2 + field.coeffs.imag**2
+    if isinstance(field, SpectralVectorField):
+        power = power.sum(axis=0)
+    amp = np.sqrt(power).ravel()
+    shell = np.floor(grid.kmag + 0.5).astype(int).ravel()
+    kmag = grid.kmag.ravel()
+    peak = np.zeros(shell.max() + 1)
+    peak_kmag = np.zeros(shell.max() + 1)
+    order = np.lexsort((amp, shell))
+    last = order[np.flatnonzero(np.diff(shell[order], append=-1))]
+    peak[shell[last]] = amp[last]
+    peak_kmag[shell[last]] = kmag[last]
+    return peak, peak_kmag
+
+
+class TestShellEnvelope:
+    @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
+    def test_matches_lexsort_on_random_vector_field(self, dim, modes):
+        # no reality symmetry: the two modes j and -j differ
+        grid = make_grid(dim, modes)
+        rng = np.random.default_rng(modes)
+        u = SpectralVectorField(grid, rng.standard_normal(grid.vshape)
+                                + 1j * rng.standard_normal(grid.vshape))
+        for got, want in zip(shell_envelope(u), lexsort_envelope(u)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
+    def test_matches_lexsort_on_ties(self, dim, modes):
+        # coefficients from a 3 x 3 integer set: every shell holds many
+        # equal peaks, at different |j|, and some shells hold only zeros
+        grid = make_grid(dim, modes)
+        rng = np.random.default_rng(dim)
+        theta = SpectralScalarField(grid, rng.integers(0, 3, grid.shape)
+                                    + 1j * rng.integers(0, 3, grid.shape))
+        theta.coeffs[np.floor(grid.kmag + 0.5) == 3] = 0.0
+        u = SpectralVectorField(grid, rng.integers(-1, 2, grid.vshape)
+                                + 0j)
+        for field in (theta, u):
+            for got, want in zip(shell_envelope(field),
+                                 lexsort_envelope(field)):
+                assert np.array_equal(got, want)
 
 
 class TestGevreyEnergy:
@@ -311,6 +360,39 @@ class TestRecords:
         assert rec.radius_fit_quality > 0.0
         assert all(np.isfinite(v) for v in rec.as_tuple())
         assert rec.energy_residual_theta == 0.0  # no accumulator attached
+
+    @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
+    def test_record_equals_the_public_functions(self, dim, modes):
+        # every field of every record along a run, bit for bit, against
+        # the functions that compute it one at a time, the residuals
+        # against an accumulator fed the same states
+        grid = make_grid(dim, modes)
+        params = PhysicalParams(nu=0.5, kappa=0.7)
+        u0, th0 = synthesize_initial("rough_h1", grid, seed=4)
+        cfg = SimpleNamespace(dt=2e-3, t_final=0.02, scheme="if_rk4",
+                              snapshot_every=1)
+        traj = run_simulation(cfg, params, grid, SimulationState(u0, th0))
+        assert len(traj.records) == len(traj.snapshots) == 11
+        budget = BudgetAccumulator(params)
+        for rec, state in zip(traj.records, traj.snapshots):
+            u, theta = state.u, state.theta
+            fit = fit_radius(u)
+            res_theta, res_u = budget.update(u, theta, state.t)
+            assert rec == DiagnosticsRecord(
+                t=state.t,
+                l2_u=norm(u),
+                l2_theta=norm(theta),
+                h1_u=norm(u, r=1.0),
+                h1_theta=norm(theta, r=1.0),
+                gevrey_X=gevrey_energy(state),
+                tau_used=min(state.t, grid.tau_cap),
+                radius_fit=fit.tau_est,
+                radius_fit_quality=fit.quality,
+                energy_residual_theta=res_theta,
+                energy_residual_u=res_u,
+                div_max=divergence_max(u),
+            )
+        assert rec.tau_used > 0.0 and rec.energy_residual_u != 0.0
 
     def test_record_when_spectrum_unfittable(self):
         # Taylor-Green occupies a single shell: no radius fit, reported

@@ -136,38 +136,43 @@ class TestTensors:
         assert np.max(np.abs(B + B.transpose(0, 2, 1))) <= 1e-13
 
     def test_sparse_form_identities(self, small_system):
-        # on the stored COO entries themselves: keys unique, every
-        # (a, b, c) has its partner (a, c, b), and the cubic fluxes vanish
-        sys = small_system
-        ms = len(sys.scalar_basis)
+        # on the stored COO entries themselves, at 8^2 and 16^2: keys
+        # unique, every (a, b, c) has its partner (a, c, b), and the cubic
+        # fluxes vanish
+        grid = make_grid(2, 16)
         rng = np.random.default_rng(8)
-        for index, values, size in ((sys.A_index, sys.A, sys.m),
-                                    (sys.B_index, sys.B, ms)):
-            assert len(np.unique(index, axis=0)) == len(index)
-            assert np.all(values != 0)
-            missing, defect = _partner_gaps(index, values, size)
-            assert missing == 0
-            assert defect <= 1e-13
-        for _ in range(100):
-            xi = rng.standard_normal(sys.m)
-            eta = rng.standard_normal(ms)
-            flux_u = _cubic_flux(sys.A_index, sys.A, xi, xi)
-            flux_t = _cubic_flux(sys.B_index, sys.B, xi, eta)
-            assert abs(flux_u) <= 1e-12 * max(np.sum(xi**2) ** 1.5, 1.0)
-            assert abs(flux_t) <= 1e-12 * max(
-                np.sum(xi**2) ** 0.5 * np.sum(eta**2), 1.0)
+        for sys in (small_system, assemble_tensors(*build_basis(grid), grid)):
+            ms = len(sys.scalar_basis)
+            for index, values, size in ((sys.A_index, sys.A, sys.m),
+                                        (sys.B_index, sys.B, ms)):
+                assert len(np.unique(index, axis=0)) == len(index)
+                # no entry is roundoff: the smallest are about 1e-2
+                assert np.min(np.abs(values)) > 1e-12
+                missing, defect = _partner_gaps(index, values, size)
+                assert missing == 0
+                assert defect <= 1e-13
+            for _ in range(100):
+                xi = rng.standard_normal(sys.m)
+                eta = rng.standard_normal(ms)
+                flux_u = _cubic_flux(sys.A_index, sys.A, xi, xi)
+                flux_t = _cubic_flux(sys.B_index, sys.B, xi, eta)
+                assert abs(flux_u) <= 1e-12 * max(np.sum(xi**2) ** 1.5, 1.0)
+                assert abs(flux_t) <= 1e-12 * max(
+                    np.sum(xi**2) ** 0.5 * np.sum(eta**2), 1.0)
 
     def test_three_dimensional_identities(self):
-        # 6^3 keeps |j_i| <= 2: 248 velocity and 124 scalar elements.  A
-        # stored entry whose exact value is 0 (E_a orthogonal to q) may
-        # keep roundoff while its partner rounds to exactly 0, so absent
-        # partners count as 0 in the antisymmetry defect
+        # 6^3 keeps |j_i| <= 2: 248 velocity and 124 scalar elements.
+        # Triads whose exact value is 0 (E_a orthogonal to q, or two
+        # orthogonal directions) are not stored, so every entry has its
+        # partner
         grid = make_grid(3, 6)
         sys = assemble_tensors(*build_basis(grid), grid)
         ms = len(sys.scalar_basis)
         for index, values, size in ((sys.A_index, sys.A, sys.m),
                                     (sys.B_index, sys.B, ms)):
-            _, defect = _partner_gaps(index, values, size)
+            assert np.min(np.abs(values)) > 1e-12  # about 2e-3 at least
+            missing, defect = _partner_gaps(index, values, size)
+            assert missing == 0
             assert defect <= 1e-13
         rng = np.random.default_rng(9)
         for _ in range(20):

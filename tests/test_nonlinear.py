@@ -13,10 +13,12 @@ from bousspec import (
     l2_inner,
     leray_project,
     make_grid,
+    synthesize_initial,
 )
 from bousspec.nonlinear import (
     AliasingMode,
     CONVOLUTION_MODE_LIMIT,
+    _advect,
     buoyancy,
     convect_convolution,
     convect_pseudospectral,
@@ -102,6 +104,39 @@ class TestPseudospectral:
         scale = max(np.max(np.abs(ref_u.coeffs)), np.max(np.abs(ref_th.coeffs)))
         assert np.max(np.abs(conv_u.field.coeffs - ref_u.coeffs)) <= 1e-14 * scale
         assert np.max(np.abs(conv_th.field.coeffs - ref_th.coeffs)) <= 1e-14 * scale
+
+
+def unpruned_advect(grid, u_half, comps_half):
+    """The kernel's contract in plain whole-array transforms: mask the
+    velocity and the gradients, irfftn, multiply, rfftn, mask."""
+    dim = grid.dim
+    n = len(comps_half)
+    axes = tuple(range(-dim, 0))
+    mask = grid.half_mask
+    grads = 1j * grid.half_k * mask * comps_half[:, np.newaxis]
+    spec = np.concatenate([u_half * mask,
+                           grads.reshape((n * dim,) + mask.shape)])
+    phys = np.fft.irfftn(spec, s=grid.shape, axes=axes, norm="forward")
+    w = np.einsum("i...,ci...->c...", phys[:dim],
+                  phys[dim:].reshape((n, dim) + grid.shape))
+    out = np.fft.rfftn(w, axes=axes, norm="forward") * mask
+    out[(Ellipsis,) + grid.zero_index] = 0.0
+    return out
+
+
+class TestKernel:
+    @pytest.mark.parametrize("dim,modes", [(2, 16), (2, 64), (3, 8), (3, 16)])
+    def test_pruned_transforms_match_whole_array_transforms(self, dim, modes):
+        # rough data fills the masked columns, so the pruning is exercised
+        g = make_grid(dim, modes)
+        u, theta = synthesize_initial("rough_h1", g, seed=modes)
+        half = g.half_slice
+        comps = np.concatenate([u.coeffs[half], theta.coeffs[np.newaxis][half]])
+        got = _advect(g, u.coeffs[half], comps)
+        want = unpruned_advect(g, u.coeffs[half], comps)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_advect(g, u.coeffs[half], comps[-1:]),
+                              unpruned_advect(g, u.coeffs[half], comps[-1:]))
 
 
 class TestConvolutionOracle:
