@@ -125,27 +125,20 @@ def lexsort_envelope(field):
 
 class TestShellEnvelope:
     @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
-    def test_matches_lexsort_on_random_vector_field(self, dim, modes):
-        # no reality symmetry: the two modes j and -j differ
-        grid = make_grid(dim, modes)
-        rng = np.random.default_rng(modes)
-        u = SpectralVectorField(grid, rng.standard_normal(grid.vshape)
-                                + 1j * rng.standard_normal(grid.vshape))
-        for got, want in zip(shell_envelope(u), lexsort_envelope(u)):
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
-    def test_matches_lexsort_on_ties(self, dim, modes):
-        # coefficients from a 3 x 3 integer set: every shell holds many
-        # equal peaks, at different |j|, and some shells hold only zeros
+    def test_matches_lexsort_reference(self, dim, modes):
+        # a random vector field without the reality symmetry, and fields
+        # drawn from small integer sets, whose shells hold many equal
+        # peaks at different |j| (and one shell only zeros)
         grid = make_grid(dim, modes)
         rng = np.random.default_rng(dim)
+        u = SpectralVectorField(grid, rng.standard_normal(grid.vshape)
+                                + 1j * rng.standard_normal(grid.vshape))
         theta = SpectralScalarField(grid, rng.integers(0, 3, grid.shape)
                                     + 1j * rng.integers(0, 3, grid.shape))
         theta.coeffs[np.floor(grid.kmag + 0.5) == 3] = 0.0
-        u = SpectralVectorField(grid, rng.integers(-1, 2, grid.vshape)
-                                + 0j)
-        for field in (theta, u):
+        tied = SpectralVectorField(grid, rng.integers(-1, 2, grid.vshape)
+                                   + 0j)
+        for field in (u, theta, tied):
             for got, want in zip(shell_envelope(field),
                                  lexsort_envelope(field)):
                 assert np.array_equal(got, want)
