@@ -12,7 +12,6 @@ truncation then cross-validates the entire time-stepping path.
 """
 
 import numpy as np
-from types import SimpleNamespace
 
 from bousspec import (
     PhysicalParams,
@@ -31,7 +30,7 @@ from bousspec.galerkin import (
     project_state,
     reconstruct,
 )
-from bousspec.stepper import SimulationState, run_simulation
+from bousspec.stepper import SimulationState, StepperConfig, run_simulation
 
 grid = make_grid(2, 10)
 params = PhysicalParams(nu=1.0, kappa=1.0)
@@ -80,8 +79,7 @@ th0 = enforce_constraints(th0)
 
 ode = integrate_galerkin(system, project_state(u0, th0, system),
                          T=0.1, dt=1e-3, params=params)
-config = SimpleNamespace(dt=1e-3, t_final=0.1, scheme="if_rk4",
-                         snapshot_every=20)
+config = StepperConfig(dt=1e-3, t_final=0.1, snapshot_every=20)
 traj = run_simulation(config, params, grid,
                       SimulationState(u0.copy(), th0.copy()))
 

@@ -12,17 +12,15 @@ shell envelope, and the weighted energy with weight e^{min(t, tau_cap) |j|},
 which stays bounded even though it measures ever-stronger analyticity.
 """
 
-from types import SimpleNamespace
 
 from bousspec import PhysicalParams, make_grid, synthesize_initial
-from bousspec.stepper import SimulationState, run_simulation
+from bousspec.stepper import SimulationState, StepperConfig, run_simulation
 
 grid = make_grid(2, 64)
 params = PhysicalParams(nu=1.0, kappa=1.0)
 u0, th0 = synthesize_initial("rough_h1", grid, seed=0)
 
-config = SimpleNamespace(dt=1e-3, t_final=0.3, scheme="if_rk4",
-                         snapshot_every=25)
+config = StepperConfig(dt=1e-3, t_final=0.3, snapshot_every=25)
 traj = run_simulation(config, params, grid, SimulationState(u0, th0))
 print(f"run: {traj.message}")
 print()

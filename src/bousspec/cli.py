@@ -6,7 +6,8 @@ Four subcommands:
     simulate per the config file, streaming snapshots and writing
     ``diagnostics.csv`` into the output directory;
 ``diagnose <snapshot...>``
-    recompute diagnostics records from stored snapshots;
+    recompute diagnostics records from stored snapshots, which must
+    share one dim, modes, nu and kappa;
 ``oracle-check <config>``
     pit the transform-based advection against the direct convolution,
     and the solver against the Galerkin ODE system at matched
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .nonlinear import (
     convect_convolution,
     convect_pseudospectral,
 )
-from .stepper import SimulationState, run_simulation
+from .stepper import SimulationState, StepperConfig, run_simulation
 
 __all__ = ["main"]
 
@@ -98,12 +98,23 @@ def _cmd_run(args):
     return 0
 
 
+def _setting(header):
+    return header.dim, header.modes, header.nu, header.kappa
+
+
 def _cmd_diagnose(args):
+    headers = [read_snapshot_header(path) for path in args.snapshots]
+    first = headers[0]
+    for path, header in zip(args.snapshots[1:], headers[1:]):
+        if _setting(header) != _setting(first):
+            raise ValueError(
+                f"{path}: (dim, modes, nu, kappa) = {_setting(header)} "
+                f"differs from {_setting(first)} in {args.snapshots[0]}"
+            )
     # order by the time in each header, then read and diagnose one
     # snapshot at a time, so only one state is held
-    headers = [read_snapshot_header(path) for path in args.snapshots]
     order = sorted(range(len(headers)), key=lambda i: headers[i].t)
-    params = PhysicalParams(nu=headers[0].nu, kappa=headers[0].kappa)
+    params = PhysicalParams(nu=first.nu, kappa=first.kappa)
     budget = BudgetAccumulator(params) if len(headers) >= 2 else None
     records = [build_record(read_snapshot(args.snapshots[i]), params, budget)
                for i in order]
@@ -183,10 +194,9 @@ def _ode_deviation(config, grid, params, initial, vel, scal):
         T=_ODE_CHECK_T, dt=config.dt, params=params,
     )
 
-    cfg = SimpleNamespace(
+    cfg = StepperConfig(
         dt=config.dt,
         t_final=_ODE_CHECK_T,
-        scheme="if_rk4",
         snapshot_every=max(1, int(round(_ODE_CHECK_T / config.dt)) // 4),
     )
     trajectory = run_simulation(cfg, params, grid,

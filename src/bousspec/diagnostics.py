@@ -209,19 +209,15 @@ def _gevrey_x(grid, tau, h1_u, h1_theta):
             + _norm_of(grid, weight * h1_theta) ** 2)
 
 
-def gevrey_energy(state, tau_schedule=None):
+def gevrey_energy(state):
     """X(t) = 1 + ||L e^{tau L} u||^2 + ||L e^{tau L} theta||^2.
 
-    ``tau_schedule`` maps t to the weight tau; the default is
-    min(t, tau_cap), the linear-in-time radius the smoothing theory
-    predicts, capped where the weight would amplify roundoff past the
-    top grid mode.
+    The weight is tau = min(t, tau_cap), the linear-in-time radius the
+    smoothing theory predicts, capped where the weight would amplify
+    roundoff past the top grid mode.
     """
     grid = state.u.grid
-    if tau_schedule is None:
-        tau = min(state.t, grid.tau_cap)
-    else:
-        tau = min(tau_schedule(state.t), grid.tau_cap)
+    tau = min(state.t, grid.tau_cap)
     GevreyParams(tau=tau)  # validate the range
     return _gevrey_x(grid, tau, _weigh(grid, _power(state.u), r=1.0),
                      _weigh(grid, _power(state.theta), r=1.0))
@@ -231,12 +227,11 @@ def gevrey_energy(state, tau_schedule=None):
 # energy budgets
 
 
-def _buoyancy_flux(u, theta, params):
+def _buoyancy_flux(u, theta):
     """(theta e_N, u) at one instant."""
-    axis = params.axis_index(u.grid)
     return float(
         TWO_PI**u.grid.dim
-        * np.sum(theta.coeffs * np.conj(u.coeffs[axis])).real
+        * np.sum(theta.coeffs * np.conj(u.coeffs[-1])).real
     )
 
 
@@ -296,7 +291,7 @@ class BudgetAccumulator:
             grid, t, _norm_of(grid, power_u) ** 2,
             _norm_of(grid, power_theta) ** 2,
             _weigh(grid, power_u, r=1.0), _weigh(grid, power_theta, r=1.0),
-            _buoyancy_flux(u, theta, self.params),
+            _buoyancy_flux(u, theta),
         )
 
     def _advance(self, grid, t, e_u, e_theta, dens_u, dens_theta, cross):
@@ -366,8 +361,7 @@ def energy_budget(states, params: PhysicalParams):
 
 
 def recover_pressure(u: SpectralVectorField, theta: SpectralScalarField,
-                     grid: GridSpec | None = None,
-                     buoyancy_axis: int | None = None):
+                     grid: GridSpec | None = None):
     """Pressure from the Poisson equation the divergence constraint implies.
 
     p_hat(j) = [i j . conv_hat(j) - i j_N theta_hat(j)] / |j|^2 for
@@ -378,10 +372,9 @@ def recover_pressure(u: SpectralVectorField, theta: SpectralScalarField,
         grid = u.grid
     if u.grid is not grid or theta.grid is not grid:
         raise ValueError("u and theta must live on the supplied grid")
-    axis = (grid.dim if buoyancy_axis is None else buoyancy_axis) - 1
     conv = convect_pseudospectral(u, u, grid).field
     jdot = np.sum(grid.k * conv.coeffs, axis=0)
-    rhs = 1j * jdot - 1j * grid.k[axis] * theta.coeffs
+    rhs = 1j * jdot - 1j * grid.k[-1] * theta.coeffs
     k2 = np.where(grid.k2 == 0, 1, grid.k2)
     p = SpectralScalarField(grid, rhs / k2)
     p.coeffs[grid.zero_index] = 0.0
@@ -389,8 +382,7 @@ def recover_pressure(u: SpectralVectorField, theta: SpectralScalarField,
 
 
 def helmholtz_check(u: SpectralVectorField, theta: SpectralScalarField,
-                    grid: GridSpec | None = None,
-                    buoyancy_axis: int | None = None):
+                    grid: GridSpec | None = None):
     """Max-mode residual of the Helmholtz split of the momentum forcing.
 
     With w = u . grad u - theta e_N and p from ``recover_pressure``, the
@@ -400,13 +392,12 @@ def helmholtz_check(u: SpectralVectorField, theta: SpectralScalarField,
     """
     if grid is None:
         grid = u.grid
-    axis = (grid.dim if buoyancy_axis is None else buoyancy_axis) - 1
     conv = convect_pseudospectral(u, u, grid).field
     w = conv.coeffs.copy()
-    w[axis] -= theta.coeffs
+    w[-1] -= theta.coeffs
     w_field = SpectralVectorField(grid, w)
     gradient_part = w - leray_project(w_field).coeffs
-    p = recover_pressure(u, theta, grid, buoyancy_axis)
+    p = recover_pressure(u, theta, grid)
     residual = gradient_part + 1j * grid.k * p.coeffs
     return float(np.max(np.sqrt(np.sum(np.abs(residual) ** 2, axis=0))))
 
@@ -434,7 +425,7 @@ def build_record(state, params: PhysicalParams,
     else:
         res_theta, res_u = budget._advance(
             grid, t, l2_u**2, l2_theta**2, h1_u, h1_theta,
-            _buoyancy_flux(u, theta, params),
+            _buoyancy_flux(u, theta),
         )
     tau = min(t, grid.tau_cap)
     fit = _fit(grid, np.sqrt(power_u), 1.0)

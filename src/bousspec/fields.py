@@ -19,6 +19,7 @@ Zygmund operator Lambda = sqrt(-Laplacian) acts as multiplication by |j|).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,34 +114,17 @@ class GevreyParams:
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Viscosity, diffusivity and the axis gravity acts along.
-
-    ``buoyancy_axis`` is 1-based; ``None`` means the last axis, i.e. the
-    temperature forces the vertical velocity component.
-    """
+    """Viscosity and diffusivity; gravity acts along the last axis, so
+    the temperature forces the last velocity component."""
 
     nu: float
     kappa: float
-    buoyancy_axis: int | None = None
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.buoyancy_axis is not None and self.buoyancy_axis < 1:
-            raise ValueError(
-                f"buoyancy_axis is 1-based, got {self.buoyancy_axis}"
-            )
-
-    def axis_index(self, grid: GridSpec):
-        """0-based component index the buoyancy acts on."""
-        axis = grid.dim if self.buoyancy_axis is None else self.buoyancy_axis
-        if axis > grid.dim:
-            raise ValueError(
-                f"buoyancy_axis {axis} exceeds dimension {grid.dim}"
-            )
-        return axis - 1
+        for key in ("nu", "kappa"):
+            value = getattr(self, key)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{key} must be > 0 and finite, got {value}")
 
 
 class NonFiniteStateError(RuntimeError):

@@ -31,9 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .fields import INITIAL_KINDS, SpectralScalarField, SpectralVectorField
-from .grid import make_grid
-from .stepper import SCHEMES, SimulationState
+from .fields import (
+    INITIAL_KINDS,
+    PhysicalParams,
+    SpectralScalarField,
+    SpectralVectorField,
+)
+from .grid import _check_size, make_grid
+from .stepper import SimulationState, StepperConfig
 
 __all__ = [
     "RunConfig",
@@ -68,6 +73,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything a ``run`` invocation needs, validated on construction.
 
+    The grid size, the physical parameters and the stepper settings are
+    checked by the types that own them (``GridSpec``, ``PhysicalParams``,
+    ``StepperConfig``); their errors come back as ``ConfigError``.
     ``sobolev_exponent`` is the decay exponent handed to the rough-H1
     synthesizer; ``None`` keeps that synthesizer's dimension-dependent
     default.
@@ -87,26 +95,13 @@ class RunConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
-        if self.modes < 4 or self.modes % 2:
-            raise ConfigError(f"modes must be even and >= 4, got {self.modes}")
-        for key in ("nu", "kappa", "dt"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
-        if self.t_final < self.dt:
-            raise ConfigError(
-                f"t_final must be at least dt, got t_final={self.t_final}, "
-                f"dt={self.dt}"
-            )
-        if self.snapshot_every < 1:
-            raise ConfigError(
-                f"snapshot_every must be >= 1, got {self.snapshot_every}"
-            )
-        if self.scheme not in SCHEMES:
-            raise ConfigError(
-                f"scheme must be one of {SCHEMES}, got {self.scheme!r}"
-            )
+        try:
+            _check_size(self.dim, self.modes)
+            PhysicalParams(self.nu, self.kappa)
+            StepperConfig(self.dt, self.scheme, self.t_final,
+                          self.snapshot_every)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         if self.initial_kind not in INITIAL_KINDS:
             raise ConfigError(
                 f"initial_kind must be one of {INITIAL_KINDS}, "
@@ -273,17 +268,21 @@ def read_snapshot(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     header = _parse_header(blob, path)
-    grid = _snapshot_grid(header.dim, header.modes)
+    # the payload length is checked before any grid is built, so a
+    # corrupt header cannot ask for meshes of its claimed size
+    _check_size(header.dim, header.modes)
     n_fields = header.dim + 1
-    expected = _HEADER.size + 16 * n_fields * grid.nmodes
+    nmodes = header.modes ** header.dim
+    expected = _HEADER.size + 16 * n_fields * nmodes
     if len(blob) != expected:
         raise TruncatedPayloadError(
             f"{path}: expected {expected} bytes "
-            f"({header.dim}+1 fields of {grid.nmodes} coefficients), "
+            f"({header.dim}+1 fields of {nmodes} coefficients), "
             f"got {len(blob)}"
         )
+    grid = _snapshot_grid(header.dim, header.modes)
     flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    flat = flat.astype(np.complex128).reshape(n_fields, grid.nmodes)
+    flat = flat.astype(np.complex128).reshape(n_fields, nmodes)
     u = SpectralVectorField(
         grid, np.stack([grid.from_lex_order(flat[i]) for i in range(header.dim)])
     )

@@ -128,13 +128,13 @@ def _tangents(k):
     return tangents
 
 
-def build_basis(grid: GridSpec, m: int | None = None):
-    """Velocity and scalar bases of ``m`` elements each.
+def build_basis(grid: GridSpec):
+    """Velocity and scalar bases of every element the dealias mask admits,
+    which is the truncation matching the spectral solver.
 
     Elements are ordered by nondecreasing |k|, then lexicographically in
     the canonical wavevector, then by ascending tangent index (velocity),
-    with cos before sin.  ``m = None`` keeps every element the dealias
-    mask admits, which is the truncation matching the spectral solver.
+    with cos before sin.
     """
     amp = float(np.sqrt(2.0 / TWO_PI**grid.dim))
     vel = []
@@ -146,14 +146,6 @@ def build_basis(grid: GridSpec, m: int | None = None):
                 vel.append(BasisElement(k, parity, amp, d, ell))
         for parity in ("cos", "sin"):
             scal.append(BasisElement(wavevector=k, parity=parity, amplitude=amp))
-    if m is not None:
-        if m > len(vel) or m > len(scal):
-            raise ValueError(
-                f"m = {m} exceeds the admissible basis size "
-                f"({len(vel)} velocity, {len(scal)} scalar elements)"
-            )
-        vel = vel[:m]
-        scal = scal[:m]
     return vel, scal
 
 
@@ -281,11 +273,9 @@ def _advection_coo(vmodes, vtangents, modes, tangents, table, half, vol):
     return sums[keep], np.stack(np.unravel_index(keys[keep], shape), axis=1)
 
 
-def assemble_tensors(vel_basis, scalar_basis, grid: GridSpec,
-                     buoyancy_axis: int | None = None):
+def assemble_tensors(vel_basis, scalar_basis, grid: GridSpec):
     """Interaction tensors by analytic triad matching; the receiving
     modes are looked up in the box |k_i| <= 2 * cutoff of all sums."""
-    axis = (grid.dim if buoyancy_axis is None else buoyancy_axis) - 1
     vol = TWO_PI**grid.dim
     half = 2 * grid.dealias_cutoff
     vmodes = _flat_modes(vel_basis, grid.dim)
@@ -298,11 +288,12 @@ def assemble_tensors(vel_basis, scalar_basis, grid: GridSpec,
                                 _mode_tangents(scalar_basis, grid.dim),
                                 _lookup(smodes[1], half), half, vol)
 
-    # scalar mode p forces the velocity modes at -p
+    # scalar mode p forces the velocity modes at -p, through their
+    # component along gravity (the last axis)
     g, c = _receivers(smodes[1], vtable, half)
     C = np.zeros((len(scalar_basis), len(vel_basis)))
     np.add.at(C, (smodes[0][g], vmodes[0][c]),
-              vol * (smodes[2][g, 0] * vmodes[2][c, axis]).real)
+              vol * (smodes[2][g, 0] * vmodes[2][c, -1]).real)
 
     lam = np.array([e.eigenvalue for e in vel_basis])
     tau_eig = np.array([e.eigenvalue for e in scalar_basis])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,12 +39,10 @@ class GridSpec:
         axis.  Must be even and at least 4; the resolved wavenumbers per
         axis are -modes/2+1 .. modes/2, with the Nyquist slot shared by
         +modes/2 and -modes/2.
-    dealias_fraction : fractions.Fraction
-        Fraction of the Nyquist wavenumber kept by the dealiasing mask.
-        The mask keeps |j_i| <= floor(dealias_fraction * modes/2) per
-        axis; the default 2/3 makes quadratic products exact on the
-        retained modes.  Kept as an exact rational so the cutoff never
-        suffers float rounding.
+
+    The dealiasing mask keeps |j_i| <= floor((2/3)(modes/2)) = modes // 3
+    per axis (the 2/3 rule), which makes quadratic products exact on the
+    retained modes.
 
     Derived attributes
     ------------------
@@ -66,17 +63,9 @@ class GridSpec:
 
     dim: int
     modes: int
-    dealias_fraction: Fraction = Fraction(2, 3)
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if self.modes < 4 or self.modes % 2 != 0:
-            raise ValueError(f"modes must be even and >= 4, got {self.modes}")
-        frac = Fraction(self.dealias_fraction)
-        if not 0 < frac <= 1:
-            raise ValueError(f"dealias_fraction must lie in (0, 1], got {frac}")
-        object.__setattr__(self, "dealias_fraction", frac)
+        _check_size(self.dim, self.modes)
 
         m = self.modes
         freq1d = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
@@ -88,8 +77,8 @@ class GridSpec:
             k[axis] = freq1d.reshape(ax_shape)
         k2 = np.sum(k * k, axis=0)
 
-        # exact integer arithmetic: int() truncates the positive rational
-        cutoff = int(frac * (m // 2))
+        # integer arithmetic: floor((2/3)(m/2)) for even m, no float rounding
+        cutoff = m // 3
         mask = np.ones(shape, dtype=bool)
         for axis in range(self.dim):
             mask &= np.abs(k[axis]) <= cutoff
@@ -156,14 +145,10 @@ class GridSpec:
     def __eq__(self, other):
         if not isinstance(other, GridSpec):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.modes == other.modes
-            and self.dealias_fraction == other.dealias_fraction
-        )
+        return self.dim == other.dim and self.modes == other.modes
 
     def __hash__(self):
-        return hash((self.dim, self.modes, self.dealias_fraction))
+        return hash((self.dim, self.modes))
 
     @property
     def shape(self):
@@ -217,6 +202,14 @@ def _read_only(array):
     return array
 
 
-def make_grid(dim, modes, dealias_fraction=Fraction(2, 3)):
+def _check_size(dim, modes):
+    """Raise ValueError unless dim is 2 or 3 and modes is even and >= 4."""
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    if modes < 4 or modes % 2 != 0:
+        raise ValueError(f"modes must be even and >= 4, got {modes}")
+
+
+def make_grid(dim, modes):
     """Build a :class:`GridSpec`; see the class docstring for the contract."""
-    return GridSpec(dim=dim, modes=modes, dealias_fraction=dealias_fraction)
+    return GridSpec(dim=dim, modes=modes)

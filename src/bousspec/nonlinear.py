@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
     _from_half,
@@ -214,7 +213,7 @@ def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):
     return ConvectionResult(field, AliasingMode.NONE)
 
 
-def buoyancy(theta: SpectralScalarField, params: PhysicalParams):
+def buoyancy(theta: SpectralScalarField):
     """Divergence-free part of theta e_N (gravity along the last axis).
 
     The gradient part of the forcing is absorbed by the pressure, so the
@@ -222,5 +221,5 @@ def buoyancy(theta: SpectralScalarField, params: PhysicalParams):
     """
     grid = theta.grid
     out = SpectralVectorField(grid)
-    out.coeffs[params.axis_index(grid)] = theta.coeffs
+    out.coeffs[-1] = theta.coeffs
     return leray_project(out)

@@ -24,7 +24,8 @@ and physical parameters.
 
 ``run_simulation`` drives the stepper from t = 0 to t_final, collecting
 a diagnostics record every step and a state snapshot every
-``snapshot_every`` steps, and aborts (a reported outcome, not an
+``snapshot_every`` steps (or handing each to a callback, keeping only
+the latest), and aborts (a reported outcome, not an
 exception) if the H1 measure grows by 1e8 over its initial value, which
 for the 3D system past its guaranteed lifespan is an admissible result.
 """
@@ -32,6 +33,7 @@ for the 3D system past its guaranteed lifespan is an admissible result.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +46,6 @@ from .fields import (
     SpectralVectorField,
     _from_half,
     _leray_arrays,
-    to_physical,
 )
 from .grid import GridSpec
 from .nonlinear import _advect
@@ -57,7 +58,6 @@ __all__ = [
     "SimTrajectory",
     "rhs_full",
     "step",
-    "stable_dt",
     "run_simulation",
 ]
 
@@ -83,32 +83,37 @@ class SimulationState:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepperConfig:
-    """Step size, scheme, and the opt-in CFL clamp.
+    """Step size, scheme, end time and snapshot cadence of a run.
 
-    With ``adaptive`` off (the default) every step uses exactly ``dt``,
-    which keeps trajectories bit-reproducible; with it on, steps shrink
-    to ``cfl_safety * dx / max|u|`` whenever that is smaller, capped at
-    ``max_dt``.
+    Every step uses exactly ``dt``, which keeps trajectories
+    bit-reproducible.  ``t_final`` defaults to a single step.  This is
+    the one place these four settings are checked.
     """
 
     dt: float
     scheme: str = "if_rk4"
-    cfl_safety: float = 0.5
-    adaptive: bool = False
-    max_dt: float = 0.1
+    t_final: float | None = None
+    snapshot_every: int = 10
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be > 0 and finite, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ValueError(
                 f"scheme must be one of {SCHEMES}, got {self.scheme!r}"
             )
-        if not 0 < self.cfl_safety <= 1:
+        if self.t_final is None:
+            object.__setattr__(self, "t_final", self.dt)
+        if not (self.t_final >= self.dt and math.isfinite(self.t_final)):
             raise ValueError(
-                f"cfl_safety must lie in (0, 1], got {self.cfl_safety}"
+                f"t_final must be finite and at least dt, "
+                f"got t_final={self.t_final}, dt={self.dt}"
+            )
+        if self.snapshot_every < 1:
+            raise ValueError(
+                f"snapshot_every must be >= 1, got {self.snapshot_every}"
             )
 
 
@@ -145,7 +150,7 @@ def _nonstiff_rhs(y, params, grid):
     dim = grid.dim
     f = _advect(grid, y[:dim], y)
     np.negative(f, out=f)
-    f[params.axis_index(grid)] += y[dim]
+    f[dim - 1] += y[dim]
     f[:dim] = _leray_arrays(grid.half_k, grid.half_k_over_k2, f[:dim])
     return f
 
@@ -177,38 +182,16 @@ def _semigroups(grid, dt, params):
     return e_h, e
 
 
-def stable_dt(state: SimulationState, params: PhysicalParams,
-              grid: GridSpec | None = None, cfl_safety: float = 0.5,
-              max_dt: float | None = None):
-    """CFL-style bound cfl_safety * dx / max|u|, optionally capped at max_dt."""
-    grid = _check_grid(state, grid)
-    speed_sq = np.sum(to_physical(state.u) ** 2, axis=0)
-    speed = float(np.sqrt(np.max(speed_sq)))
-    dt = cfl_safety * grid.dx / max(1e-12, speed)
-    if max_dt is not None:
-        dt = min(dt, max_dt)
-    return dt
-
-
-def step(state: SimulationState, params: PhysicalParams, config,
-         grid: GridSpec | None = None):
-    """One integrating-factor step; raises on nonfinite coefficients.
+def step(state: SimulationState, params: PhysicalParams,
+         config: StepperConfig, grid: GridSpec | None = None):
+    """One integrating-factor step of ``config.dt`` with ``config.scheme``;
+    raises on nonfinite coefficients.
 
     The new state is Leray-projected and rebuilt from its half spectrum,
     so it is divergence-free, zero-mean and Hermitian.
     """
     grid = _check_grid(state, grid)
     dt = config.dt
-    if getattr(config, "adaptive", False):
-        dt = min(
-            dt,
-            stable_dt(state, params, grid,
-                      getattr(config, "cfl_safety", 0.5),
-                      getattr(config, "max_dt", None)),
-        )
-    scheme = getattr(config, "scheme", "if_rk4")
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
     # the stages run on the stacked half spectrum [u; theta]; the full,
     # Hermitian coefficient arrays are rebuilt once, at the end
@@ -218,7 +201,7 @@ def step(state: SimulationState, params: PhysicalParams, config,
     def F(y):
         return _nonstiff_rhs(y, params, grid)
 
-    if scheme == "if_euler":
+    if config.scheme == "if_euler":
         y1 = e * (y0 + dt * F(y0))
     else:
         # RK4 on the integrating-factor-transformed system, written back
@@ -246,8 +229,9 @@ class SimTrajectory:
 
     ``records`` has one entry per step (including t = 0); ``snapshots``
     holds full states at the configured cadence plus the initial and
-    final ones.  ``status`` is "completed", "blowup", or "nonfinite";
-    the last two are reported outcomes, with ``message`` saying when.
+    final ones, or only the latest of them when a callback streamed
+    them.  ``status`` is "completed", "blowup", or "nonfinite"; the last
+    two are reported outcomes, with ``message`` saying when.
     """
 
     snapshots: list
@@ -264,35 +248,31 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
                    initial: SimulationState, on_snapshot=None):
     """Advance ``initial`` to ``config.t_final``.
 
-    ``config`` needs ``dt`` and ``t_final`` and may carry ``scheme``,
-    ``snapshot_every``, ``cfl_safety``, ``adaptive``, ``max_dt`` (so a
-    StepperConfig with extra attributes or a parsed run configuration
-    both work).  ``on_snapshot`` is called with each stored state copy
-    as it is taken, letting a caller stream snapshots to disk.
+    ``config`` is a StepperConfig, or any record with its four fields
+    that has checked them the same way (a parsed run configuration).
+    ``on_snapshot`` is called with each state copy as it is taken,
+    letting a caller stream snapshots to disk; the trajectory then keeps
+    only the latest one.
     """
-    dt = config.dt
-    t_final = config.t_final
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_final < dt:
-        raise ValueError(
-            f"t_final must be at least dt, got t_final={t_final}, dt={dt}"
-        )
-    snapshot_every = getattr(config, "snapshot_every", 10)
-    if snapshot_every < 1:
-        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
-
     state = initial.copy()
+    snapshots = []
+
+    def take(current):
+        snapshot = current.copy()
+        if on_snapshot is None:
+            snapshots.append(snapshot)
+        else:
+            snapshots[:] = [snapshot]
+            on_snapshot(snapshot)
+
     budget = BudgetAccumulator(params)
     records = [build_record(state, params, budget)]
-    snapshots = [state.copy()]
-    if on_snapshot is not None:
-        on_snapshot(snapshots[-1])
+    take(state)
     measure0 = records[0].h1_u ** 2 + records[0].h1_theta ** 2
 
     status = "completed"
     message = ""
-    while state.t < t_final - 0.5 * dt:
+    while state.t < config.t_final - 0.5 * config.dt:
         try:
             state = step(state, params, config, grid)
         except NonFiniteStateError as err:
@@ -309,14 +289,10 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
                 f"t = {state.t:.6g}; aborting"
             )
             break
-        if state.step_index % snapshot_every == 0:
-            snapshots.append(state.copy())
-            if on_snapshot is not None:
-                on_snapshot(snapshots[-1])
+        if state.step_index % config.snapshot_every == 0:
+            take(state)
     if snapshots[-1].step_index != state.step_index:
-        snapshots.append(state.copy())
-        if on_snapshot is not None:
-            on_snapshot(snapshots[-1])
+        take(state)
     if status == "completed":
         message = f"reached t = {state.t:.6g} in {state.step_index} steps"
     return SimTrajectory(snapshots, records, status, message)

@@ -14,7 +14,6 @@ record whichever clause trips.
 
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,8 +72,7 @@ def rough_2d_run():
     grid = make_grid(2, 64)
     params = PhysicalParams(nu=1.0, kappa=1.0)
     u0, th0 = synthesize_initial("rough_h1", grid, seed=0)
-    config = SimpleNamespace(dt=1e-3, t_final=0.5, scheme="if_rk4",
-                             snapshot_every=100)
+    config = StepperConfig(dt=1e-3, t_final=0.5, snapshot_every=100)
     traj = run_simulation(config, params, grid, SimulationState(u0, th0))
     elapsed = time.perf_counter() - started
     assert traj.status == "completed", traj.message
@@ -296,8 +294,7 @@ def test_05_ode_oracle_trajectory_match():
     ode = integrate_galerkin(system, project_state(u0, th0, system),
                              T=0.1, dt=1e-3, params=params)
 
-    config = SimpleNamespace(dt=1e-3, t_final=0.1, scheme="if_rk4",
-                             snapshot_every=10)
+    config = StepperConfig(dt=1e-3, t_final=0.1, snapshot_every=10)
     traj = run_simulation(config, params, grid,
                           SimulationState(u0.copy(), th0.copy()))
 
@@ -399,8 +396,7 @@ def test_08_three_dimensional_sanity():
     u0, th0 = synthesize_initial("rough_h1", grid, seed=0)
     amp0 = max(float(np.max(np.abs(u0.coeffs))),
                float(np.max(np.abs(th0.coeffs))))
-    config = SimpleNamespace(dt=1e-3, t_final=0.1, scheme="if_rk4",
-                             snapshot_every=10)
+    config = StepperConfig(dt=1e-3, t_final=0.1, snapshot_every=10)
     traj = run_simulation(config, params, grid, SimulationState(u0, th0))
     elapsed = time.perf_counter() - started
 

@@ -132,6 +132,23 @@ class TestDiagnose:
         assert ((dest / "diagnostics.csv").read_bytes()
                 == (out / "diagnostics.csv").read_bytes())
 
+    @pytest.mark.parametrize("change", [("modes = 16", "modes = 8"),
+                                        ("seed = 3", "seed = 3\nnu = 5")])
+    def test_mixed_settings_exit_1(self, tmp_path, capsys, change):
+        # snapshots of another grid or another nu cannot share one budget
+        snaps = []
+        for name, text in (("a", BASE_CONFIG),
+                           ("b", BASE_CONFIG.replace(*change))):
+            out = tmp_path / name
+            cfg = write_config(tmp_path, text, name=f"{name}.cfg")
+            assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
+            snaps.append(str(out / "snapshot_00000005.bin"))
+        capsys.readouterr()
+        assert main(["diagnose", snaps[0], snaps[0], snaps[1]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {snaps[1]}: ")
+        assert "differs" in err
+
     def test_corrupt_snapshot_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"XXXXXXXX" + bytes(64))

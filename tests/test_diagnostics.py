@@ -29,7 +29,7 @@ from bousspec.diagnostics import (
     recover_pressure,
     shell_envelope,
 )
-from bousspec.stepper import SimulationState, run_simulation
+from bousspec.stepper import SimulationState, StepperConfig, run_simulation
 
 
 def envelope_field(grid, law):
@@ -160,11 +160,12 @@ class TestGevreyEnergy:
         assert gevrey_energy(state) == want
 
     def test_zero_tau_schedule_matches_h1_exactly(self):
+        # at t = 0 the weight tau = t is zero: X is the H1 measure, in 3D
         grid = make_grid(3, 8)
         u, theta = synthesize_initial("rough_h1", grid, seed=6)
-        state = SimulationState(u, theta, t=0.3)
+        state = SimulationState(u, theta, t=0.0)
         want = 1.0 + norm(u, r=1.0) ** 2 + norm(theta, r=1.0) ** 2
-        assert gevrey_energy(state, tau_schedule=lambda t: 0.0) == want
+        assert gevrey_energy(state) == want
 
     def test_tau_clamped_at_cap(self):
         grid = make_grid(2, 16)
@@ -227,8 +228,7 @@ class TestEnergyBudget:
         u0.coeffs *= grid.dealias_mask
         th0.coeffs *= grid.dealias_mask
         u0 = leray_project(u0)
-        cfg = SimpleNamespace(dt=1e-3, t_final=0.02, scheme="if_rk4",
-                              snapshot_every=1)
+        cfg = StepperConfig(dt=1e-3, t_final=0.02, snapshot_every=1)
         traj = run_simulation(cfg, params, grid, SimulationState(u0, th0))
         budget = energy_budget(traj.snapshots, params)
         got_theta = [r.energy_residual_theta for r in traj.records]
@@ -362,8 +362,7 @@ class TestRecords:
         grid = make_grid(dim, modes)
         params = PhysicalParams(nu=0.5, kappa=0.7)
         u0, th0 = synthesize_initial("rough_h1", grid, seed=4)
-        cfg = SimpleNamespace(dt=2e-3, t_final=0.02, scheme="if_rk4",
-                              snapshot_every=1)
+        cfg = StepperConfig(dt=2e-3, t_final=0.02, snapshot_every=1)
         traj = run_simulation(cfg, params, grid, SimulationState(u0, th0))
         assert len(traj.records) == len(traj.snapshots) == 11
         budget = BudgetAccumulator(params)

@@ -14,6 +14,7 @@ from bousspec import (
     make_grid,
     synthesize_initial,
 )
+from bousspec import fileio
 from bousspec.diagnostics import DiagnosticsRecord
 from bousspec.fileio import (
     FORMAT_VERSION,
@@ -129,6 +130,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seed"):
             RunConfig(dim=2, modes=8, t_final=1.0, seed=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["dt", "t_final", "nu", "kappa"])
+    def test_non_finite_settings_rejected(self, key, value):
+        settings = dict(dim=2, modes=8, t_final=1.0)
+        settings[key] = value
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**settings)
+
 
 def random_state(grid, seed, t=0.0):
     rng = np.random.default_rng(seed)
@@ -233,6 +242,21 @@ class TestSnapshots:
             read_snapshot(path)
         assert str(expected) in str(err.value)
         assert str(expected - 8) in str(err.value)
+
+    def test_payload_checked_before_grid_is_built(self, tmp_path,
+                                                  monkeypatch):
+        # a 2D header claiming 2**31 modes per axis would ask for meshes
+        # of terabytes if the grid were built before the length check
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack("<8sIIIddd", MAGIC, FORMAT_VERSION,
+                                     2, 2**31, 0.0, 1.0, 1.0) + bytes(8))
+
+        def refuse(dim, modes):
+            raise AssertionError("grid built before the payload check")
+
+        monkeypatch.setattr(fileio, "_snapshot_grid", refuse)
+        with pytest.raises(TruncatedPayloadError, match="got 52"):
+            read_snapshot(str(path))
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "stub.bin"

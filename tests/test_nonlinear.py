@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bousspec import (
-    PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
     divergence_max,
@@ -231,7 +230,7 @@ class TestBuoyancy:
         theta = SpectralScalarField(g)
         theta.coeffs[0, 1] = 0.5
         theta.coeffs[0, -1] = 0.5
-        out = buoyancy(theta, PhysicalParams(nu=1.0, kappa=1.0))
+        out = buoyancy(theta)
         assert np.max(np.abs(out.coeffs)) == 0.0
 
     def test_horizontal_single_mode_untouched(self):
@@ -241,7 +240,7 @@ class TestBuoyancy:
         theta = SpectralScalarField(g)
         theta.coeffs[1, 0] = 0.5
         theta.coeffs[-1, 0] = 0.5
-        out = buoyancy(theta, PhysicalParams(nu=1.0, kappa=1.0))
+        out = buoyancy(theta)
         assert out.coeffs[1][1, 0] == 0.5
         assert out.coeffs[0][1, 0] == 0.0
 
@@ -249,10 +248,10 @@ class TestBuoyancy:
     def test_divergence_free(self, dim):
         g = make_grid(dim, 8)
         _, theta = band_limited_fields(g, 5, bandwidth=2)
-        out = buoyancy(theta, PhysicalParams(nu=0.5, kappa=0.5))
+        out = buoyancy(theta)
         assert divergence_max(out) <= 1e-13 * max(np.max(np.abs(out.coeffs)), 1.0)
 
     def test_zero_theta(self):
         g = make_grid(2, 8)
-        out = buoyancy(SpectralScalarField(g), PhysicalParams(nu=1.0, kappa=1.0))
+        out = buoyancy(SpectralScalarField(g))
         assert np.max(np.abs(out.coeffs)) == 0.0

@@ -56,7 +56,7 @@ class TestGridSpec:
         assert g.k.shape == (3, 4, 4, 4)
 
     def test_cutoff_uses_exact_rational_arithmetic(self):
-        # float 2/3 * 3 rounds below 2; the Fraction must not
+        # float 2/3 * 3 rounds below 2; the integer cutoff modes // 3 must not
         assert make_grid(2, 6).dealias_cutoff == 2
 
     def test_wavevector_enumeration(self):
