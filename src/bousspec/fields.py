@@ -436,7 +436,8 @@ def synthesize_initial(kind, grid, seed=0, sobolev_exponent=None):
     ``zero``
         Both fields identically zero.
 
-    Repeated calls with the same arguments are bit-identical.
+    Every kind's u is divergence-free.  Repeated calls with the same
+    arguments are bit-identical.
     """
     if kind == "taylor_green":
         return _taylor_green(grid)

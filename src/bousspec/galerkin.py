@@ -29,6 +29,7 @@ solver integrates, so trajectories must agree to integrator accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,10 +372,12 @@ def _powers(state, system, params):
 def integrate_galerkin(system: GalerkinSystem, initial: GalerkinState,
                        T: float, dt: float, params: PhysicalParams):
     """Fixed-step RK4 integration to time T, sampling every step."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if T < dt:
-        raise ValueError(f"T must be at least dt, got T={T}, dt={dt}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be > 0 and finite, got {dt}")
+    if not (T >= dt and math.isfinite(T)):
+        raise ValueError(
+            f"T must be finite and at least dt, got T={T}, dt={dt}"
+        )
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * dt:
         n_steps = int(T / dt)

@@ -1,13 +1,21 @@
 """Advection terms u . grad(v), computed two independent ways.
 
-``convect_pseudospectral`` is the production path: transform to
+``convect_pseudospectral`` is the transform path: transform to
 collocation space, multiply, transform back, with the 2/3-rule mask
 applied to inputs and output so quadratic aliasing never reaches a
 retained mode.  It works on the half spectrum with real-to-complex
 transforms (those of ``irfftn``/``rfftn``, pruned of the masked
-columns), so the collocation values are real and the full output,
-rebuilt from its half, is Hermitian by construction.
-``convect_state`` and the time stepper share its kernel.
+columns, and in 3D of the masked rows), so the collocation values are
+real and the full output, rebuilt from its half, is Hermitian by
+construction.  ``convect_state`` shares its kernel, ``_advect``, which
+holds for any u.
+
+The time stepper has a kernel of its own, ``_flux_divergence``: its u
+is divergence-free, so u . grad u = div(u u) and u . grad theta =
+div(u theta), and the divergence form needs fewer transforms (3 fields
+in and 5 out in 2D, against 8 and 3; 4 and 9 in 3D, against 15 and 4).
+Both kernels run on the same pruned transforms and differ only in what
+they multiply.
 
 ``convect_convolution`` is the oracle: the truncated convolution
 
@@ -22,6 +30,7 @@ to small grids.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +42,7 @@ from .fields import (
     enforce_constraints,
     leray_project,
 )
-from .grid import GridSpec
+from .grid import GridSpec, _read_only
 
 __all__ = [
     "AliasingMode",
@@ -69,46 +78,146 @@ def _check_grids(u, v, grid):
     return u.grid
 
 
+@functools.lru_cache(maxsize=8)
+def _pruned(grid):
+    """Index, mask and i k of the pruned half spectrum.
+
+    The pruned half spectrum keeps the last-axis columns 0..cutoff and,
+    in 3D, the axis -2 rows with |j| <= cutoff: the part of the half
+    spectrum where a masked field can be nonzero.
+    """
+    c = grid.dealias_cutoff
+    index = (Ellipsis, np.s_[: c + 1])
+    if grid.dim == 3:
+        rows = np.r_[0 : c + 1, grid.modes - c : grid.modes]
+        index = (Ellipsis, rows, np.s_[: c + 1])
+    mask = _read_only(grid.half_mask[index])
+    return index, mask, _read_only(grid.half_ik_masked[index])
+
+
+def _to_grid(grid, spec):
+    """Collocation values (b, *grid.shape) of masked pruned half spectra
+    (b, *pruned).
+
+    The transforms of ``irfftn``, one axis at a time and in its order,
+    pruned of what is zero (Orszag 1971; Markel 1971): the leading-axis
+    inverse transforms skip the last-axis columns above the cutoff,
+    which ``irfft`` pads back, and in 3D the first one, along axis -3,
+    also skips the axis -2 rows above it.  Every transform that runs
+    sees the same numbers as in ``irfftn`` of the full half spectra, so
+    the result is the same to the last bit.
+    """
+    spec = np.fft.ifft(spec, axis=-grid.dim, norm="forward")
+    if grid.dim == 3:
+        # put back the axis -2 rows that the first transform skipped
+        c = grid.dealias_cutoff
+        lines = spec
+        spec = np.empty(lines.shape[:-2] + (grid.modes, c + 1), dtype=complex)
+        spec[_pruned(grid)[0]] = lines
+        spec[..., c + 1 : grid.modes - c, :] = 0.0
+        del lines
+        spec = np.fft.ifft(spec, axis=-2, norm="forward")
+    return np.fft.irfft(spec, n=grid.modes, axis=-1, norm="forward")
+
+
+def _from_grid(grid, phys):
+    """Pruned half spectra, unmasked, of collocation values: the inverse
+    of :func:`_to_grid`.
+
+    The transforms of ``rfftn``, in its order, computing only the
+    last-axis columns up to the cutoff and, in the last one (along axis
+    -3 in 3D), only the axis -2 rows up to it.  Each kept coefficient is
+    bit-identical to ``rfftn``'s.
+    """
+    spec = np.fft.rfft(phys, axis=-1, norm="forward")
+    spec = spec[..., : grid.dealias_cutoff + 1]
+    if grid.dim == 3:
+        spec = np.fft.fft(spec, axis=-2, norm="forward")
+        spec = spec[_pruned(grid)[0]]
+    return np.fft.fft(spec, axis=-grid.dim, norm="forward")
+
+
+def _unprune(grid, spec):
+    """Full half spectra of pruned ones, masked, with a zero mean mode."""
+    index, mask, _ = _pruned(grid)
+    out = np.zeros(spec.shape[:1] + grid.half_mask.shape, dtype=complex)
+    out[index] = spec * mask
+    out[(Ellipsis,) + grid.zero_index] = 0.0
+    return out
+
+
 def _advect(grid, u_half, comps_half):
     """Dealiased u . grad(c) for stacked components c, on half spectra.
 
-    The shared kernel of :func:`convect_state` and
-    :func:`convect_pseudospectral` and the stepper's right-hand side.
-    ``u_half`` is (dim, *half) and ``comps_half`` (n, *half), both in the
-    half-spectrum layout of ``GridSpec``.  One batched inverse transform
-    takes the masked velocity and all n * dim masked gradients to the
-    collocation points, one batched forward transform brings the n
-    products back.  The result is masked, with a zero mean mode.
-
-    The transforms are those of ``irfftn``/``rfftn``, one axis at a time
-    and in their order, pruned of the last-axis columns above the
-    dealiasing cutoff (Orszag 1971): the masked inputs are zero there,
-    so the leading-axis inverse transforms skip them and ``irfft`` pads
-    them back; the masked output is zero there, so the leading-axis
-    forward transforms skip them.  Every transform that runs sees the
-    same numbers as in the unpruned ``irfftn``/``rfftn``, so the result
-    is the same to the last bit.
+    The kernel of :func:`convect_state` and :func:`convect_pseudospectral`;
+    it holds for any u.  ``u_half`` is (dim, *half) and ``comps_half``
+    (n, *half), both in the half-spectrum layout of ``GridSpec``.  One
+    batched inverse transform takes the masked velocity and all n * dim
+    masked gradients to the collocation points, one batched forward
+    transform brings the n products back.  The result is masked, with a
+    zero mean mode, and bit-identical to the same steps written with
+    ``irfftn``/``rfftn`` on the full half spectra.
     """
     dim = grid.dim
     n = len(comps_half)
-    kept = np.s_[..., : grid.dealias_cutoff + 1]
-    mask = grid.half_mask[kept]
+    index, mask, ik = _pruned(grid)
     spec = np.empty((dim + n * dim,) + mask.shape, dtype=complex)
-    np.multiply(u_half[kept], mask, out=spec[:dim])
-    np.multiply(grid.half_ik_masked[kept], comps_half[:, np.newaxis][kept],
+    np.multiply(u_half[index], mask, out=spec[:dim])
+    np.multiply(ik, comps_half[:, np.newaxis][index],
                 out=spec[dim:].reshape((n, dim) + mask.shape))
-    for axis in range(-dim, -1):
-        spec = np.fft.ifft(spec, axis=axis, norm="forward")
-    phys = np.fft.irfft(spec, n=grid.modes, axis=-1, norm="forward")
+    # each temporary is dropped once used, so that fewer large blocks
+    # are live at once (a smaller peak, and fewer fresh pages per call)
+    phys = _to_grid(grid, spec)
+    del spec
     grads = phys[dim:].reshape((n, dim) + grid.shape)
     w = np.einsum("i...,ci...->c...", phys[:dim], grads)
-    w_hat = np.fft.rfft(w, axis=-1, norm="forward")[kept]
-    for axis in range(-2, -dim - 1, -1):
-        w_hat = np.fft.fft(w_hat, axis=axis, norm="forward")
-    out = np.zeros((n,) + grid.half_mask.shape, dtype=complex)
-    np.multiply(w_hat, mask, out=out[kept])
-    out[(Ellipsis,) + grid.zero_index] = 0.0
-    return out
+    del phys, grads
+    return _unprune(grid, _from_grid(grid, w))
+
+
+@functools.lru_cache(maxsize=2)
+def _flux_layout(dim):
+    """The products the stepper's kernel transforms, u_i u_j for i <= j
+    and then u_j theta, as (i, j) pairs for the first kind, and the
+    (dim + 1, dim) array giving the position of u_c u_j (row c < dim)
+    and of u_j theta (row dim) among them."""
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    rows = [[pairs.index((min(c, j), max(c, j))) for j in range(dim)]
+            for c in range(dim)]
+    rows.append([len(pairs) + j for j in range(dim)])
+    return pairs, _read_only(np.array(rows))
+
+
+def _flux_divergence(grid, y):
+    """Dealiased div(u u) and div(u theta) for y = [u; theta] on the half
+    spectrum: the stepper's kernel.
+
+    For a divergence-free u these are u . grad u and u . grad theta
+    (Canuto, Hussaini, Quarteroni & Zang, *Spectral Methods*, on the
+    convective forms); for any other u each row c gains the dealiased
+    c (div u).  One batched inverse transform takes the dim + 1 masked
+    fields to the collocation points, one batched forward transform
+    brings back the dim (dim + 1) / 2 products u_i u_j and the dim
+    products u_j theta, and row c of the result is sum_j i k_j (u_c u_j)^
+    (or (u_j theta)^).  Same layout as :func:`_advect`: masked, with a
+    zero mean mode.
+    """
+    dim = grid.dim
+    index, mask, ik = _pruned(grid)
+    phys = _to_grid(grid, y[index] * mask)
+    u, theta = phys[:dim], phys[dim]
+    pairs, rows = _flux_layout(dim)
+    products = np.empty((len(pairs) + dim,) + grid.shape)
+    for p, (i, j) in enumerate(pairs):
+        np.multiply(u[i], u[j], out=products[p])
+    np.multiply(u, theta, out=products[len(pairs):])
+    del phys, u, theta
+    flux = _from_grid(grid, products)
+    del products
+    div = ik[0] * flux[rows[:, 0]]
+    for j in range(1, dim):
+        div += ik[j] * flux[rows[:, j]]
+    return _unprune(grid, div)
 
 
 def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):

@@ -16,11 +16,14 @@ single step — and only the advection limits the step size.
 A step works on half spectra (last-axis labels 0..M/2, the layout of
 real-to-complex transforms): it slices them from the full coefficient
 arrays at the start, evaluates each stage's right-hand side with the
-real-transform kernel of ``nonlinear`` and a single Leray projection,
-and rebuilds the full arrays once at the end.  The rebuilt state is
-Hermitian and zero-mean by construction, so no constraint projection
-runs inside the step.  The diffusion factors are cached per grid, dt
-and physical parameters.
+divergence-form kernel of ``nonlinear`` (div(u u) and div(u theta),
+equal to the advection terms because u is divergence-free) and a single
+Leray projection, and rebuilds the full arrays once at the end.  States
+from ``step`` and ``synthesize_initial`` are divergence-free; for any
+other u the right-hand side is not the advective one.  The rebuilt
+state is Hermitian and zero-mean by construction, so no constraint
+projection runs inside the step.  The diffusion factors are cached per
+grid, dt and physical parameters.
 
 ``run_simulation`` drives the stepper from t = 0 to t_final, collecting
 a diagnostics record every step and a state snapshot every
@@ -48,7 +51,7 @@ from .fields import (
     _leray_arrays,
 )
 from .grid import GridSpec
-from .nonlinear import _advect
+from .nonlinear import _flux_divergence
 
 __all__ = [
     "SCHEMES",
@@ -140,15 +143,17 @@ def _unstack_full(y, grid):
             SpectralScalarField(grid, full[grid.dim]))
 
 
-def _nonstiff_rhs(y, params, grid):
+def _nonstiff_rhs(y, grid):
     """[P(theta e_N - u.grad u); -(u.grad theta)] for y = [u; theta] on
-    the half spectrum.
+    the half spectrum, with u divergence-free.
 
-    The projection is linear, so one Leray projection of the combined
-    velocity forcing replaces projecting buoyancy and advection apart.
+    The advection terms are taken in divergence form, div(u u) and
+    div(u theta).  The projection is linear, so one Leray projection of
+    the combined velocity forcing replaces projecting buoyancy and
+    advection apart.
     """
     dim = grid.dim
-    f = _advect(grid, y[:dim], y)
+    f = _flux_divergence(grid, y)
     np.negative(f, out=f)
     f[dim - 1] += y[dim]
     f[:dim] = _leray_arrays(grid.half_k, grid.half_k_over_k2, f[:dim])
@@ -163,10 +168,15 @@ def _diffusion_rates(grid, params):
 
 def rhs_full(state: SimulationState, params: PhysicalParams,
              grid: GridSpec | None = None):
-    """Complete right-hand side (du/dt, dtheta/dt), diffusion included."""
+    """Complete right-hand side (du/dt, dtheta/dt), diffusion included.
+
+    ``state.u`` must be divergence-free, as every state from
+    :func:`step` and ``synthesize_initial`` is: the advection terms are
+    evaluated in divergence form.
+    """
     grid = _check_grid(state, grid)
     y = _stacked_half(state, grid)
-    dy = _nonstiff_rhs(y, params, grid)
+    dy = _nonstiff_rhs(y, grid)
     dy -= _diffusion_rates(grid, params) * grid.half_k2 * y
     return _unstack_full(dy, grid)
 
@@ -199,7 +209,7 @@ def step(state: SimulationState, params: PhysicalParams,
     e_h, e = _semigroups(grid, dt, params)
 
     def F(y):
-        return _nonstiff_rhs(y, params, grid)
+        return _nonstiff_rhs(y, grid)
 
     if config.scheme == "if_euler":
         y1 = e * (y0 + dt * F(y0))

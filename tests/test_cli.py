@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bousspec
 from bousspec.cli import main
 from bousspec.fileio import read_diagnostics, read_snapshot
 
@@ -226,11 +229,16 @@ class TestSpectrum:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the same package as this process, whether
+        # it comes from an install or from src/ on pytest's path
+        src = str(Path(bousspec.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
         cfg = write_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "bousspec", "run", cfg, "--quiet",
              "--output-dir", str(tmp_path / "out")],
-            capture_output=True,
+            capture_output=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
 

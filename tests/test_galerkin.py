@@ -279,6 +279,21 @@ class TestIntegration:
             integrate_galerkin(sys, initial, T=1.0, dt=0.0,
                                params=PhysicalParams(1.0, 1.0))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["T", "dt"])
+    def test_non_finite_time_settings_rejected(self, small_system, key,
+                                               value):
+        # both used to reach int(round(T / dt)) and fail there with a
+        # conversion error that named neither
+        sys = small_system
+        initial = GalerkinState(
+            np.zeros(sys.m), np.zeros(len(sys.scalar_basis))
+        )
+        times = {"T": 0.1, "dt": 1e-3, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            integrate_galerkin(sys, initial, params=PhysicalParams(1.0, 1.0),
+                               **times)
+
     def test_temperature_energy_monotone_and_velocity_bound(self, small_system):
         sys = small_system
         grid = sys.grid

@@ -18,6 +18,7 @@ from bousspec.nonlinear import (
     AliasingMode,
     CONVOLUTION_MODE_LIMIT,
     _advect,
+    _flux_divergence,
     buoyancy,
     convect_convolution,
     convect_pseudospectral,
@@ -105,37 +106,108 @@ class TestPseudospectral:
         assert np.max(np.abs(conv_th.field.coeffs - ref_th.coeffs)) <= 1e-14 * scale
 
 
-def unpruned_advect(grid, u_half, comps_half):
-    """The kernel's contract in plain whole-array transforms: mask the
-    velocity and the gradients, irfftn, multiply, rfftn, mask."""
-    dim = grid.dim
-    n = len(comps_half)
-    axes = tuple(range(-dim, 0))
-    mask = grid.half_mask
-    grads = 1j * grid.half_k * mask * comps_half[:, np.newaxis]
-    spec = np.concatenate([u_half * mask,
-                           grads.reshape((n * dim,) + mask.shape)])
-    phys = np.fft.irfftn(spec, s=grid.shape, axes=axes, norm="forward")
-    w = np.einsum("i...,ci...->c...", phys[:dim],
-                  phys[dim:].reshape((n, dim) + grid.shape))
-    out = np.fft.rfftn(w, axes=axes, norm="forward") * mask
+def masked_ik(grid):
+    """i k on the retained modes of the half spectrum, zero elsewhere."""
+    return 1j * grid.half_k * grid.half_mask
+
+
+def whole_to_grid(grid, spec_half):
+    """Mask, then irfftn: the inverse transform without pruning."""
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.irfftn(spec_half * grid.half_mask, s=grid.shape,
+                         axes=axes, norm="forward")
+
+
+def whole_from_grid(grid, values):
+    """rfftn, then mask and zero the mean: the forward transform without
+    pruning."""
+    axes = tuple(range(-grid.dim, 0))
+    out = np.fft.rfftn(values, axes=axes, norm="forward") * grid.half_mask
     out[(Ellipsis,) + grid.zero_index] = 0.0
     return out
+
+
+def unpruned_advect(grid, u_half, comps_half):
+    """The advective kernel's contract in plain whole-array transforms:
+    mask the velocity and the gradients, irfftn, multiply, rfftn, mask."""
+    dim = grid.dim
+    n = len(comps_half)
+    grads = masked_ik(grid) * comps_half[:, np.newaxis]
+    phys = whole_to_grid(grid, np.concatenate(
+        [u_half, grads.reshape((n * dim,) + grads.shape[2:])]))
+    w = np.einsum("i...,ci...->c...", phys[:dim],
+                  phys[dim:].reshape((n, dim) + grid.shape))
+    return whole_from_grid(grid, w)
+
+
+def unpruned_flux_divergence(grid, y):
+    """The divergence-form kernel's contract in plain whole-array
+    transforms: mask [u; theta], irfftn, form u_c u_j and u_j theta,
+    rfftn, mask, and sum i k_j over j."""
+    dim = grid.dim
+    phys = whole_to_grid(grid, y)
+    u, theta = phys[:dim], phys[dim]
+    fluxes = [[u[c] * u[j] for j in range(dim)] for c in range(dim)]
+    fluxes.append([u[j] * theta for j in range(dim)])
+    flux = whole_from_grid(grid, np.array(fluxes))
+    ik = masked_ik(grid)
+    div = ik[0] * flux[:, 0]
+    for j in range(1, dim):
+        div += ik[j] * flux[:, j]
+    return div
+
+
+def dealiased_dilatation_term(grid, y):
+    """c (div u) for each row c of y = [u; theta], dealiased: mask,
+    irfftn, multiply, rfftn, mask."""
+    dim = grid.dim
+    div_u = np.sum(masked_ik(grid) * y[:dim], axis=0)
+    phys = whole_to_grid(grid, np.concatenate([y, div_u[np.newaxis]]))
+    return whole_from_grid(grid, phys[:-1] * phys[-1])
+
+
+def rough_stack(grid, seed):
+    """[u; theta] of rough data on the half spectrum; u divergence-free."""
+    u, theta = synthesize_initial("rough_h1", grid, seed=seed)
+    half = grid.half_slice
+    return np.concatenate([u.coeffs[half], theta.coeffs[np.newaxis][half]])
 
 
 class TestKernel:
     @pytest.mark.parametrize("dim,modes", [(2, 16), (2, 64), (3, 8), (3, 16)])
     def test_pruned_transforms_match_whole_array_transforms(self, dim, modes):
-        # rough data fills the masked columns, so the pruning is exercised
+        # rough data fills the masked columns and rows, so the pruning
+        # is exercised
         g = make_grid(dim, modes)
-        u, theta = synthesize_initial("rough_h1", g, seed=modes)
-        half = g.half_slice
-        comps = np.concatenate([u.coeffs[half], theta.coeffs[np.newaxis][half]])
-        got = _advect(g, u.coeffs[half], comps)
-        want = unpruned_advect(g, u.coeffs[half], comps)
-        assert np.array_equal(got, want)
-        assert np.array_equal(_advect(g, u.coeffs[half], comps[-1:]),
-                              unpruned_advect(g, u.coeffs[half], comps[-1:]))
+        y = rough_stack(g, seed=modes)
+        u = y[:dim]
+        assert np.array_equal(_advect(g, u, y), unpruned_advect(g, u, y))
+        assert np.array_equal(_advect(g, u, y[-1:]),
+                              unpruned_advect(g, u, y[-1:]))
+        assert np.array_equal(_flux_divergence(g, y),
+                              unpruned_flux_divergence(g, y))
+
+    @pytest.mark.parametrize("dim,modes", [(2, 32), (2, 64), (3, 8), (3, 16)])
+    def test_divergence_form_equals_advective_form(self, dim, modes):
+        # u is Leray-projected, so div(u c) = u . grad c to roundoff
+        g = make_grid(dim, modes)
+        y = rough_stack(g, seed=modes + 1)
+        want = _advect(g, y[:dim], y)
+        got = _flux_divergence(g, y)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
+    def test_compressible_velocity_adds_dilatation_term(self, dim, modes):
+        # for any u, div(u c) = u . grad c + c div u on the dealiased
+        # products; stretching one component breaks div u = 0
+        g = make_grid(dim, modes)
+        y = rough_stack(g, seed=modes + 2)
+        y[0] *= 3.0
+        want = _advect(g, y[:dim], y) + dealiased_dilatation_term(g, y)
+        got = _flux_divergence(g, y)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(dealiased_dilatation_term(g, y))) > 0.1 * scale
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 class TestConvolutionOracle:

@@ -20,6 +20,8 @@ from bousspec.nonlinear import buoyancy, convect_pseudospectral
 from bousspec.stepper import (
     SimulationState,
     StepperConfig,
+    _nonstiff_rhs,
+    _stacked_half,
     rhs_full,
     run_simulation,
     step,
@@ -98,6 +100,31 @@ class TestRhs:
         du, dth = rhs_full(state, params, grid)
         assert np.max(np.abs(du.coeffs)) == 0.0
         assert np.max(np.abs(dth.coeffs)) == 0.0
+
+    @pytest.mark.parametrize("dim,modes,fields_in,fields_out",
+                             [(2, 16, 3, 5), (3, 8, 4, 9)])
+    def test_transform_count(self, monkeypatch, dim, modes, fields_in,
+                             fields_out):
+        # divergence form: [u; theta] goes in, the dim (dim + 1) / 2
+        # products u_i u_j and the dim products u_j theta come out
+        calls = []
+
+        def counted(name):
+            transform = getattr(np.fft, name)
+
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, len(a)))
+                return transform(a, *args, **kwargs)
+            return wrapper
+
+        grid = make_grid(dim, modes)
+        y = _stacked_half(masked_rough_state(grid, seed=3), grid)
+        for name in ("ifft", "irfft", "rfft", "fft"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        _nonstiff_rhs(y, grid)
+        inverse = [("ifft", fields_in)] * (dim - 1) + [("irfft", fields_in)]
+        forward = [("rfft", fields_out)] + [("fft", fields_out)] * (dim - 1)
+        assert calls == inverse + forward
 
 
 class TestStep:
