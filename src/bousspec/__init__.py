@@ -17,7 +17,7 @@ grid, fields      spectral core: grids, constraints, operators, norms
 nonlinear         advection terms (dealiased transform + direct convolution)
 galerkin          independent low-mode ODE oracle for cross-validation
 stepper           integrating-factor RK4 / Euler time integration
-diagnostics       energy budgets, Gevrey energy, radius fits, pressure
+diagnostics       energy budgets, Gevrey energy, radius fits
 fileio, cli       config files, binary snapshots, CSV, command line
 """
 
@@ -28,8 +28,6 @@ from .fields import (
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
-    apply_gevrey,
-    apply_zygmund,
     divergence_max,
     enforce_constraints,
     from_physical,
@@ -51,8 +49,6 @@ __all__ = [
     "PhysicalParams",
     "SpectralScalarField",
     "SpectralVectorField",
-    "apply_gevrey",
-    "apply_zygmund",
     "divergence_max",
     "enforce_constraints",
     "from_physical",

@@ -20,10 +20,6 @@ a read-only analysis of states.  Three families:
 * radius fits — a least-squares estimate of the decay rate tau in the
   coefficient envelope |u_j| ~ e^{-tau |j|^{1/s}}, the measurable trace
   of that analyticity on a finite grid.
-
-Pressure is reconstructed here on demand (it is eliminated from the
-evolution by the Leray projection): solve the Poisson equation
-Laplacian p = -div(u . grad u) + div(theta e_N) mode by mode.
 """
 
 from __future__ import annotations
@@ -36,29 +32,21 @@ import numpy as np
 from .fields import (
     GevreyParams,
     PhysicalParams,
-    SpectralScalarField,
-    SpectralVectorField,
     _gevrey_weight,
     _norm_of,
     _power,
     _weigh,
     divergence_max,
-    leray_project,
 )
-from .grid import TWO_PI, GridSpec
-from .nonlinear import convect_pseudospectral
+from .grid import TWO_PI
 
 __all__ = [
     "DiagnosticsRecord",
     "RadiusFit",
     "BudgetAccumulator",
-    "EnergyBudget",
-    "energy_budget",
     "gevrey_energy",
     "shell_envelope",
     "fit_radius",
-    "recover_pressure",
-    "helmholtz_check",
     "build_record",
 ]
 
@@ -318,88 +306,6 @@ class BudgetAccumulator:
             - 2 * self._int_cross
         )
         return res_theta, res_u
-
-
-@dataclass
-class EnergyBudget:
-    """Budget residuals at each sampled time, plus the initial energies."""
-
-    t: np.ndarray
-    residual_theta: np.ndarray
-    residual_u: np.ndarray
-    e0_theta: float
-    e0_u: float
-
-
-def energy_budget(states, params: PhysicalParams):
-    """Budget residuals over a sampled trajectory.
-
-    ``states`` is a time-ordered sequence with ``u``, ``theta``, ``t``
-    attributes (at least two of them).  The dissipation integrals use
-    the per-mode exponential-fitted rule and the buoyancy term the
-    trapezoidal rule, as in :class:`BudgetAccumulator`.
-    """
-    states = list(states)
-    if len(states) < 2:
-        raise ValueError(
-            f"energy budget needs at least 2 states, got {len(states)}"
-        )
-    acc = BudgetAccumulator(params)
-    times = np.array([s.t for s in states])
-    res = np.array([acc.update(s.u, s.theta, s.t) for s in states])
-    return EnergyBudget(
-        t=times,
-        residual_theta=res[:, 0],
-        residual_u=res[:, 1],
-        e0_theta=acc._e0_theta,
-        e0_u=acc._e0_u,
-    )
-
-
-# ----------------------------------------------------------------------
-# pressure
-
-
-def recover_pressure(u: SpectralVectorField, theta: SpectralScalarField,
-                     grid: GridSpec | None = None):
-    """Pressure from the Poisson equation the divergence constraint implies.
-
-    p_hat(j) = [i j . conv_hat(j) - i j_N theta_hat(j)] / |j|^2 for
-    j != 0 and p_hat(0) = 0 (zero-mean normalization), where conv is the
-    dealiased u . grad u.
-    """
-    if grid is None:
-        grid = u.grid
-    if u.grid is not grid or theta.grid is not grid:
-        raise ValueError("u and theta must live on the supplied grid")
-    conv = convect_pseudospectral(u, u, grid).field
-    jdot = np.sum(grid.k * conv.coeffs, axis=0)
-    rhs = 1j * jdot - 1j * grid.k[-1] * theta.coeffs
-    k2 = np.where(grid.k2 == 0, 1, grid.k2)
-    p = SpectralScalarField(grid, rhs / k2)
-    p.coeffs[grid.zero_index] = 0.0
-    return p
-
-
-def helmholtz_check(u: SpectralVectorField, theta: SpectralScalarField,
-                    grid: GridSpec | None = None):
-    """Max-mode residual of the Helmholtz split of the momentum forcing.
-
-    With w = u . grad u - theta e_N and p from ``recover_pressure``, the
-    gradient part of w is exactly -grad p, so (I - P) w + grad p must
-    vanish; the return value is the largest coefficient magnitude of
-    that combination.
-    """
-    if grid is None:
-        grid = u.grid
-    conv = convect_pseudospectral(u, u, grid).field
-    w = conv.coeffs.copy()
-    w[-1] -= theta.coeffs
-    w_field = SpectralVectorField(grid, w)
-    gradient_part = w - leray_project(w_field).coeffs
-    p = recover_pressure(u, theta, grid)
-    residual = gradient_part + 1j * grid.k * p.coeffs
-    return float(np.max(np.sqrt(np.sum(np.abs(residual) ** 2, axis=0))))
 
 
 # ----------------------------------------------------------------------

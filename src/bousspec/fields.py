@@ -34,8 +34,6 @@ __all__ = [
     "NonFiniteStateError",
     "enforce_constraints",
     "leray_project",
-    "apply_zygmund",
-    "apply_gevrey",
     "norm",
     "divergence_max",
     "l2_inner",
@@ -144,34 +142,17 @@ class NonFiniteStateError(RuntimeError):
 # constraints
 
 
-def _symmetrize(grid, arr):
-    # (arr + conj(arr at -j)) / 2; commutative addition makes this
-    # bit-for-bit idempotent
-    return 0.5 * (arr + np.conj(arr[grid._conj_ix]))
-
-
-def _enforce_arrays(grid, arr, vector):
-    if vector:
-        out = np.empty_like(arr)
-        for i in range(grid.dim):
-            out[i] = _symmetrize(grid, arr[i])
-            out[i][grid.zero_index] = 0.0
-    else:
-        out = _symmetrize(grid, arr)
-        out[grid.zero_index] = 0.0
-    return out
-
-
 def enforce_constraints(field):
     """Project onto zero-mean fields with the reality symmetry.
 
     Coefficients are replaced by (c_j + conj(c_{-j})) / 2 and the mean
-    mode is zeroed.  Idempotent to the last bit.
+    mode is zeroed.  Idempotent to the last bit: the addition commutes.
     """
-    vector = isinstance(field, SpectralVectorField)
-    out = _enforce_arrays(field.grid, field.coeffs, vector)
-    cls = SpectralVectorField if vector else SpectralScalarField
-    return cls(field.grid, out)
+    grid = field.grid
+    arr = field.coeffs
+    out = 0.5 * (arr + np.conj(arr[(Ellipsis,) + grid._conj_ix]))
+    out[(Ellipsis,) + grid.zero_index] = 0.0
+    return type(field)(grid, out)
 
 
 def _from_half(grid, half):
@@ -219,33 +200,13 @@ def divergence_max(u: SpectralVectorField):
 
 def hermitian_defect(field):
     """max_j |c_j - conj(c_{-j})|, zero for fields with the reality symmetry."""
-    grid = field.grid
     arr = field.coeffs
-    if isinstance(field, SpectralVectorField):
-        defects = [
-            np.max(np.abs(arr[i] - np.conj(arr[i][grid._conj_ix])))
-            for i in range(grid.dim)
-        ]
-        return float(max(defects))
-    return float(np.max(np.abs(arr - np.conj(arr[grid._conj_ix]))))
+    reflected = arr[(Ellipsis,) + field.grid._conj_ix]
+    return float(np.max(np.abs(arr - np.conj(reflected))))
 
 
 # ----------------------------------------------------------------------
-# multiplier operators and norms
-
-
-def apply_zygmund(field, r: float):
-    """Multiply coefficients by |j|^r  (Lambda^r, Lambda = sqrt(-Laplacian)).
-
-    The zero mode stays zero for r > 0; r = 0 returns the coefficients
-    bit-for-bit.
-    """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    grid = field.grid
-    weight = grid.kmag**r  # 0**0 == 1, so r == 0 is the identity weight
-    cls = type(field)
-    return cls(grid, field.coeffs * weight)
+# norms
 
 
 def _gevrey_weight(grid, tau, s, double=False):
@@ -258,13 +219,6 @@ def _gevrey_weight(grid, tau, s, double=False):
     if s == 1.0:
         return np.exp(factor * grid.kmag)
     return np.exp(factor * grid.kmag ** (1.0 / s))
-
-
-def apply_gevrey(field, gev: GevreyParams):
-    """Multiply coefficients by exp(tau |j|^(1/s)); tau = 0 is the identity."""
-    weight = _gevrey_weight(field.grid, gev.tau, gev.s)
-    cls = type(field)
-    return cls(field.grid, field.coeffs * weight)
 
 
 def _power(field):
@@ -329,28 +283,28 @@ def l2_inner(f, g):
 def to_physical(field):
     """Collocation values on the M^N grid (real part; imaginary ~ roundoff)."""
     grid = field.grid
-    if isinstance(field, SpectralVectorField):
-        return np.stack(
-            [np.fft.ifftn(field.coeffs[i]).real * grid.nmodes
-             for i in range(grid.dim)]
-        )
-    return np.fft.ifftn(field.coeffs).real * grid.nmodes
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.ifftn(field.coeffs, axes=axes).real * grid.nmodes
 
 
 def from_physical(grid: GridSpec, values):
-    """Coefficients of real collocation values; inverse of :func:`to_physical`."""
+    """Coefficients of real collocation values; inverse of :func:`to_physical`.
+
+    Values of shape ``grid.vshape`` give a vector field, values of shape
+    ``grid.shape`` a scalar one.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape == grid.vshape:
-        coeffs = np.stack(
-            [np.fft.fftn(values[i]) / grid.nmodes for i in range(grid.dim)]
+        cls = SpectralVectorField
+    elif values.shape == grid.shape:
+        cls = SpectralScalarField
+    else:
+        raise ValueError(
+            f"values must have shape {grid.shape} or {grid.vshape}, "
+            f"got {values.shape}"
         )
-        return SpectralVectorField(grid, coeffs)
-    if values.shape == grid.shape:
-        return SpectralScalarField(grid, np.fft.fftn(values) / grid.nmodes)
-    raise ValueError(
-        f"values must have shape {grid.shape} or {grid.vshape}, "
-        f"got {values.shape}"
-    )
+    axes = tuple(range(-grid.dim, 0))
+    return cls(grid, np.fft.fftn(values, axes=axes) / grid.nmodes)
 
 
 # ----------------------------------------------------------------------
@@ -393,10 +347,10 @@ def _single_mode_theta(grid):
 def _rough_h1(grid, seed, p):
     if p is None:
         p = _default_sobolev_exponent(grid.dim)
-    if p <= grid.dim / 2 + 1:
+    if not (math.isfinite(p) and p > grid.dim / 2 + 1):
         raise ValueError(
-            f"sobolev_exponent must exceed dim/2 + 1 = {grid.dim / 2 + 1}, "
-            f"got {p}; shallower spectra have no H1 limit"
+            f"sobolev_exponent must be finite and exceed dim/2 + 1 = "
+            f"{grid.dim / 2 + 1}, got {p}; shallower spectra have no H1 limit"
         )
     rng = np.random.default_rng(seed)
     amp = (1.0 + grid.kmag) ** (-p)
@@ -430,7 +384,8 @@ def synthesize_initial(kind, grid, seed=0, sobolev_exponent=None):
         u = 0, theta = cos x_N (last coordinate).
     ``rough_h1``
         |coeff(j)| = (1 + |j|)^(-p) with phases drawn from ``seed``;
-        p defaults to 2.6 in 2D and 3.1 in 3D and must exceed dim/2 + 1.
+        p defaults to 2.6 in 2D and 3.1 in 3D and must be finite and
+        exceed dim/2 + 1.
         Constraints and the Leray projection are applied afterwards, so
         the realized moduli sit at or below the target law.
     ``zero``

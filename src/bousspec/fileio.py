@@ -215,19 +215,9 @@ def write_snapshot(state: SimulationState, params, path):
         MAGIC, FORMAT_VERSION, grid.dim, grid.modes, state.t,
         params.nu, params.kappa,
     )
-    parts = [header]
-    for i in range(grid.dim):
-        parts.append(
-            np.ascontiguousarray(
-                grid.to_lex_order(state.u.coeffs[i]), dtype="<c16"
-            ).tobytes()
-        )
-    parts.append(
-        np.ascontiguousarray(
-            grid.to_lex_order(state.theta.coeffs), dtype="<c16"
-        ).tobytes()
-    )
-    _atomic_write(path, b"".join(parts))
+    stacked = np.concatenate([state.u.coeffs, state.theta.coeffs[np.newaxis]])
+    payload = np.ascontiguousarray(grid.to_lex_order(stacked), dtype="<c16")
+    _atomic_write(path, header + payload.tobytes())
 
 
 def _parse_header(blob, path):
@@ -282,11 +272,9 @@ def read_snapshot(path):
         )
     grid = _snapshot_grid(header.dim, header.modes)
     flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    flat = flat.astype(np.complex128).reshape(n_fields, nmodes)
-    u = SpectralVectorField(
-        grid, np.stack([grid.from_lex_order(flat[i]) for i in range(header.dim)])
-    )
-    theta = SpectralScalarField(grid, grid.from_lex_order(flat[header.dim]))
+    coeffs = grid.from_lex_order(flat.reshape(n_fields, nmodes))
+    u = SpectralVectorField(grid, coeffs[: header.dim])
+    theta = SpectralScalarField(grid, coeffs[header.dim])
     return SimulationState(u, theta, header.t, 0)
 
 

@@ -160,40 +160,36 @@ class GridSpec:
         """Shape of a vector coefficient array (component axis first)."""
         return (self.dim,) + self.shape
 
-    @property
-    def dx(self):
-        """Physical grid spacing 2*pi / modes."""
-        return TWO_PI / self.modes
-
     def wavevectors(self):
         """Integer wavevectors in the fixed lexicographic order.
 
         Returns an (nmodes, dim) int array enumerating j over
         {-modes/2+1, ..., modes/2}^dim, the order used when coefficients
-        are serialized.  The zero (mean) vector sits at position
-        ``mean_mode_position()``.
+        are serialized.
         """
         m = self.modes
         labels = np.arange(m) - m // 2 + 1
         grids = np.meshgrid(*([labels] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def mean_mode_position(self):
-        """Position of the zero wavevector in ``wavevectors()``."""
-        m = self.modes
-        pos = 0
-        for _ in range(self.dim):
-            pos = pos * m + (m // 2 - 1)
-        return pos
-
     def to_lex_order(self, coeffs):
-        """Flatten one scalar coefficient array into lexicographic order."""
-        return coeffs[self._lex_ix].ravel()
+        """Flatten coefficient arrays into lexicographic order.
+
+        ``coeffs`` has shape ``(*lead, *self.shape)``; the result has
+        shape ``(*lead, nmodes)``, one flattened array per leading index
+        (a vector's components, say), each in the order of
+        :meth:`wavevectors`.
+        """
+        lead = coeffs.shape[: coeffs.ndim - self.dim]
+        return coeffs[(Ellipsis,) + self._lex_ix].reshape(lead + (-1,))
 
     def from_lex_order(self, flat):
-        """Inverse of :meth:`to_lex_order`."""
-        out = np.empty(self.shape, dtype=complex)
-        out[self._lex_ix] = np.asarray(flat, dtype=complex).reshape(self.shape)
+        """Inverse of :meth:`to_lex_order`: ``(*lead, nmodes)`` flattened
+        arrays back to coefficient arrays of shape ``(*lead, *self.shape)``."""
+        flat = np.asarray(flat, dtype=complex)
+        lead = flat.shape[:-1]
+        out = np.empty(lead + self.shape, dtype=complex)
+        out[(Ellipsis,) + self._lex_ix] = flat.reshape(lead + self.shape)
         return out
 
 

@@ -7,8 +7,7 @@ retained mode.  It works on the half spectrum with real-to-complex
 transforms (those of ``irfftn``/``rfftn``, pruned of the masked
 columns, and in 3D of the masked rows), so the collocation values are
 real and the full output, rebuilt from its half, is Hermitian by
-construction.  ``convect_state`` shares its kernel, ``_advect``, which
-holds for any u.
+construction.  Its kernel, ``_advect``, holds for any u.
 
 The time stepper has a kernel of its own, ``_flux_divergence``: its u
 is divergence-free, so u . grad u = div(u u) and u . grad theta =
@@ -48,7 +47,6 @@ __all__ = [
     "AliasingMode",
     "ConvectionResult",
     "convect_pseudospectral",
-    "convect_state",
     "convect_convolution",
     "buoyancy",
     "CONVOLUTION_MODE_LIMIT",
@@ -149,9 +147,9 @@ def _unprune(grid, spec):
 def _advect(grid, u_half, comps_half):
     """Dealiased u . grad(c) for stacked components c, on half spectra.
 
-    The kernel of :func:`convect_state` and :func:`convect_pseudospectral`;
-    it holds for any u.  ``u_half`` is (dim, *half) and ``comps_half``
-    (n, *half), both in the half-spectrum layout of ``GridSpec``.  One
+    The kernel of :func:`convect_pseudospectral`; it holds for any u.
+    ``u_half`` is (dim, *half) and ``comps_half`` (n, *half), both in
+    the half-spectrum layout of ``GridSpec``.  One
     batched inverse transform takes the masked velocity and all n * dim
     masked gradients to the collocation points, one batched forward
     transform brings the n products back.  The result is masked, with a
@@ -238,25 +236,6 @@ def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):
         out = _advect(grid, u.coeffs[half], v.coeffs[np.newaxis][half])
         field = SpectralScalarField(grid, _from_half(grid, out[0]))
     return ConvectionResult(field, AliasingMode.DEALIASED_2_3)
-
-
-def convect_state(u: SpectralVectorField, theta: SpectralScalarField,
-                  grid: GridSpec = None):
-    """u . grad(u) and u . grad(theta) from one pair of batched transforms.
-
-    Equivalent to two ``convect_pseudospectral`` calls, sharing the
-    velocity transform between them.
-    """
-    grid = _check_grids(u, theta, grid)
-    half = grid.half_slice
-    comps = np.concatenate([u.coeffs[half], theta.coeffs[np.newaxis][half]])
-    out = _from_half(grid, _advect(grid, u.coeffs[half], comps))
-    conv_u = SpectralVectorField(grid, out[: grid.dim])
-    conv_theta = SpectralScalarField(grid, out[grid.dim])
-    return (
-        ConvectionResult(conv_u, AliasingMode.DEALIASED_2_3),
-        ConvectionResult(conv_theta, AliasingMode.DEALIASED_2_3),
-    )
 
 
 def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):

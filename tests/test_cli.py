@@ -77,6 +77,15 @@ class TestRun:
         assert main(["run", cfg]) == 1
         assert "nu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_sobolev_exponent_exits_1(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path,
+                           BASE_CONFIG + f"sobolev_exponent = {value}\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 1
+        assert "sobolev_exponent" in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # refused before any step
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         assert "error" in capsys.readouterr().err

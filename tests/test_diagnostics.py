@@ -1,6 +1,4 @@
-"""Energy budgets, Gevrey energy, radius fits, pressure recovery."""
-
-from types import SimpleNamespace
+"""Energy budgets, Gevrey energy, radius fits, per-state records."""
 
 import numpy as np
 import pytest
@@ -10,23 +8,17 @@ from bousspec import (
     SpectralScalarField,
     SpectralVectorField,
     divergence_max,
-    enforce_constraints,
-    l2_inner,
     leray_project,
     make_grid,
     norm,
     synthesize_initial,
-    to_physical,
 )
 from bousspec.diagnostics import (
     BudgetAccumulator,
     DiagnosticsRecord,
     build_record,
-    energy_budget,
     fit_radius,
     gevrey_energy,
-    helmholtz_check,
-    recover_pressure,
     shell_envelope,
 )
 from bousspec.stepper import SimulationState, StepperConfig, run_simulation
@@ -181,26 +173,13 @@ class TestEnergyBudget:
     def test_zero_run_residuals_exactly_zero(self):
         grid = make_grid(2, 16)
         params = PhysicalParams(nu=1.0, kappa=1.0)
-        states = [
-            SimpleNamespace(
-                u=SpectralVectorField(grid),
-                theta=SpectralScalarField(grid),
-                t=0.01 * n,
-            )
+        acc = BudgetAccumulator(params)
+        residuals = [
+            acc.update(SpectralVectorField(grid), SpectralScalarField(grid),
+                       0.01 * n)
             for n in range(5)
         ]
-        budget = energy_budget(states, params)
-        assert np.all(budget.residual_theta == 0.0)
-        assert np.all(budget.residual_u == 0.0)
-
-    def test_needs_two_states(self):
-        grid = make_grid(2, 16)
-        params = PhysicalParams(nu=1.0, kappa=1.0)
-        only = SimpleNamespace(
-            u=SpectralVectorField(grid), theta=SpectralScalarField(grid), t=0.0
-        )
-        with pytest.raises(ValueError, match="2 states"):
-            energy_budget([only], params)
+        assert np.all(np.array(residuals) == 0.0)
 
     def test_pure_heat_budget_is_quadrature_limited(self):
         # theta(t) = e^{-kappa t} cos x_2 exactly; the exponential-fitted
@@ -230,113 +209,21 @@ class TestEnergyBudget:
         u0 = leray_project(u0)
         cfg = StepperConfig(dt=1e-3, t_final=0.02, snapshot_every=1)
         traj = run_simulation(cfg, params, grid, SimulationState(u0, th0))
-        budget = energy_budget(traj.snapshots, params)
+        acc = BudgetAccumulator(params)
+        budget = np.array([acc.update(state.u, state.theta, state.t)
+                           for state in traj.snapshots])
         got_theta = [r.energy_residual_theta for r in traj.records]
         got_u = [r.energy_residual_u for r in traj.records]
-        np.testing.assert_array_equal(budget.residual_theta, got_theta)
-        np.testing.assert_array_equal(budget.residual_u, got_u)
+        np.testing.assert_array_equal(budget[:, 0], got_theta)
+        np.testing.assert_array_equal(budget[:, 1], got_u)
         # the u-budget closes once the buoyancy cross-term is counted;
         # what remains is the quadrature error the nonlinear dynamics
         # leave (the exponential-fitted dissipation rule is exact on the
         # diffusive decay, the cross-term is trapezoidal), around 1e-8
         # relative at this resolution and cadence (without the cross-term
         # the imbalance would be of order t*||u||*||theta||)
-        assert np.max(np.abs(budget.residual_u)) <= 1e-4 * budget.e0_u
-
-
-class TestPressure:
-    def test_single_theta_mode(self):
-        # theta = cos x_2 forces p with Laplacian p = d/dx_2 cos x_2,
-        # i.e. p = sin x_2
-        grid = make_grid(2, 16)
-        u = SpectralVectorField(grid)
-        _, theta = synthesize_initial("single_mode_theta", grid)
-        p = recover_pressure(u, theta, grid)
-        expected = SpectralScalarField(grid)
-        expected.coeffs[0, 1] = -0.5j
-        expected.coeffs[0, -1] = 0.5j
-        np.testing.assert_allclose(p.coeffs, expected.coeffs, atol=1e-15)
-        x2 = np.arange(16) * grid.dx
-        np.testing.assert_allclose(
-            to_physical(p)[0, :], np.sin(x2), atol=1e-14
-        )
-
-    def test_zero_fields(self):
-        grid = make_grid(3, 8)
-        p = recover_pressure(
-            SpectralVectorField(grid), SpectralScalarField(grid), grid
-        )
-        assert np.max(np.abs(p.coeffs)) == 0.0
-
-    def test_taylor_green_pressure(self):
-        grid = make_grid(2, 32)
-        u, theta = synthesize_initial("taylor_green", grid)
-        p = recover_pressure(u, theta, grid)
-        expected = SpectralScalarField(grid)
-        for idx in [(2, 0), (-2, 0), (0, 2), (0, -2)]:
-            expected.coeffs[idx] = -0.125  # p = -(cos 2x_1 + cos 2x_2)/4
-        np.testing.assert_allclose(p.coeffs, expected.coeffs, atol=1e-15)
-
-    def test_mean_free_and_real(self):
-        grid = make_grid(2, 16)
-        rng = np.random.default_rng(0)
-        u = SpectralVectorField(
-            grid, rng.standard_normal(grid.vshape) + 1j * rng.standard_normal(grid.vshape)
-        )
-        u = leray_project(enforce_constraints(u))
-        theta = enforce_constraints(SpectralScalarField(
-            grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        ))
-        p = recover_pressure(u, theta, grid)
-        assert p.coeffs[grid.zero_index] == 0.0
-        assert np.max(np.abs(np.imag(to_physical(p)))) <= 1e-12
-
-
-class TestHelmholtz:
-    def test_zero_fields(self):
-        grid = make_grid(2, 16)
-        assert helmholtz_check(
-            SpectralVectorField(grid), SpectralScalarField(grid), grid
-        ) == 0.0
-
-    def test_theta_only_single_mode(self):
-        grid = make_grid(2, 16)
-        u = SpectralVectorField(grid)
-        _, theta = synthesize_initial("single_mode_theta", grid)
-        assert helmholtz_check(u, theta, grid) <= 1e-14
-
-    @pytest.mark.parametrize("dim,modes", [(2, 16), (3, 8)])
-    def test_random_band_limited_fields(self, dim, modes):
-        grid = make_grid(dim, modes)
-        rng = np.random.default_rng(42)
-        band = np.all(np.abs(grid.k) <= modes // 4, axis=0)
-        u = SpectralVectorField(grid)
-        for i in range(dim):
-            u.coeffs[i] = band * (
-                rng.standard_normal(grid.shape)
-                + 1j * rng.standard_normal(grid.shape)
-            )
-        u = leray_project(enforce_constraints(u))
-        theta = enforce_constraints(SpectralScalarField(
-            grid,
-            band * (rng.standard_normal(grid.shape)
-                    + 1j * rng.standard_normal(grid.shape)),
-        ))
-        amp = np.max(np.abs(u.coeffs))
-        assert helmholtz_check(u, theta, grid) <= 1e-12 * max(amp, 1.0)
-
-    def test_projection_orthogonality(self):
-        grid = make_grid(2, 16)
-        rng = np.random.default_rng(1)
-        w = enforce_constraints(SpectralVectorField(
-            grid,
-            rng.standard_normal(grid.vshape)
-            + 1j * rng.standard_normal(grid.vshape),
-        ))
-        pw = leray_project(w)
-        qw = SpectralVectorField(grid, w.coeffs - pw.coeffs)
-        scale = norm(w) ** 2
-        assert abs(l2_inner(pw, qw)) <= 1e-13 * scale
+        e0_u = norm(traj.snapshots[0].u) ** 2
+        assert np.max(np.abs(budget[:, 1])) <= 1e-4 * e0_u
 
 
 class TestRecords:

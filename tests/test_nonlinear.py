@@ -22,7 +22,6 @@ from bousspec.nonlinear import (
     buoyancy,
     convect_convolution,
     convect_pseudospectral,
-    convect_state,
 )
 
 
@@ -92,18 +91,6 @@ class TestPseudospectral:
             convect_pseudospectral(u, theta)
         with pytest.raises(ValueError, match="supplied grid"):
             convect_pseudospectral(u, u, g2)
-
-    @pytest.mark.parametrize("dim,modes", [(2, 16), (3, 8)])
-    def test_combined_state_convection_matches_separate_calls(self, dim, modes):
-        g = make_grid(dim, modes)
-        u, theta = band_limited_fields(g, 11, bandwidth=modes // 3)
-        conv_u, conv_th = convect_state(u, theta, g)
-        ref_u = convect_pseudospectral(u, u, g).field
-        ref_th = convect_pseudospectral(u, theta, g).field
-        assert conv_u.aliasing_mode is AliasingMode.DEALIASED_2_3
-        scale = max(np.max(np.abs(ref_u.coeffs)), np.max(np.abs(ref_th.coeffs)))
-        assert np.max(np.abs(conv_u.field.coeffs - ref_u.coeffs)) <= 1e-14 * scale
-        assert np.max(np.abs(conv_th.field.coeffs - ref_th.coeffs)) <= 1e-14 * scale
 
 
 def masked_ik(grid):

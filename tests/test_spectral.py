@@ -1,4 +1,4 @@
-"""Grid bookkeeping, constraints, multiplier operators, norms, initial data."""
+"""Grid bookkeeping, constraints, norm weights, norms, initial data."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from bousspec import (
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
-    apply_gevrey,
-    apply_zygmund,
     divergence_max,
     enforce_constraints,
     from_physical,
@@ -66,19 +64,28 @@ class TestGridSpec:
         tups = {tuple(row) for row in wv}
         assert len(tups) == 64
         assert all(-3 <= a <= 4 for t in tups for a in t)  # -M/2+1 .. M/2
-        pos = g.mean_mode_position()
-        assert tuple(wv[pos]) == (0, 0)
+        # the zero (mean) vector appears exactly once
+        (pos,) = np.flatnonzero(~wv.any(axis=1))
         # lexicographic order
         assert all(
             tuple(wv[i]) < tuple(wv[i + 1]) for i in range(len(wv) - 1)
         )
 
     def test_lex_round_trip(self):
-        g = make_grid(2, 6)
-        f = random_scalar(g, 3)
-        flat = g.to_lex_order(f.coeffs)
-        assert np.array_equal(g.from_lex_order(flat), f.coeffs)
+        # a 2D scalar and a 3D vector (leading component axis)
+        for f in (random_scalar(make_grid(2, 6), 3),
+                  random_vector(make_grid(3, 4), 3, solenoidal=False)):
+            g = f.grid
+            flat = g.to_lex_order(f.coeffs)
+            assert np.array_equal(g.from_lex_order(flat), f.coeffs)
+            # each component on its own: entry n holds the coefficient of
+            # the n-th wavevector of the enumeration
+            slots = tuple((g.wavevectors() % g.modes).T)
+            comps = f.coeffs.reshape((-1,) + g.shape)
+            want = np.stack([c[slots] for c in comps])
+            assert np.array_equal(flat, want.reshape(flat.shape))
         # a single known mode lands where the enumeration says it should
+        g = make_grid(2, 6)
         c = np.zeros(g.shape, complex)
         c[(1 % 6, 2 % 6)] = 3.5 + 1j
         flat = g.to_lex_order(c)
@@ -101,12 +108,26 @@ class TestGridSpec:
 
 class TestConstraints:
     def test_symmetrization_and_mean(self):
-        g = make_grid(2, 8)
-        f = random_scalar(g, 0, constrained=False)
-        f.coeffs[g.zero_index] = 2.0 + 1.0j
-        out = enforce_constraints(f)
-        assert out.coeffs[g.zero_index] == 0.0
-        assert hermitian_defect(out) == 0.0
+        # a 2D scalar and a 3D vector, neither with the reality symmetry
+        rng = np.random.default_rng(0)
+        for g, cls in ((make_grid(2, 8), SpectralScalarField),
+                       (make_grid(3, 6), SpectralVectorField)):
+            shape = g.shape if cls is SpectralScalarField else g.vshape
+            f = cls(g, rng.standard_normal(shape)
+                    + 1j * rng.standard_normal(shape))
+            f.coeffs[(Ellipsis,) + g.zero_index] = 2.0 + 1.0j
+            out = enforce_constraints(f)
+            assert np.all(out.coeffs[(Ellipsis,) + g.zero_index] == 0.0)
+            assert hermitian_defect(out) == 0.0
+            # each component on its own, j -> -j as a flip and a roll
+            axes = tuple(range(g.dim))
+            want = []
+            for c in f.coeffs.reshape((-1,) + g.shape):
+                w = 0.5 * (c + np.conj(np.roll(np.flip(c), 1, axis=axes)))
+                w[g.zero_index] = 0.0
+                want.append(w)
+            assert np.array_equal(out.coeffs,
+                                  np.reshape(want, f.coeffs.shape))
 
     def test_idempotent_bit_identical(self):
         g = make_grid(3, 4)
@@ -175,35 +196,43 @@ class TestLeray:
         rhs = l2_inner(u, leray_project(v))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
+    def test_projection_orthogonality(self):
+        grid = make_grid(2, 16)
+        rng = np.random.default_rng(1)
+        w = enforce_constraints(SpectralVectorField(
+            grid,
+            rng.standard_normal(grid.vshape)
+            + 1j * rng.standard_normal(grid.vshape),
+        ))
+        pw = leray_project(w)
+        qw = SpectralVectorField(grid, w.coeffs - pw.coeffs)
+        scale = norm(w) ** 2
+        assert abs(l2_inner(pw, qw)) <= 1e-13 * scale
+
 
 class TestMultipliers:
+    """The weights |j|^r and exp(tau |j|^(1/s)) of :func:`norm`, by value."""
+
     def test_zygmund_integer_magnitude(self):
         # j = (3, 4): |j| = 5 exactly
         g = make_grid(2, 16)
         f = SpectralScalarField(g)
         f.coeffs[3, 4] = 2.0 + 1.0j
-        out = apply_zygmund(f, 1.0)
-        assert out.coeffs[3, 4] == 5.0 * (2.0 + 1.0j)
-
-    def test_zygmund_identity_bit_for_bit(self):
-        g = make_grid(2, 8)
-        f = random_scalar(g, 2)
-        out = apply_zygmund(f, 0.0)
-        assert np.array_equal(out.coeffs, f.coeffs)
+        assert norm(f, r=1.0) == 5.0 * norm(f)
 
     def test_zygmund_zero_mode(self):
         g = make_grid(2, 8)
         f = SpectralScalarField(g)
-        f.coeffs[g.zero_index] = 1.0  # invalid state, still must be zeroed
-        assert apply_zygmund(f, 2.0).coeffs[g.zero_index] == 0.0
+        f.coeffs[g.zero_index] = 1.0  # invalid state, still weighted 0
+        assert norm(f) > 0.0
+        assert norm(f, r=2.0) == 0.0
 
     def test_gevrey_analytic_weight(self):
         g = make_grid(2, 16)
         f = SpectralScalarField(g)
         f.coeffs[3, 4] = 1.0 - 2.0j
-        out = apply_gevrey(f, GevreyParams(tau=0.5, s=1.0))
         np.testing.assert_allclose(
-            out.coeffs[3, 4], np.exp(2.5) * (1.0 - 2.0j), rtol=1e-15
+            norm(f, tau=0.5, s=1.0), np.exp(2.5) * norm(f), rtol=1e-15
         )
 
     def test_gevrey_subanalytic_weight(self):
@@ -211,20 +240,15 @@ class TestMultipliers:
         g = make_grid(2, 16)
         f = SpectralScalarField(g)
         f.coeffs[0, 4] = 1.0
-        out = apply_gevrey(f, GevreyParams(tau=1.0, s=2.0))
-        np.testing.assert_allclose(out.coeffs[0, 4], np.exp(2.0), rtol=1e-15)
-
-    def test_gevrey_identity_bit_for_bit(self):
-        g = make_grid(2, 8)
-        f = random_scalar(g, 4)
-        out = apply_gevrey(f, GevreyParams(tau=0.0))
-        assert np.array_equal(out.coeffs, f.coeffs)
+        np.testing.assert_allclose(
+            norm(f, tau=1.0, s=2.0), np.exp(2.0) * norm(f), rtol=1e-15
+        )
 
     def test_gevrey_tau_cap_guard(self):
         g = make_grid(2, 64)
         f = random_scalar(g, 5)
         with pytest.raises(ValueError, match="tau_cap"):
-            apply_gevrey(f, GevreyParams(tau=g.tau_cap * 1.01))
+            norm(f, tau=g.tau_cap * 1.01)
 
     def test_param_validation(self):
         with pytest.raises(ValueError, match="tau"):
@@ -291,12 +315,22 @@ class TestDivergence:
 
 class TestTransforms:
     def test_round_trip(self):
-        g = make_grid(2, 8)
-        f = random_scalar(g, 13)
-        back = from_physical(g, to_physical(f))
-        np.testing.assert_allclose(
-            back.coeffs, f.coeffs, atol=1e-14 * np.max(np.abs(f.coeffs))
-        )
+        # a 2D scalar and a 3D vector (leading component axis)
+        for f in (random_scalar(make_grid(2, 8), 13),
+                  random_vector(make_grid(3, 6), 13, solenoidal=False)):
+            g = f.grid
+            vals = to_physical(f)
+            back = from_physical(g, vals)
+            assert type(back) is type(f)
+            np.testing.assert_allclose(
+                back.coeffs, f.coeffs, atol=1e-14 * np.max(np.abs(f.coeffs))
+            )
+            # each component transformed on its own
+            comps = f.coeffs.reshape((-1,) + g.shape)
+            want = np.stack([np.fft.ifftn(c).real * g.nmodes for c in comps])
+            assert np.array_equal(vals, want.reshape(vals.shape))
+            want = np.stack([np.fft.fftn(v) / g.nmodes for v in want])
+            assert np.array_equal(back.coeffs, want.reshape(back.coeffs.shape))
 
     def test_taylor_green_collocation_values(self):
         g = make_grid(2, 16)
@@ -370,6 +404,9 @@ class TestInitialData:
         with pytest.raises(ValueError, match="sobolev_exponent"):
             synthesize_initial("rough_h1", make_grid(3, 8),
                                sobolev_exponent=2.5)
+        for p in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sobolev_exponent"):
+                synthesize_initial("rough_h1", g, sobolev_exponent=p)
 
     def test_zero_kind_and_unknown(self):
         g = make_grid(2, 8)
