@@ -184,8 +184,7 @@ def fit_radius(field, s: float = 1.0):
     at zero.  Returns None when fewer than 4 shells rise above the
     amplitude floor: too little spectrum to call it a fit.
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    GevreyParams(tau=0.0, s=s)  # validate the range
     return _fit(field.grid, np.sqrt(_power(field)), s)
 
 

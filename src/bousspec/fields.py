@@ -102,12 +102,12 @@ class GevreyParams:
     s: float = 1.0
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
+        for key, low in (("tau", 0), ("r", 0), ("s", 1)):
+            value = getattr(self, key)
+            if not (value >= low and math.isfinite(value)):
+                raise ValueError(
+                    f"{key} must be >= {low} and finite, got {value}"
+                )
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ with interaction tensors assembled analytically: each basis element has
 exactly two Fourier modes, and three exponentials integrate to zero unless
 their wavevectors form a triad p + q + r = 0 (Waleffe 1992, Phys. Fluids A
 4, 350).  The triads are enumerated directly by integer wavevector lookup,
-with no quadrature and no FFT, and since about one entry in a hundred is
-non-zero, A and B are stored in COO form.  Advection only reshuffles
-energy, which shows up here as exact antisymmetry of A and B in their last
-two slots.
+with no quadrature and no FFT, one |p|^2 shell of advecting modes at a
+time, so that no step holds all (2m)^2 mode pairs; since about one entry
+in a hundred is non-zero, A and B are stored in COO form.  Advection only
+reshuffles energy, which shows up here as exact antisymmetry of A and B
+in their last two slots.
 
 When the basis covers exactly the dealias-retained modes of a grid, this
 ODE system is the same dynamical system the dealiased pseudospectral
@@ -248,6 +249,12 @@ def _dots(x, y, tx, ty):
     return dots
 
 
+def _shells(k):
+    """Slices of the runs of rows of ``k`` with equal |k|^2."""
+    cuts = np.flatnonzero(np.diff(np.sum(k * k, axis=1))) + 1
+    return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(k)])]
+
+
 def _advection_coo(vmodes, vtangents, modes, tangents, table, half, vol):
     """COO values and (a, b, c) keys of (E_a . grad f_b, f_c).
 
@@ -258,25 +265,44 @@ def _advection_coo(vmodes, vtangents, modes, tangents, table, half, vol):
     to q or to each other; such triads add nothing, where floating point
     would leave roundoff.  Triads are summed per key in the order
     (a, p, b, q, c); zero sums are dropped.
+
+    The pairs, and the w_a . q products, are formed one |p|^2 shell of
+    advecting modes at a time, so those temporaries scale with a shell,
+    not with all (2m)^2 pairs; only the w_b . w_c table covers every
+    pair of modes of f.  Both modes of an element lie in one shell, so
+    each key is summed whole within its shell, and the shells' keys, led
+    by a, concatenate sorted.
     """
     owner_a, p, wa = vmodes
     owner, q, w = modes
-    i, j = np.indices((len(p), len(q))).reshape(2, -1)
-    pair, r = _receivers(p[i] + q[j], table, half)
-    i, j = i[pair], j[pair]
-    values = vol * (1j * _dots(wa, q, vtangents, q)[i, j]
-                    * _dots(w, w, tangents, tangents)[j, r]).real
+    wbc = _dots(w, w, tangents, tangents)
     shape = (len(p) // 2, len(q) // 2, len(q) // 2)
-    keys, inverse = np.unique(np.ravel_multi_index(
-        (owner_a[i], owner[j], owner[r]), shape), return_inverse=True)
-    sums = np.bincount(inverse, weights=values)
-    keep = sums != 0
-    return sums[keep], np.stack(np.unravel_index(keys[keep], shape), axis=1)
+    values, keys = [], []
+    for shell in _shells(p):
+        waq = _dots(wa[shell], q, vtangents[shell], q)
+        i, j = np.indices(waq.shape).reshape(2, -1)
+        pair, r = _receivers(p[shell][i] + q[j], table, half)
+        i, j = i[pair], j[pair]
+        shell_keys, inverse = np.unique(np.ravel_multi_index(
+            (owner_a[shell][i], owner[j], owner[r]), shape),
+            return_inverse=True)
+        sums = np.bincount(
+            inverse, weights=vol * (1j * waq[i, j] * wbc[j, r]).real)
+        keep = sums != 0
+        values.append(sums[keep])
+        keys.append(shell_keys[keep])
+    return (np.concatenate(values),
+            np.stack(np.unravel_index(np.concatenate(keys), shape), axis=1))
 
 
 def assemble_tensors(vel_basis, scalar_basis, grid: GridSpec):
-    """Interaction tensors by analytic triad matching; the receiving
-    modes are looked up in the box |k_i| <= 2 * cutoff of all sums."""
+    """Interaction tensors by analytic triad matching.
+
+    The mode pairs of A and B are formed one |p|^2 shell of advecting
+    modes at a time (``build_basis`` orders the elements by |k|), and
+    the receiving modes are looked up in the box |k_i| <= 2 * cutoff of
+    all sums.
+    """
     vol = TWO_PI**grid.dim
     half = 2 * grid.dealias_cutoff
     vmodes = _flat_modes(vel_basis, grid.dim)

@@ -67,6 +67,13 @@ class TestRadiusFit:
         with pytest.raises(ValueError, match="s"):
             fit_radius(f, s=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_gevrey_index_rejected(self, bad):
+        # a nan or inf index would reach the least-squares fit
+        f = envelope_field(make_grid(2, 32), lambda k: np.exp(-0.3 * k))
+        with pytest.raises(ValueError, match="^s must be .* finite"):
+            fit_radius(f, s=bad)
+
     def test_too_few_shells_is_unfittable(self):
         grid = make_grid(2, 16)
         f = SpectralScalarField(grid)

@@ -260,6 +260,17 @@ class TestMultipliers:
         with pytest.raises(ValueError, match="kappa"):
             PhysicalParams(nu=1.0, kappa=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("key", ["tau", "r", "s"])
+    def test_nonfinite_params_rejected(self, key, bad):
+        # nan fails no comparison, so a range check alone lets it through
+        # to a nan norm
+        f = random_scalar(make_grid(2, 16), 5)
+        with pytest.raises(ValueError, match=f"^{key} must be .* finite"):
+            GevreyParams(**{"tau": 0.0, key: bad})
+        with pytest.raises(ValueError, match=f"^{key} must be .* finite"):
+            norm(f, **{key: bad})
+
 
 class TestNorms:
     def test_two_mode_l2(self):
