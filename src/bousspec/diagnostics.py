@@ -32,11 +32,12 @@ import numpy as np
 from .fields import (
     GevreyParams,
     PhysicalParams,
+    _divergence_max,
     _gevrey_weight,
     _norm_of,
     _power,
+    _sum,
     _weigh,
-    divergence_max,
 )
 from .grid import TWO_PI
 
@@ -111,24 +112,34 @@ def _shell_plan(grid):
 
     Returns, as read-only arrays, the stable permutation that sorts the
     flat modes by integer radius shell floor(|j| + 1/2) (modes of one
-    shell keep their flat order), the shell of each sorted position, the
-    start of each non-empty shell in the sorted order, and |j| in sorted
-    order.
+    shell keep their flat order), the same permutation as indices into
+    the flat half spectrum (through ``grid.half_mirror``), the shell of
+    each sorted position, the start of each non-empty shell in the
+    sorted order, and |j| in sorted order.
     """
     shell = np.floor(grid.kmag + 0.5).astype(int).ravel()
     order = np.argsort(shell, kind="stable")
     sorted_shell = shell[order]
     starts = np.flatnonzero(np.diff(sorted_shell, prepend=-1))
-    plan = (order, sorted_shell, starts, grid.kmag.ravel()[order])
+    plan = (order, grid.half_mirror.ravel()[order], sorted_shell, starts,
+            grid.kmag.ravel()[order])
     for value in plan:
         value.flags.writeable = False
     return plan
 
 
-def _envelope(grid, amp):
-    """``shell_envelope`` of the per-mode amplitudes ``amp``."""
-    order, sorted_shell, starts, sorted_kmag = _shell_plan(grid)
-    ranked = amp.ravel()[order]
+def _ranked(grid, power, half=False):
+    """Amplitudes sqrt(power) in the shell order of :func:`_shell_plan`,
+    from a per-mode power on the full spectrum or, with ``half``, on the
+    half spectrum of a real field."""
+    order = _shell_plan(grid)[1 if half else 0]
+    return np.sqrt(power).ravel()[order]
+
+
+def _envelope(grid, ranked):
+    """``shell_envelope`` of the per-mode amplitudes ``ranked``, given in
+    the shell order of :func:`_shell_plan`."""
+    _, _, sorted_shell, starts, sorted_kmag = _shell_plan(grid)
     peak = np.zeros(sorted_shell[-1] + 1)
     peak_kmag = np.zeros(sorted_shell[-1] + 1)
     peak[sorted_shell[starts]] = np.maximum.reduceat(ranked, starts)
@@ -147,12 +158,14 @@ def shell_envelope(field):
     the |j| where it sits.  Shell 0 holds only the (zero) mean mode.  The
     amplitude of a vector mode is the magnitude over its components.
     """
-    return _envelope(field.grid, np.sqrt(_power(field)))
+    grid = field.grid
+    return _envelope(grid, _ranked(grid, _power(field.coeffs, grid.dim)))
 
 
-def _fit(grid, amp, s):
-    """``fit_radius`` of the per-mode amplitudes ``amp``."""
-    peak, peak_kmag = _envelope(grid, amp)
+def _fit(grid, ranked, s):
+    """``fit_radius`` of the per-mode amplitudes ``ranked`` (see
+    :func:`_envelope`)."""
+    peak, peak_kmag = _envelope(grid, ranked)
 
     floor = AMPLITUDE_FLOOR_RATIO * peak.max()
     usable = np.flatnonzero(peak > max(floor, 0.0))
@@ -160,16 +173,20 @@ def _fit(grid, amp, s):
     if len(usable) < MIN_FIT_SHELLS:
         return None
 
+    # the least-squares line in closed form, from mean-centred sums
     x = peak_kmag[usable] ** (1.0 / s)
     y = np.log(peak[usable])
-    slope, intercept = np.polyfit(x, y, 1)
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    total = y - y_mean
+    slope = float(np.dot(dx, total) / np.dot(dx, dx))
+    intercept = float(y_mean - slope * x_mean)
     resid = y - (slope * x + intercept)
-    total = y - y.mean()
     ss_tot = float(np.dot(total, total))
     quality = 1.0 if ss_tot == 0.0 else 1.0 - float(np.dot(resid, resid)) / ss_tot
     return RadiusFit(
-        tau_est=max(0.0, -float(slope)),
-        intercept=float(intercept),
+        tau_est=max(0.0, -slope),
+        intercept=intercept,
         shells_used=range(int(usable[0]), int(usable[-1]) + 1),
         quality=quality,
     )
@@ -185,15 +202,17 @@ def fit_radius(field, s: float = 1.0):
     amplitude floor: too little spectrum to call it a fit.
     """
     GevreyParams(tau=0.0, s=s)  # validate the range
-    return _fit(field.grid, np.sqrt(_power(field)), s)
+    grid = field.grid
+    return _fit(grid, _ranked(grid, _power(field.coeffs, grid.dim)), s)
 
 
-def _gevrey_x(grid, tau, h1_u, h1_theta):
+def _gevrey_x(grid, tau, h1_u, h1_theta, half=False):
     """X from the H1 densities |j|^2 |c_j|^2 of u and theta, both
-    weighted by one Gevrey factor exp(2 tau |j|)."""
-    weight = _gevrey_weight(grid, tau, 1.0, double=True)
-    return (1.0 + _norm_of(grid, weight * h1_u) ** 2
-            + _norm_of(grid, weight * h1_theta) ** 2)
+    weighted by one Gevrey factor exp(2 tau |j|); on the half spectrum
+    of a real state when ``half``."""
+    weight = _gevrey_weight(grid, tau, 1.0, double=True, half=half)
+    return (1.0 + _norm_of(grid, weight * h1_u, half) ** 2
+            + _norm_of(grid, weight * h1_theta, half) ** 2)
 
 
 def gevrey_energy(state):
@@ -206,36 +225,44 @@ def gevrey_energy(state):
     grid = state.u.grid
     tau = min(state.t, grid.tau_cap)
     GevreyParams(tau=tau)  # validate the range
-    return _gevrey_x(grid, tau, _weigh(grid, _power(state.u), r=1.0),
-                     _weigh(grid, _power(state.theta), r=1.0))
+    return _gevrey_x(
+        grid, tau, _weigh(grid, _power(state.u.coeffs, grid.dim), r=1.0),
+        _weigh(grid, _power(state.theta.coeffs, grid.dim), r=1.0),
+    )
 
 
 # ----------------------------------------------------------------------
 # energy budgets
 
 
-def _buoyancy_flux(u, theta):
-    """(theta e_N, u) at one instant."""
-    return float(
-        TWO_PI**u.grid.dim
-        * np.sum(theta.coeffs * np.conj(u.coeffs[-1])).real
-    )
+def _buoyancy_flux(grid, u, theta, half=False):
+    """(theta e_N, u) at one instant, from coefficient arrays on the full
+    spectrum or, with ``half``, on the half spectrum of a real state.
+
+    The sum is complex and its real part is taken after it, as for the
+    full arrays: in the gathered half layout a mode's product is the
+    conjugate of the one in the full array, which has the same real
+    part.
+    """
+    product = theta * np.conj(u[-1])
+    return float(TWO_PI**grid.dim * _sum(grid, product, half).real)
 
 
-def _exp_fitted_sum(a, b):
-    """Sum over entries of the exponential-fitted mean (a - b) / ln(a / b).
+def _exp_fitted_sum(grid, a, b, half=False):
+    """Sum over modes of the exponential-fitted mean (a - b) / ln(a / b).
 
     For an entry that varies exponentially from a to b over a step this
     is its exact mean over the step.  Entries where a or b is zero, or
     a == b, take the trapezoid mean (a + b) / 2, the rule's limit as
     a -> b.  Writing ln(a / b) as log1p((a - b) / b) keeps the quotient
-    accurate as a -> b, where a - b is exact.
+    accurate as a -> b, where a - b is exact.  ``half`` as in
+    ``fields._sum``.
     """
     fitted = (a > 0) & (b > 0) & (a != b)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = a - b
         mean = np.where(fitted, diff / np.log1p(diff / b), 0.5 * (a + b))
-    return float(np.sum(mean))
+    return float(_sum(grid, mean, half))
 
 
 class BudgetAccumulator:
@@ -273,18 +300,25 @@ class BudgetAccumulator:
 
     def update(self, u, theta, t):
         grid = u.grid
-        power_u, power_theta = _power(u), _power(theta)
+        power_u = _power(u.coeffs, grid.dim)
+        power_theta = _power(theta.coeffs, grid.dim)
         return self._advance(
             grid, t, _norm_of(grid, power_u) ** 2,
             _norm_of(grid, power_theta) ** 2,
             _weigh(grid, power_u, r=1.0), _weigh(grid, power_theta, r=1.0),
-            _buoyancy_flux(u, theta),
+            _buoyancy_flux(grid, u.coeffs, theta.coeffs),
         )
 
-    def _advance(self, grid, t, e_u, e_theta, dens_u, dens_theta, cross):
+    def _advance(self, grid, t, e_u, e_theta, dens_u, dens_theta, cross,
+                 half=False):
         """``update`` from the state's energies ||u||^2 and ||theta||^2,
         its dissipation densities |j|^2 |c_j|^2 (summed over components)
-        and its buoyancy flux (theta e_N, u)."""
+        and its buoyancy flux (theta e_N, u).
+
+        With ``half`` the densities are on the half spectrum of a real
+        state (see ``fields._sum``); one accumulator is fed densities in
+        one layout throughout.
+        """
         if self._prev is None:
             self._e0_u = e_u
             self._e0_theta = e_theta
@@ -292,9 +326,10 @@ class BudgetAccumulator:
             t_prev, dens_u_prev, dens_theta_prev, cross_prev = self._prev
             h = t - t_prev
             scale = h * TWO_PI**grid.dim
-            self._int_u += scale * _exp_fitted_sum(dens_u_prev, dens_u)
-            self._int_theta += scale * _exp_fitted_sum(dens_theta_prev,
-                                                       dens_theta)
+            self._int_u += scale * _exp_fitted_sum(grid, dens_u_prev,
+                                                   dens_u, half)
+            self._int_theta += scale * _exp_fitted_sum(
+                grid, dens_theta_prev, dens_theta, half)
             self._int_cross += 0.5 * h * (cross_prev + cross)
         self._prev = (t, dens_u, dens_theta, cross)
         res_theta = e_theta + 2 * self.params.kappa * self._int_theta - self._e0_theta
@@ -315,36 +350,55 @@ def build_record(state, params: PhysicalParams,
                  budget: BudgetAccumulator | None = None):
     """DiagnosticsRecord for one state (anything with u, theta, t).
 
-    Feeds ``budget`` when given, so calling this once per step on a
-    shared accumulator yields per-step energy residuals.
+    The state must be real, that is its coefficients Hermitian, as every
+    state from ``step``, ``synthesize_initial`` and ``read_snapshot`` is:
+    the record is formed on the half spectrum.  ``t`` must be finite and
+    at least 0.  Feeds ``budget`` when given, so calling this once per
+    step on a shared accumulator yields per-step energy residuals.
     """
-    u, theta, t = state.u, state.theta, state.t
-    grid = u.grid
+    grid = state.u.grid
+    half = grid.half_slice
+    return _record(grid, state.t, state.u.coeffs[half],
+                   state.theta.coeffs[half], params, budget)
+
+
+def _record(grid, t, u, theta, params, budget):
+    """``build_record`` of the real state at time ``t`` whose half spectra
+    are ``u`` (dim, *half) and ``theta`` (*half).
+
+    Each per-mode quantity (power, H1 density, buoyancy product,
+    divergence) is formed on the half spectrum and gathered to the full
+    layout just before it is summed, so every sum runs over the values,
+    and in the order, of the full arrays and the record is that of the
+    full state to the last bit.
+    """
+    tau = min(t, grid.tau_cap)
+    GevreyParams(tau=tau)  # validate the range
     # one |c_j|^2 pass per field feeds every field of the record
-    power_u, power_theta = _power(u), _power(theta)
-    h1_u = _weigh(grid, power_u, r=1.0)
-    h1_theta = _weigh(grid, power_theta, r=1.0)
-    l2_u, l2_theta = _norm_of(grid, power_u), _norm_of(grid, power_theta)
+    power_u, power_theta = _power(u, grid.dim), _power(theta, grid.dim)
+    h1_u = grid.half_k2 * power_u
+    h1_theta = grid.half_k2 * power_theta
+    l2_u = _norm_of(grid, power_u, half=True)
+    l2_theta = _norm_of(grid, power_theta, half=True)
     if budget is None:
         res_theta, res_u = 0.0, 0.0
     else:
         res_theta, res_u = budget._advance(
             grid, t, l2_u**2, l2_theta**2, h1_u, h1_theta,
-            _buoyancy_flux(u, theta),
+            _buoyancy_flux(grid, u, theta, half=True), half=True,
         )
-    tau = min(t, grid.tau_cap)
-    fit = _fit(grid, np.sqrt(power_u), 1.0)
+    fit = _fit(grid, _ranked(grid, power_u, half=True), 1.0)
     return DiagnosticsRecord(
         t=t,
         l2_u=l2_u,
         l2_theta=l2_theta,
-        h1_u=_norm_of(grid, h1_u),
-        h1_theta=_norm_of(grid, h1_theta),
-        gevrey_X=_gevrey_x(grid, tau, h1_u, h1_theta),
+        h1_u=_norm_of(grid, h1_u, half=True),
+        h1_theta=_norm_of(grid, h1_theta, half=True),
+        gevrey_X=_gevrey_x(grid, tau, h1_u, h1_theta, half=True),
         tau_used=tau,
         radius_fit=0.0 if fit is None else fit.tau_est,
         radius_fit_quality=0.0 if fit is None else fit.quality,
         energy_residual_theta=res_theta,
         energy_residual_u=res_u,
-        div_max=divergence_max(u),
+        div_max=_divergence_max(grid.half_k, u),
     )

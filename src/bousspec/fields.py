@@ -155,29 +155,44 @@ def enforce_constraints(field):
     return type(field)(grid, out)
 
 
-def _from_half(grid, half):
-    """Full coefficient array, with the reality symmetry and zero mean,
-    from its half spectrum (last-axis labels 0..m/2; see ``GridSpec``).
+def _symmetrize_half(grid, half):
+    """Make a half spectrum (last-axis labels 0..m/2; see ``GridSpec``)
+    that of a real zero-mean field, in place, and return it.
 
-    The missing labels are the conjugates of their reflections, and the
-    two planes that reflect onto themselves (last labels 0 and m/2) are
-    symmetrized as in :func:`enforce_constraints`, so the result is
-    Hermitian by construction.  Leading (component) axes are kept.
+    Only the two planes that reflect onto themselves (last labels 0 and
+    m/2) hold both a mode and its reflection; they are symmetrized as in
+    :func:`enforce_constraints`, and the mean mode is zeroed.  Leading
+    (component) axes are kept.
+    """
+    planes = half[..., :: grid.modes // 2]
+    planes[...] = 0.5 * (
+        planes + np.conj(planes[(Ellipsis,) + grid._plane_ix])
+    )
+    half[(Ellipsis,) + grid.zero_index] = 0.0
+    return half
+
+
+def _from_half(grid, half):
+    """Full coefficient array of a half spectrum made real by
+    :func:`_symmetrize_half`: the missing labels are the conjugates of
+    their reflections, so the result is Hermitian by construction.
+    Leading (component) axes are kept.
     """
     m = grid.modes
     out = np.empty(half.shape[:-1] + (m,), dtype=complex)
     out[..., : m // 2 + 1] = half
     out[..., m // 2 + 1:] = np.conj(half[(Ellipsis,) + grid._upper_ix])
-    planes = half[..., :: m // 2]
-    out[..., :: m // 2] = 0.5 * (
-        planes + np.conj(planes[(Ellipsis,) + grid._plane_ix])
-    )
-    out[(Ellipsis,) + grid.zero_index] = 0.0
     return out
 
 
-def _leray_arrays(k, k_over_k2, arr):
-    return arr - k * (k_over_k2 * arr).sum(axis=0)
+def _leray_in_place(k, k_over_k2, arr, scratch):
+    """arr -= k (k_over_k2 . arr), written into ``arr``, with ``scratch``
+    (one row more than ``arr``) for the intermediate arrays."""
+    terms, total = scratch[:-1], scratch[-1]
+    np.multiply(k_over_k2, arr, out=terms)
+    np.sum(terms, axis=0, out=total)
+    np.multiply(k, total, out=terms)
+    return np.subtract(arr, terms, out=arr)
 
 
 def leray_project(u: SpectralVectorField):
@@ -187,14 +202,21 @@ def leray_project(u: SpectralVectorField):
     Self-adjoint and idempotent.
     """
     grid = u.grid
-    return SpectralVectorField(
-        grid, _leray_arrays(grid.k, grid.k_over_k2, u.coeffs)
-    )
+    scratch = np.empty((grid.dim + 1,) + grid.shape, dtype=complex)
+    return SpectralVectorField(grid, _leray_in_place(
+        grid.k, grid.k_over_k2, u.coeffs.copy(), scratch))
 
 
 def divergence_max(u: SpectralVectorField):
     """max_j |j . u_hat(j)|, the spectral divergence residual."""
-    dot = np.einsum("i...,i...->...", u.grid.k, u.coeffs)
+    return _divergence_max(u.grid.k, u.coeffs)
+
+
+def _divergence_max(k, coeffs):
+    """``divergence_max`` of velocity coefficients on the wavevectors
+    ``k``.  On the half spectrum of a real field it equals the full
+    maximum: |j . u_hat(j)| is the same at j and -j."""
+    dot = np.einsum("i...,i...->...", k, coeffs)
     return float(np.max(np.abs(dot)))
 
 
@@ -209,24 +231,28 @@ def hermitian_defect(field):
 # norms
 
 
-def _gevrey_weight(grid, tau, s, double=False):
+def _gevrey_weight(grid, tau, s, double=False, half=False):
+    """exp(tau |j|^(1/s)) (``double``: exp(2 tau |j|^(1/s))) on the full
+    spectrum, or on the half spectrum when ``half``."""
     if tau > grid.tau_cap:
         raise ValueError(
             f"tau={tau} exceeds tau_cap={grid.tau_cap:.6g} for this grid; "
             "the weight would overflow the spectrum range"
         )
     factor = 2.0 * tau if double else tau
+    kmag = grid.half_kmag if half else grid.kmag
     if s == 1.0:
-        return np.exp(factor * grid.kmag)
-    return np.exp(factor * grid.kmag ** (1.0 / s))
+        return np.exp(factor * kmag)
+    return np.exp(factor * kmag ** (1.0 / s))
 
 
-def _power(field):
-    """Per-mode |c_j|^2 as re^2 + im^2, summed over a vector's components."""
-    c = field.coeffs
-    power = np.square(c.real)
-    power += np.square(c.imag)
-    if isinstance(field, SpectralVectorField):
+def _power(coeffs, dim):
+    """Per-mode |c_j|^2 as re^2 + im^2 of a scalar's coefficients, or
+    summed over the components (leading axis) of a vector's; ``dim`` is
+    the grid's dimension, which tells the two apart."""
+    power = np.square(coeffs.real)
+    power += np.square(coeffs.imag)
+    if coeffs.ndim > dim:
         power = power.sum(axis=0)
     return power
 
@@ -246,9 +272,24 @@ def _weigh(grid, power, r=0.0, tau=0.0, s=1.0):
     return power
 
 
-def _norm_of(grid, weighted):
-    """sqrt((2 pi)^N sum_j weighted_j), the norm of a weighted power."""
-    return float(np.sqrt(TWO_PI**grid.dim * np.sum(weighted)))
+def _sum(grid, values, half=False):
+    """Sum over the full spectrum of a per-mode quantity.
+
+    With ``half``, ``values`` lives on the half spectrum of a real field
+    and takes the same value at j and -j (a power, or a weight times
+    one); it is gathered to the full layout through ``grid.half_mirror``
+    first, so the sum runs over the values, and in the order, of the full
+    array.
+    """
+    if half:
+        values = np.take(values, grid.half_mirror)
+    return np.sum(values)
+
+
+def _norm_of(grid, weighted, half=False):
+    """sqrt((2 pi)^N sum_j weighted_j), the norm of a weighted power
+    (on the half spectrum when ``half``; see :func:`_sum`)."""
+    return float(np.sqrt(TWO_PI**grid.dim * _sum(grid, weighted, half)))
 
 
 def norm(field, r: float = 0.0, tau: float = 0.0, s: float = 1.0):
@@ -260,7 +301,8 @@ def norm(field, r: float = 0.0, tau: float = 0.0, s: float = 1.0):
     """
     GevreyParams(tau=tau, r=r, s=s)  # validate ranges
     grid = field.grid
-    return _norm_of(grid, _weigh(grid, _power(field), r, tau, s))
+    return _norm_of(grid, _weigh(grid, _power(field.coeffs, grid.dim),
+                                 r, tau, s))
 
 
 def l2_inner(f, g):

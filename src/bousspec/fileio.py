@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import os
 import struct
 import tempfile
@@ -233,6 +234,8 @@ def _parse_header(blob, path):
         raise VersionMismatchError(
             f"{path}: format version {version}, expected {FORMAT_VERSION}"
         )
+    if not (t >= 0 and math.isfinite(t)):
+        raise SnapshotError(f"{path}: time t must be >= 0 and finite, got {t}")
     return SnapshotHeader(version, dim, modes, t, nu, kappa)
 
 

@@ -56,9 +56,10 @@ class GridSpec:
     tau_cap : largest Gevrey radius representable without overflow.
     half_slice : index selecting the half spectrum (last-axis labels
         0..modes/2, the ``rfftn`` layout) of a coefficient array.
-    half_k, half_k2, half_mask : the meshes above restricted to the half
-        spectrum; ``half_k_over_k2`` and ``half_ik_masked`` (i k on the
-        retained modes, zero elsewhere) are computed on first use.
+    half_k, half_k2, half_kmag, half_mask : the meshes above restricted
+        to the half spectrum; ``half_k_over_k2``, ``half_ik_masked`` (i k
+        on the retained modes, zero elsewhere) and ``half_mirror`` are
+        computed on first use.
     """
 
     dim: int
@@ -116,6 +117,7 @@ class GridSpec:
         object.__setattr__(self, "half_slice", np.s_[..., : half + 1])
         object.__setattr__(self, "half_k", k[..., : half + 1])
         object.__setattr__(self, "half_k2", k2[..., : half + 1])
+        object.__setattr__(self, "half_kmag", self.kmag[..., : half + 1])
         object.__setattr__(self, "half_mask", mask[..., : half + 1])
         object.__setattr__(
             self, "_upper_ix", np.ix_(*reflect, np.arange(half - 1, 0, -1))
@@ -139,6 +141,23 @@ class GridSpec:
     def half_ik_masked(self):
         """i k on the retained modes of the half spectrum, zero elsewhere."""
         return _read_only(1j * (self.k * self.dealias_mask)[self.half_slice])
+
+    @functools.cached_property
+    def half_mirror(self):
+        """Flat half-spectrum index of every mode, shape ``self.shape``.
+
+        Gathering a per-mode quantity of a real field through it, as
+        ``np.take(values, grid.half_mirror)``, gives the full array of
+        that quantity when its value at -j equals its value at j (powers,
+        weights): labels 0..m/2 of the last axis read their own slot, the
+        others the slot of their reflection.
+        """
+        half = self.modes // 2
+        index = np.arange(self.half_k2.size).reshape(self.half_k2.shape)
+        mirror = np.empty(self.shape, dtype=np.intp)
+        mirror[..., : half + 1] = index
+        mirror[..., half + 1 :] = index[self._upper_ix]
+        return _read_only(mirror)
 
     # grids carry large derived arrays, so equality compares the defining
     # scalars only

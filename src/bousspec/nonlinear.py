@@ -38,6 +38,7 @@ from .fields import (
     SpectralScalarField,
     SpectralVectorField,
     _from_half,
+    _symmetrize_half,
     enforce_constraints,
     leray_project,
 )
@@ -78,24 +79,60 @@ def _check_grids(u, v, grid):
 
 @functools.lru_cache(maxsize=8)
 def _pruned(grid):
-    """Index, mask and i k of the pruned half spectrum.
+    """Mask and i k of the pruned half spectrum, and its blocks.
 
     The pruned half spectrum keeps the last-axis columns 0..cutoff and,
     in 3D, the axis -2 rows with |j| <= cutoff: the part of the half
-    spectrum where a masked field can be nonzero.
+    spectrum where a masked field can be nonzero.  ``blocks`` pairs the
+    index of each contiguous block of the pruned layout with the index
+    of the same modes in the half spectrum (one block in 2D; in 3D the
+    rows 0..cutoff and the rows m - cutoff..m - 1).
     """
-    c = grid.dealias_cutoff
-    index = (Ellipsis, np.s_[: c + 1])
+    c, m = grid.dealias_cutoff, grid.modes
+    blocks = ((np.s_[...], np.s_[..., : c + 1]),)
     if grid.dim == 3:
-        rows = np.r_[0 : c + 1, grid.modes - c : grid.modes]
-        index = (Ellipsis, rows, np.s_[: c + 1])
-    mask = _read_only(grid.half_mask[index])
-    return index, mask, _read_only(grid.half_ik_masked[index])
+        blocks = ((np.s_[..., : c + 1, :], np.s_[..., : c + 1, : c + 1]),
+                  (np.s_[..., c + 1 :, :], np.s_[..., m - c :, : c + 1]))
+
+    def gather(half):
+        return np.concatenate([half[h] for _, h in blocks], axis=-2)
+
+    mask = _read_only(gather(grid.half_mask))
+    return mask, _read_only(gather(grid.half_ik_masked)), blocks
 
 
-def _to_grid(grid, spec):
-    """Collocation values (b, *grid.shape) of masked pruned half spectra
-    (b, *pruned).
+class _Work:
+    """The arrays that the pruned transforms of ``n_in`` fields to the
+    grid and ``n_out`` fields back write into.
+
+    A kernel fills ``spec_in`` (n_in, *pruned) with masked pruned half
+    spectra and ``products`` (n_out, *grid.shape) with collocation
+    values; :func:`_to_grid` and :func:`_from_grid` transform them
+    through the other arrays, by the ``out=`` of the FFTs, so a kernel
+    that keeps one ``_Work`` allocates no array of this size again.
+    """
+
+    def __init__(self, grid, n_in, n_out):
+        m, c = grid.modes, grid.dealias_cutoff
+        pruned = _pruned(grid)[0].shape
+        lead = grid.shape[:-1]
+        self.spec_in = np.empty((n_in,) + pruned, dtype=complex)
+        self.lines = np.empty((n_in,) + pruned, dtype=complex)
+        self.phys = np.empty((n_in,) + grid.shape)
+        self.products = np.empty((n_out,) + grid.shape)
+        self.half = np.empty((n_out,) + lead + (m // 2 + 1,), dtype=complex)
+        self.cols = np.empty((n_out,) + lead + (c + 1,), dtype=complex)
+        if grid.dim == 3:
+            # the axis -2 rows that the pruned transforms skip stay zero
+            self.rows = np.zeros((n_in,) + lead + (c + 1,), dtype=complex)
+            self.cols_in = np.empty((n_in,) + lead + (c + 1,), dtype=complex)
+            self.kept = np.empty((n_out,) + pruned, dtype=complex)
+            self.spec_out = np.empty((n_out,) + pruned, dtype=complex)
+
+
+def _to_grid(grid, work):
+    """Collocation values ``work.phys`` (b, *grid.shape) of the masked
+    pruned half spectra ``work.spec_in`` (b, *pruned).
 
     The transforms of ``irfftn``, one axis at a time and in its order,
     pruned of what is zero (Orszag 1971; Markel 1971): the leading-axis
@@ -105,41 +142,56 @@ def _to_grid(grid, spec):
     sees the same numbers as in ``irfftn`` of the full half spectra, so
     the result is the same to the last bit.
     """
-    spec = np.fft.ifft(spec, axis=-grid.dim, norm="forward")
+    spec = np.fft.ifft(work.spec_in, axis=-grid.dim, norm="forward",
+                       out=work.lines)
     if grid.dim == 3:
         # put back the axis -2 rows that the first transform skipped
-        c = grid.dealias_cutoff
-        lines = spec
-        spec = np.empty(lines.shape[:-2] + (grid.modes, c + 1), dtype=complex)
-        spec[_pruned(grid)[0]] = lines
-        spec[..., c + 1 : grid.modes - c, :] = 0.0
-        del lines
-        spec = np.fft.ifft(spec, axis=-2, norm="forward")
-    return np.fft.irfft(spec, n=grid.modes, axis=-1, norm="forward")
+        for pruned, half in _pruned(grid)[2]:
+            work.rows[half] = spec[pruned]
+        spec = np.fft.ifft(work.rows, axis=-2, norm="forward",
+                           out=work.cols_in)
+    return np.fft.irfft(spec, n=grid.modes, axis=-1, norm="forward",
+                        out=work.phys)
 
 
-def _from_grid(grid, phys):
-    """Pruned half spectra, unmasked, of collocation values: the inverse
-    of :func:`_to_grid`.
+def _from_grid(grid, work):
+    """Pruned half spectra, unmasked, of the collocation values
+    ``work.products``: the inverse of :func:`_to_grid`.
 
     The transforms of ``rfftn``, in its order, computing only the
     last-axis columns up to the cutoff and, in the last one (along axis
     -3 in 3D), only the axis -2 rows up to it.  Each kept coefficient is
     bit-identical to ``rfftn``'s.
     """
-    spec = np.fft.rfft(phys, axis=-1, norm="forward")
-    spec = spec[..., : grid.dealias_cutoff + 1]
+    spec = np.fft.rfft(work.products, axis=-1, norm="forward",
+                       out=work.half)
+    spec = np.fft.fft(spec[..., : grid.dealias_cutoff + 1], axis=-2,
+                      norm="forward", out=work.cols)
     if grid.dim == 3:
-        spec = np.fft.fft(spec, axis=-2, norm="forward")
-        spec = spec[_pruned(grid)[0]]
-    return np.fft.fft(spec, axis=-grid.dim, norm="forward")
+        for pruned, half in _pruned(grid)[2]:
+            work.kept[pruned] = spec[half]
+        spec = np.fft.fft(work.kept, axis=-3, norm="forward",
+                          out=work.spec_out)
+    return spec
 
 
-def _unprune(grid, spec):
-    """Full half spectra of pruned ones, masked, with a zero mean mode."""
-    index, mask, _ = _pruned(grid)
-    out = np.zeros(spec.shape[:1] + grid.half_mask.shape, dtype=complex)
-    out[index] = spec * mask
+def _prune(grid, half, out):
+    """``out`` = the masked pruned part of half spectra ``half``."""
+    mask, _, blocks = _pruned(grid)
+    for pruned, block in blocks:
+        np.multiply(half[block], mask[pruned], out=out[pruned])
+    return out
+
+
+def _unprune(grid, spec, out=None):
+    """Full half spectra of pruned ones, masked, with a zero mean mode,
+    written into ``out`` when given."""
+    mask, _, blocks = _pruned(grid)
+    if out is None:
+        out = np.empty(spec.shape[:1] + grid.half_mask.shape, dtype=complex)
+    out[...] = 0.0
+    for pruned, half in blocks:
+        np.multiply(spec[pruned], mask[pruned], out=out[half])
     out[(Ellipsis,) + grid.zero_index] = 0.0
     return out
 
@@ -158,19 +210,18 @@ def _advect(grid, u_half, comps_half):
     """
     dim = grid.dim
     n = len(comps_half)
-    index, mask, ik = _pruned(grid)
-    spec = np.empty((dim + n * dim,) + mask.shape, dtype=complex)
-    np.multiply(u_half[index], mask, out=spec[:dim])
-    np.multiply(ik, comps_half[:, np.newaxis][index],
-                out=spec[dim:].reshape((n, dim) + mask.shape))
-    # each temporary is dropped once used, so that fewer large blocks
-    # are live at once (a smaller peak, and fewer fresh pages per call)
-    phys = _to_grid(grid, spec)
-    del spec
+    _, ik, blocks = _pruned(grid)
+    work = _Work(grid, dim + n * dim, n)
+    spec = work.spec_in
+    _prune(grid, u_half, spec[:dim])
+    grads = spec[dim:].reshape((n, dim) + ik.shape[1:])
+    for pruned, half in blocks:
+        np.multiply(ik[pruned], comps_half[:, np.newaxis][half],
+                    out=grads[pruned])
+    phys = _to_grid(grid, work)
     grads = phys[dim:].reshape((n, dim) + grid.shape)
-    w = np.einsum("i...,ci...->c...", phys[:dim], grads)
-    del phys, grads
-    return _unprune(grid, _from_grid(grid, w))
+    np.einsum("i...,ci...->c...", phys[:dim], grads, out=work.products)
+    return _unprune(grid, _from_grid(grid, work))
 
 
 @functools.lru_cache(maxsize=2)
@@ -186,7 +237,13 @@ def _flux_layout(dim):
     return pairs, _read_only(np.array(rows))
 
 
-def _flux_divergence(grid, y):
+def _flux_work(grid):
+    """The ``_Work`` of :func:`_flux_divergence` on ``grid``."""
+    pairs, _ = _flux_layout(grid.dim)
+    return _Work(grid, grid.dim + 1, len(pairs) + grid.dim)
+
+
+def _flux_divergence(grid, y, work=None, out=None):
     """Dealiased div(u u) and div(u theta) for y = [u; theta] on the half
     spectrum: the stepper's kernel.
 
@@ -198,24 +255,34 @@ def _flux_divergence(grid, y):
     brings back the dim (dim + 1) / 2 products u_i u_j and the dim
     products u_j theta, and row c of the result is sum_j i k_j (u_c u_j)^
     (or (u_j theta)^).  Same layout as :func:`_advect`: masked, with a
-    zero mean mode.
+    zero mean mode.  A caller that evaluates it repeatedly passes one
+    ``work`` (from :func:`_flux_work`) and ``out``, shaped like ``y``,
+    for the result, and the call then allocates no large array.
     """
     dim = grid.dim
-    index, mask, ik = _pruned(grid)
-    phys = _to_grid(grid, y[index] * mask)
+    _, ik, _ = _pruned(grid)
+    if work is None:
+        work = _flux_work(grid)
+    _prune(grid, y, work.spec_in)
+    phys = _to_grid(grid, work)
     u, theta = phys[:dim], phys[dim]
     pairs, rows = _flux_layout(dim)
-    products = np.empty((len(pairs) + dim,) + grid.shape)
+    products = work.products
     for p, (i, j) in enumerate(pairs):
         np.multiply(u[i], u[j], out=products[p])
     np.multiply(u, theta, out=products[len(pairs):])
-    del phys, u, theta
-    flux = _from_grid(grid, products)
-    del products
-    div = ik[0] * flux[rows[:, 0]]
+    flux = _from_grid(grid, work)
+    # spec_in and lines are free once the inverse transforms have run:
+    # the divergence collects in spec_in, each term in lines (mode
+    # "clip" lets np.take write into its out without a buffer)
+    div, term = work.spec_in, work.lines
+    np.take(flux, rows[:, 0], axis=0, out=term, mode="clip")
+    np.multiply(ik[0], term, out=div)
     for j in range(1, dim):
-        div += ik[j] * flux[rows[:, j]]
-    return _unprune(grid, div)
+        np.take(flux, rows[:, j], axis=0, out=term, mode="clip")
+        np.multiply(ik[j], term, out=term)
+        np.add(div, term, out=div)
+    return _unprune(grid, div, out)
 
 
 def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):
@@ -231,10 +298,12 @@ def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):
     half = grid.half_slice
     if isinstance(v, SpectralVectorField):
         out = _advect(grid, u.coeffs[half], v.coeffs[half])
-        field = SpectralVectorField(grid, _from_half(grid, out))
+        field = SpectralVectorField(
+            grid, _from_half(grid, _symmetrize_half(grid, out)))
     else:
         out = _advect(grid, u.coeffs[half], v.coeffs[np.newaxis][half])
-        field = SpectralScalarField(grid, _from_half(grid, out[0]))
+        field = SpectralScalarField(
+            grid, _from_half(grid, _symmetrize_half(grid, out[0])))
     return ConvectionResult(field, AliasingMode.DEALIASED_2_3)
 
 

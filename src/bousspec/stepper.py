@@ -13,45 +13,49 @@ explicit Euler (``if_euler``).  Diffusion is therefore exact to roundoff
 at any dt — a pure heat flow is reproduced to machine precision in a
 single step — and only the advection limits the step size.
 
-A step works on half spectra (last-axis labels 0..M/2, the layout of
-real-to-complex transforms): it slices them from the full coefficient
-arrays at the start, evaluates each stage's right-hand side with the
-divergence-form kernel of ``nonlinear`` (div(u u) and div(u theta),
-equal to the advection terms because u is divergence-free) and a single
-Leray projection, and rebuilds the full arrays once at the end.  States
-from ``step`` and ``synthesize_initial`` are divergence-free; for any
-other u the right-hand side is not the advective one.  The rebuilt
-state is Hermitian and zero-mean by construction, so no constraint
-projection runs inside the step.  The diffusion factors are cached per
-grid, dt and physical parameters.
+The time loop works on the stacked half spectrum y = [u; theta]
+(last-axis labels 0..M/2, the layout of real-to-complex transforms).
+One integrator advances y in place: it owns its stage arrays and the
+kernel's transform arrays for the whole run, evaluates each stage's
+right-hand side with the divergence-form kernel of ``nonlinear``
+(div(u u) and div(u theta), equal to the advection terms because u is
+divergence-free) and a single Leray projection, and after each step
+Leray-projects y, symmetrizes the two last-axis planes that reflect
+onto themselves and zeroes the mean, so that the full spectrum rebuilt
+from y is Hermitian and zero-mean by construction.  States from
+``step`` and ``synthesize_initial`` are divergence-free; for any other
+u the right-hand side is not the advective one.
 
-``run_simulation`` drives the stepper from t = 0 to t_final, collecting
-a diagnostics record every step and a state snapshot every
-``snapshot_every`` steps (or handing each to a callback, keeping only
-the latest), and aborts (a reported outcome, not an
-exception) if the H1 measure grows by 1e8 over its initial value, which
-for the 3D system past its guaranteed lifespan is an admissible result.
+``step`` wraps the integrator for a single step, from and to full
+fields.  ``run_simulation`` keeps y from step to step from t = 0 to
+t_final, takes a diagnostics record from it every step, rebuilds full
+fields only for a state snapshot every ``snapshot_every`` steps (or
+handing each to a callback, keeping only the latest), the final state
+and the last finite state of an abort, and aborts (a reported outcome,
+not an exception) if the H1 measure grows by 1e8 over its initial
+value, which for the 3D system past its guaranteed lifespan is an
+admissible result.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import BudgetAccumulator, build_record
+from .diagnostics import BudgetAccumulator, _record, build_record
 from .fields import (
     NonFiniteStateError,
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
     _from_half,
-    _leray_arrays,
+    _leray_in_place,
+    _symmetrize_half,
 )
 from .grid import GridSpec
-from .nonlinear import _flux_divergence
+from .nonlinear import _flux_divergence, _flux_work
 
 __all__ = [
     "SCHEMES",
@@ -137,26 +141,31 @@ def _stacked_half(state, grid):
 
 
 def _unstack_full(y, grid):
-    """(u, theta) fields from a stacked half spectrum [u; theta]."""
+    """(u, theta) fields from a stacked half spectrum [u; theta] made
+    real by ``_symmetrize_half``."""
     full = _from_half(grid, y)
     return (SpectralVectorField(grid, full[: grid.dim]),
             SpectralScalarField(grid, full[grid.dim]))
 
 
-def _nonstiff_rhs(y, grid):
+def _nonstiff_rhs(y, grid, work=None, out=None, scratch=None):
     """[P(theta e_N - u.grad u); -(u.grad theta)] for y = [u; theta] on
     the half spectrum, with u divergence-free.
 
     The advection terms are taken in divergence form, div(u u) and
     div(u theta).  The projection is linear, so one Leray projection of
     the combined velocity forcing replaces projecting buoyancy and
-    advection apart.
+    advection apart.  ``work`` and ``out`` are the kernel's, as in
+    ``_flux_divergence``, and ``scratch``, shaped like ``y``, holds the
+    projection's intermediate arrays.
     """
     dim = grid.dim
-    f = _flux_divergence(grid, y)
+    if scratch is None:
+        scratch = np.empty_like(y)
+    f = _flux_divergence(grid, y, work, out)
     np.negative(f, out=f)
     f[dim - 1] += y[dim]
-    f[:dim] = _leray_arrays(grid.half_k, grid.half_k_over_k2, f[:dim])
+    _leray_in_place(grid.half_k, grid.half_k_over_k2, f[:dim], scratch)
     return f
 
 
@@ -178,18 +187,101 @@ def rhs_full(state: SimulationState, params: PhysicalParams,
     y = _stacked_half(state, grid)
     dy = _nonstiff_rhs(y, grid)
     dy -= _diffusion_rates(grid, params) * grid.half_k2 * y
-    return _unstack_full(dy, grid)
+    return _unstack_full(_symmetrize_half(grid, dy), grid)
 
 
-@functools.lru_cache(maxsize=8)
-def _semigroups(grid, dt, params):
-    """Half- and full-step diffusion factors (e_h, e) for a stacked
-    [u; theta] on the half spectrum, as read-only arrays."""
-    e_h = np.exp(-0.5 * dt * _diffusion_rates(grid, params) * grid.half_k2)
-    e = e_h * e_h
-    e_h.flags.writeable = False
-    e.flags.writeable = False
-    return e_h, e
+class _Integrator:
+    """The integrating-factor scheme of a run, advancing the stacked half
+    spectrum ``y`` = [u; theta] in place.
+
+    It holds the diffusion factors and every work array of a step (the
+    stage arrays, the kernel's transform arrays, a scratch array for the
+    Leray projections and a second state array), allocated once, so a
+    step allocates no array of the state's size.  ``advance`` forms the
+    new state in the second array and swaps it in only when it is
+    finite, so after a failed step ``y`` still holds the last finite
+    state.
+    """
+
+    def __init__(self, grid, params, config, y):
+        self.grid = grid
+        self.dt = config.dt
+        self.scheme = config.scheme
+        self.y = y
+        rates = _diffusion_rates(grid, params)
+        self.e_h = np.exp(-0.5 * self.dt * rates * grid.half_k2)
+        self.e = self.e_h * self.e_h
+        # products of the stage formulas, taken once and bit-equal to
+        # forming them in each step
+        self.dt_e_h = self.dt * self.e_h
+        self.two_e_h = 2 * self.e_h
+        self._next = np.empty_like(y)
+        self._stage = np.empty_like(y)
+        self._k = [np.empty_like(y) for _ in range(3)]
+        self._scratch = np.empty_like(y)
+        self._work = _flux_work(grid)
+
+    def _rhs(self, y, out):
+        return _nonstiff_rhs(y, self.grid, self._work, out, self._scratch)
+
+    def advance(self):
+        """One step of ``dt``; returns False, leaving ``y`` as it was,
+        if the new state is not finite.
+
+        The new state is Leray-projected and made real and zero-mean
+        (``_symmetrize_half``), so it is divergence-free and its full
+        spectrum is Hermitian.
+        """
+        dt, e_h, e, y0, y1 = self.dt, self.e_h, self.e, self.y, self._next
+        s = self._stage
+        k1, k2, k3 = self._k
+        # each line computes, operand for operand, one term of the
+        # formulas in the comments, so the bits do not depend on the
+        # buffers
+        if self.scheme == "if_euler":
+            # y1 = e * (y0 + dt * F(y0))
+            self._rhs(y0, k1)
+            np.multiply(dt, k1, out=k1)
+            np.add(y0, k1, out=k1)
+            np.multiply(e, k1, out=y1)
+        else:
+            # RK4 on the integrating-factor-transformed system, written
+            # back in the original variables (exponentials appear where
+            # the transform is undone at each stage time):
+            #   k1 = F(y0)
+            #   k2 = F(e_h * (y0 + 0.5 * dt * k1))
+            #   k3 = F(e_h * y0 + 0.5 * dt * k2)
+            #   k4 = F(e * y0 + dt * e_h * k3)
+            #   y1 = e * y0 + dt / 6 * (e * k1 + 2 * e_h * (k2 + k3) + k4)
+            self._rhs(y0, k1)
+            np.multiply(0.5 * dt, k1, out=s)
+            np.add(y0, s, out=s)
+            np.multiply(e_h, s, out=s)
+            self._rhs(s, k2)
+            np.multiply(e_h, y0, out=s)
+            np.multiply(0.5 * dt, k2, out=y1)
+            np.add(s, y1, out=s)
+            self._rhs(s, k3)
+            np.multiply(e, y0, out=s)
+            np.multiply(self.dt_e_h, k3, out=y1)
+            np.add(s, y1, out=s)
+            np.add(k2, k3, out=k2)
+            k4 = self._rhs(s, k3)
+            np.multiply(self.two_e_h, k2, out=k2)
+            np.multiply(e, k1, out=k1)
+            np.add(k1, k2, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(dt / 6, k1, out=k1)
+            np.multiply(e, y0, out=y1)
+            np.add(y1, k1, out=y1)
+
+        if not np.all(np.isfinite(y1)):
+            return False
+        _leray_in_place(self.grid.half_k, self.grid.half_k_over_k2,
+                        y1[: self.grid.dim], self._scratch)
+        _symmetrize_half(self.grid, y1)
+        self.y, self._next = y1, y0
+        return True
 
 
 def step(state: SimulationState, params: PhysicalParams,
@@ -201,36 +293,13 @@ def step(state: SimulationState, params: PhysicalParams,
     so it is divergence-free, zero-mean and Hermitian.
     """
     grid = _check_grid(state, grid)
-    dt = config.dt
-
-    # the stages run on the stacked half spectrum [u; theta]; the full,
-    # Hermitian coefficient arrays are rebuilt once, at the end
-    y0 = _stacked_half(state, grid)
-    e_h, e = _semigroups(grid, dt, params)
-
-    def F(y):
-        return _nonstiff_rhs(y, grid)
-
-    if config.scheme == "if_euler":
-        y1 = e * (y0 + dt * F(y0))
-    else:
-        # RK4 on the integrating-factor-transformed system, written back
-        # in the original variables (exponentials appear where the
-        # transform is undone at each stage time)
-        k1 = F(y0)
-        k2 = F(e_h * (y0 + 0.5 * dt * k1))
-        k3 = F(e_h * y0 + 0.5 * dt * k2)
-        k4 = F(e * y0 + dt * e_h * k3)
-        y1 = e * y0 + dt / 6 * (e * k1 + 2 * e_h * (k2 + k3) + k4)
-
-    t1 = state.t + dt
-    if not np.all(np.isfinite(y1)):
+    integrator = _Integrator(grid, params, config,
+                             _stacked_half(state, grid))
+    t1 = state.t + config.dt
+    if not integrator.advance():
         raise NonFiniteStateError(t1, state)
-
-    u1 = y1[: grid.dim]
-    u1[...] = _leray_arrays(grid.half_k, grid.half_k_over_k2, u1)
-    new_u, new_th = _unstack_full(y1, grid)
-    return SimulationState(new_u, new_th, t1, state.step_index + 1)
+    return SimulationState(*_unstack_full(integrator.y, grid), t1,
+                           state.step_index + 1)
 
 
 @dataclass
@@ -264,45 +333,53 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
     letting a caller stream snapshots to disk; the trajectory then keeps
     only the latest one.
     """
-    state = initial.copy()
+    _check_grid(initial, grid)
+    integrator = _Integrator(grid, params, config,
+                             _stacked_half(initial, grid))
+    t, index = initial.t, initial.step_index
     snapshots = []
 
-    def take(current):
-        snapshot = current.copy()
+    def take(snapshot):
         if on_snapshot is None:
             snapshots.append(snapshot)
         else:
             snapshots[:] = [snapshot]
             on_snapshot(snapshot)
 
+    def current():
+        return SimulationState(*_unstack_full(integrator.y, grid), t, index)
+
+    # each record is taken from the half spectrum the integrator holds;
+    # full fields are rebuilt only for snapshots
     budget = BudgetAccumulator(params)
-    records = [build_record(state, params, budget)]
-    take(state)
+    records = [build_record(initial, params, budget)]
+    take(initial.copy())
     measure0 = records[0].h1_u ** 2 + records[0].h1_theta ** 2
 
     status = "completed"
     message = ""
-    while state.t < config.t_final - 0.5 * config.dt:
-        try:
-            state = step(state, params, config, grid)
-        except NonFiniteStateError as err:
+    while t < config.t_final - 0.5 * config.dt:
+        if not integrator.advance():
             status = "nonfinite"
-            message = str(err)
-            state = err.last_state
+            message = str(NonFiniteStateError(t + config.dt, None))
             break
-        records.append(build_record(state, params, budget))
+        t, index = t + config.dt, index + 1
+        y = integrator.y
+        records.append(
+            _record(grid, t, y[: grid.dim], y[grid.dim], params, budget)
+        )
         measure = records[-1].h1_u ** 2 + records[-1].h1_theta ** 2
         if measure > BLOWUP_FACTOR * measure0 and measure0 > 0:
             status = "blowup"
             message = (
                 f"H1 measure grew {measure / measure0:.3g}x by "
-                f"t = {state.t:.6g}; aborting"
+                f"t = {t:.6g}; aborting"
             )
             break
-        if state.step_index % config.snapshot_every == 0:
-            take(state)
-    if snapshots[-1].step_index != state.step_index:
-        take(state)
+        if index % config.snapshot_every == 0:
+            take(current())
+    if snapshots[-1].step_index != index:
+        take(current())
     if status == "completed":
-        message = f"reached t = {state.t:.6g} in {state.step_index} steps"
+        message = f"reached t = {t:.6g} in {index} steps"
     return SimTrajectory(snapshots, records, status, message)

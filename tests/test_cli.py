@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -160,6 +161,21 @@ class TestDiagnose:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {snaps[1]}: ")
         assert "differs" in err
+
+    @pytest.mark.parametrize("t", [-0.5, float("nan")])
+    def test_snapshot_time_outside_range_exits_1(self, tmp_path, capsys, t):
+        # a header time of -0.5 used to give a row with tau_used = -0.5,
+        # and NaN a row of NaNs, both with exit status 0
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
+        snap = out / "snapshot_00000005.bin"
+        blob = bytearray(snap.read_bytes())
+        struct.pack_into("<d", blob, 20, t)  # after magic and 3 u32
+        snap.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["diagnose", str(snap)]) == 1
+        assert "t must be >= 0 and finite" in capsys.readouterr().err
 
     def test_corrupt_snapshot_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

@@ -280,6 +280,39 @@ class TestRecords:
             )
         assert rec.tau_used > 0.0 and rec.energy_residual_u != 0.0
 
+    @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
+    def test_records_do_not_depend_on_snapshot_cadence(self, dim, modes):
+        # the run takes every record from the half spectrum it carries;
+        # rebuilding full states for snapshots at another cadence changes
+        # no row, and build_record on each rebuilt full state, fed to a
+        # fresh accumulator in order, gives the same rows again
+        grid = make_grid(dim, modes)
+        params = PhysicalParams(nu=0.3, kappa=0.2)
+        u0, th0 = synthesize_initial("rough_h1", grid, seed=6)
+        runs = {
+            every: run_simulation(
+                StepperConfig(dt=2e-3, t_final=0.03, snapshot_every=every),
+                params, grid, SimulationState(u0, th0))
+            for every in (1, 7)
+        }
+        assert runs[1].records == runs[7].records
+        budget = BudgetAccumulator(params)
+        assert runs[1].records == [build_record(state, params, budget)
+                                   for state in runs[1].snapshots]
+
+    @pytest.mark.parametrize("t", [-0.5, float("nan")])
+    def test_time_outside_the_weight_range_refused(self, t):
+        # tau = min(t, tau_cap) must be a valid Gevrey radius, as in
+        # gevrey_energy; a negative t used to give tau_used = t and a
+        # weight e^{-|j|}, a NaN t a row of NaNs
+        grid = make_grid(2, 16)
+        u, theta = synthesize_initial("rough_h1", grid, seed=1)
+        state = SimulationState(u, theta, t=t)
+        with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+            gevrey_energy(state)
+        with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+            build_record(state, PhysicalParams(nu=1.0, kappa=1.0))
+
     def test_record_when_spectrum_unfittable(self):
         # Taylor-Green occupies a single shell: no radius fit, reported
         # as zeros rather than an error

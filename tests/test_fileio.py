@@ -22,6 +22,7 @@ from bousspec.fileio import (
     BadMagicError,
     ConfigError,
     RunConfig,
+    SnapshotError,
     TruncatedPayloadError,
     VersionMismatchError,
     parse_config,
@@ -257,6 +258,19 @@ class TestSnapshots:
         monkeypatch.setattr(fileio, "_snapshot_grid", refuse)
         with pytest.raises(TruncatedPayloadError, match="got 52"):
             read_snapshot(str(path))
+
+    @pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf")])
+    def test_time_outside_range_refused(self, tmp_path, t):
+        # a state's time is finite and at least 0; any other t in a
+        # header is corruption, not a time to diagnose at
+        grid = make_grid(2, 8)
+        path = str(tmp_path / "state.bin")
+        write_snapshot(random_state(grid, 0, t=t), PhysicalParams(1.0, 1.0),
+                       path)
+        with pytest.raises(SnapshotError, match="t must be >= 0 and finite"):
+            read_snapshot_header(path)
+        with pytest.raises(SnapshotError, match="t must be >= 0 and finite"):
+            read_snapshot(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "stub.bin"

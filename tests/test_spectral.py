@@ -93,6 +93,23 @@ class TestGridSpec:
         (pos,) = np.nonzero(flat)[0]
         assert tuple(wv[pos]) == (1, 2)
 
+    @pytest.mark.parametrize("dim,modes", [(2, 16), (3, 8)])
+    def test_half_mirror_gathers_the_full_power(self, dim, modes):
+        # on a real field |c_{-j}|^2 = |c_j|^2, so the per-mode power of
+        # the half spectrum, gathered through the mirror, is the power
+        # of the full array to the last bit
+        grid = make_grid(dim, modes)
+        for field in (random_scalar(grid, seed=dim),
+                      random_vector(grid, seed=modes, solenoidal=False)):
+            assert hermitian_defect(field) == 0.0
+            power = field.coeffs.real ** 2 + field.coeffs.imag ** 2
+            if power.ndim > dim:
+                power = power.sum(axis=0)
+            half = np.ascontiguousarray(power[grid.half_slice])
+            gathered = np.take(half, grid.half_mirror)
+            assert gathered.shape == grid.shape
+            assert np.array_equal(gathered, power)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
             make_grid(2, 7)

@@ -331,6 +331,65 @@ class TestRunSimulation:
         assert np.array_equal(finals[0].u.coeffs, finals[1].u.coeffs)
         assert np.array_equal(finals[0].theta.coeffs, finals[1].theta.coeffs)
 
+    @pytest.mark.parametrize("scheme", ["if_rk4", "if_euler"])
+    @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
+    def test_run_equals_a_loop_of_steps(self, dim, modes, scheme):
+        # run_simulation carries the half spectrum from step to step and
+        # step rebuilds the full fields after each one; both advance one
+        # integrator, so they reach the same bits
+        grid = make_grid(dim, modes)
+        params = PhysicalParams(nu=0.05, kappa=0.05)
+        initial = masked_rough_state(grid, seed=7, scale=2.0)
+        cfg = run_config(2e-3, 0.04, scheme=scheme, snapshot_every=7)
+        traj = run_simulation(cfg, params, grid, initial)
+        state = initial
+        for _ in range(20):
+            state = step(state, params, cfg, grid)
+        final = traj.final_state
+        assert traj.status == "completed" and final.step_index == 20
+        assert final.t == state.t
+        assert np.array_equal(final.u.coeffs, state.u.coeffs)
+        assert np.array_equal(final.theta.coeffs, state.theta.coeffs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_run_keeps_the_last_finite_state(self, monkeypatch):
+        # the kernel turns non-finite in the fourth step; the run must
+        # report the state of step 3, which a loop of steps also holds,
+        # although the integrator reuses its arrays from step to step
+        import bousspec.stepper as stepper
+
+        kernel = stepper._flux_divergence
+        calls_left = {"finite": 0}
+
+        def poisoned(grid, y, *args):
+            out = kernel(grid, y, *args)
+            calls_left["finite"] -= 1
+            if calls_left["finite"] < 0:
+                out[...] = np.nan
+            return out
+
+        monkeypatch.setattr(stepper, "_flux_divergence", poisoned)
+        grid = make_grid(2, 16)
+        params = PhysicalParams(nu=0.1, kappa=0.1)
+        initial = masked_rough_state(grid, seed=2)
+        for scheme, stages in (("if_rk4", 4), ("if_euler", 1)):
+            cfg = run_config(1e-2, 0.1, scheme=scheme, snapshot_every=2)
+            calls_left["finite"] = 3 * stages
+            traj = run_simulation(cfg, params, grid, initial)
+            calls_left["finite"] = 3 * stages
+            state = initial
+            with pytest.raises(NonFiniteStateError) as err:
+                while True:
+                    state = step(state, params, cfg, grid)
+            assert err.value.last_state is state and state.step_index == 3
+            assert traj.status == "nonfinite"
+            assert traj.message == str(err.value)
+            final = traj.final_state
+            assert (final.step_index, final.t) == (3, state.t)
+            assert np.array_equal(final.u.coeffs, state.u.coeffs)
+            assert np.array_equal(final.theta.coeffs, state.theta.coeffs)
+            assert len(traj.records) == 4
+
     def test_run_validation(self):
         grid = make_grid(2, 16)
         params = PhysicalParams(nu=1.0, kappa=1.0)
