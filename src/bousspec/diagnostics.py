@@ -206,15 +206,6 @@ def fit_radius(field, s: float = 1.0):
     return _fit(grid, _ranked(grid, _power(field.coeffs, grid.dim)), s)
 
 
-def _gevrey_x(grid, tau, h1_u, h1_theta, half=False):
-    """X from the H1 densities |j|^2 |c_j|^2 of u and theta, both
-    weighted by one Gevrey factor exp(2 tau |j|); on the half spectrum
-    of a real state when ``half``."""
-    weight = _gevrey_weight(grid, tau, 1.0, double=True, half=half)
-    return (1.0 + _norm_of(grid, weight * h1_u, half) ** 2
-            + _norm_of(grid, weight * h1_theta, half) ** 2)
-
-
 def gevrey_energy(state):
     """X(t) = 1 + ||L e^{tau L} u||^2 + ||L e^{tau L} theta||^2.
 
@@ -225,10 +216,11 @@ def gevrey_energy(state):
     grid = state.u.grid
     tau = min(state.t, grid.tau_cap)
     GevreyParams(tau=tau)  # validate the range
-    return _gevrey_x(
-        grid, tau, _weigh(grid, _power(state.u.coeffs, grid.dim), r=1.0),
-        _weigh(grid, _power(state.theta.coeffs, grid.dim), r=1.0),
-    )
+    weight = _gevrey_weight(grid, tau, 1.0, double=True)
+    h1_u = _weigh(grid, _power(state.u.coeffs, grid.dim), r=1.0)
+    h1_theta = _weigh(grid, _power(state.theta.coeffs, grid.dim), r=1.0)
+    return (1.0 + _norm_of(grid, weight * h1_u) ** 2
+            + _norm_of(grid, weight * h1_theta) ** 2)
 
 
 # ----------------------------------------------------------------------
@@ -248,21 +240,19 @@ def _buoyancy_flux(grid, u, theta, half=False):
     return float(TWO_PI**grid.dim * _sum(grid, product, half).real)
 
 
-def _exp_fitted_sum(grid, a, b, half=False):
-    """Sum over modes of the exponential-fitted mean (a - b) / ln(a / b).
+def _exp_fitted_mean(a, b):
+    """The exponential-fitted mean (a - b) / ln(a / b), entry by entry.
 
     For an entry that varies exponentially from a to b over a step this
     is its exact mean over the step.  Entries where a or b is zero, or
     a == b, take the trapezoid mean (a + b) / 2, the rule's limit as
     a -> b.  Writing ln(a / b) as log1p((a - b) / b) keeps the quotient
-    accurate as a -> b, where a - b is exact.  ``half`` as in
-    ``fields._sum``.
+    accurate as a -> b, where a - b is exact.
     """
     fitted = (a > 0) & (b > 0) & (a != b)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = a - b
-        mean = np.where(fitted, diff / np.log1p(diff / b), 0.5 * (a + b))
-    return float(_sum(grid, mean, half))
+        return np.where(fitted, diff / np.log1p(diff / b), 0.5 * (a + b))
 
 
 class BudgetAccumulator:
@@ -302,34 +292,46 @@ class BudgetAccumulator:
         grid = u.grid
         power_u = _power(u.coeffs, grid.dim)
         power_theta = _power(theta.coeffs, grid.dim)
+        dens_u = _weigh(grid, power_u, r=1.0)
+        dens_theta = _weigh(grid, power_theta, r=1.0)
         return self._advance(
             grid, t, _norm_of(grid, power_u) ** 2,
-            _norm_of(grid, power_theta) ** 2,
-            _weigh(grid, power_u, r=1.0), _weigh(grid, power_theta, r=1.0),
+            _norm_of(grid, power_theta) ** 2, dens_u, dens_theta,
             _buoyancy_flux(grid, u.coeffs, theta.coeffs),
+            [float(_sum(grid, mean))
+             for mean in self._fitted_means(dens_u, dens_theta)],
         )
 
-    def _advance(self, grid, t, e_u, e_theta, dens_u, dens_theta, cross,
-                 half=False):
-        """``update`` from the state's energies ||u||^2 and ||theta||^2,
-        its dissipation densities |j|^2 |c_j|^2 (summed over components)
-        and its buoyancy flux (theta e_N, u).
+    def _fitted_means(self, dens_u, dens_theta):
+        """Per-mode exponential-fitted means of the dissipation densities
+        of u and theta over the step since the last state fed in (none
+        for the first state)."""
+        if self._prev is None:
+            return []
+        _, dens_u_prev, dens_theta_prev, _ = self._prev
+        return [_exp_fitted_mean(dens_u_prev, dens_u),
+                _exp_fitted_mean(dens_theta_prev, dens_theta)]
 
-        With ``half`` the densities are on the half spectrum of a real
-        state (see ``fields._sum``); one accumulator is fed densities in
-        one layout throughout.
+    def _advance(self, grid, t, e_u, e_theta, dens_u, dens_theta, cross,
+                 dissipated):
+        """``update`` from the state's energies ||u||^2 and ||theta||^2,
+        its dissipation densities |j|^2 |c_j|^2 (summed over components),
+        its buoyancy flux (theta e_N, u) and ``dissipated``, the sums over
+        modes of the :meth:`_fitted_means` (none for the first state).
+
+        The densities are kept for the next step's means, so one
+        accumulator is fed densities in one layout throughout (the full
+        spectrum, or the half spectrum of a real state).
         """
         if self._prev is None:
             self._e0_u = e_u
             self._e0_theta = e_theta
         else:
-            t_prev, dens_u_prev, dens_theta_prev, cross_prev = self._prev
+            t_prev, _, _, cross_prev = self._prev
             h = t - t_prev
             scale = h * TWO_PI**grid.dim
-            self._int_u += scale * _exp_fitted_sum(grid, dens_u_prev,
-                                                   dens_u, half)
-            self._int_theta += scale * _exp_fitted_sum(
-                grid, dens_theta_prev, dens_theta, half)
+            self._int_u += scale * dissipated[0]
+            self._int_theta += scale * dissipated[1]
             self._int_cross += 0.5 * h * (cross_prev + cross)
         self._prev = (t, dens_u, dens_theta, cross)
         res_theta = e_theta + 2 * self.params.kappa * self._int_theta - self._e0_theta
@@ -362,15 +364,42 @@ def build_record(state, params: PhysicalParams,
                    state.theta.coeffs[half], params, budget)
 
 
-def _record(grid, t, u, theta, params, budget):
-    """``build_record`` of the real state at time ``t`` whose half spectra
-    are ``u`` (dim, *half) and ``theta`` (*half).
+# power, H1 density and Gevrey-weighted H1 density of u and of theta,
+# and the two exponential-fitted means of a budget
+_RECORD_ROWS = 8
 
-    Each per-mode quantity (power, H1 density, buoyancy product,
-    divergence) is formed on the half spectrum and gathered to the full
-    layout just before it is summed, so every sum runs over the values,
-    and in the order, of the full arrays and the record is that of the
-    full state to the last bit.
+
+def _record_arrays(grid, buffer=None):
+    """Arrays for :func:`_record` to stack its real per-mode quantities
+    in and to gather them to the full layout, so that a run taking a
+    record every step need not allocate them each time (fresh pages for
+    the gather of every record cost more than its sums).  With
+    ``buffer``, an array with room for both whose contents are free
+    while a record is taken, they are views of it.
+    """
+    stacked = (_RECORD_ROWS,) + grid.half_k2.shape
+    full = (_RECORD_ROWS, grid.nmodes)
+    if buffer is None:
+        return np.empty(stacked), np.empty(full)
+    values = buffer.reshape(-1).view(float)
+    n = int(np.prod(stacked))
+    return (values[:n].reshape(stacked),
+            values[n : n + int(np.prod(full))].reshape(full))
+
+
+def _record(grid, t, u, theta, params, budget, arrays=None):
+    """``build_record`` of the real state at time ``t`` whose half spectra
+    are ``u`` (dim, *half) and ``theta`` (*half); ``arrays`` are from
+    :func:`_record_arrays`.
+
+    Each per-mode quantity (power, H1 density, Gevrey-weighted H1
+    density, exponential-fitted mean, buoyancy product, divergence) is
+    formed on the half spectrum and gathered to the full layout just
+    before it is summed, so every sum runs over the values, and in the
+    order, of the full arrays and the record is that of the full state
+    to the last bit.  The real quantities are stacked and gathered and
+    summed in one pass; the buoyancy product is complex and is summed
+    apart.
     """
     tau = min(t, grid.tau_cap)
     GevreyParams(tau=tau)  # validate the range
@@ -378,23 +407,36 @@ def _record(grid, t, u, theta, params, budget):
     power_u, power_theta = _power(u, grid.dim), _power(theta, grid.dim)
     h1_u = grid.half_k2 * power_u
     h1_theta = grid.half_k2 * power_theta
-    l2_u = _norm_of(grid, power_u, half=True)
-    l2_theta = _norm_of(grid, power_theta, half=True)
+    weight = _gevrey_weight(grid, tau, 1.0, double=True, half=True)
+    rows = [power_u, power_theta, h1_u, h1_theta,
+            weight * h1_u, weight * h1_theta]
+    if budget is not None:
+        rows += budget._fitted_means(h1_u, h1_theta)
+    n = len(rows)
+    stacked, full = _record_arrays(grid) if arrays is None else arrays
+    np.stack(rows, out=stacked[:n])
+    # mode "clip" lets np.take write into its out without a buffer
+    np.take(stacked[:n].reshape(n, -1), grid.half_mirror.ravel(), axis=1,
+            out=full[:n], mode="clip")
+    sums = full[:n].sum(axis=1)
+    l2_u, l2_theta, h1n_u, h1n_theta, x_u, x_theta = np.sqrt(
+        TWO_PI**grid.dim * sums[:6]).tolist()
     if budget is None:
         res_theta, res_u = 0.0, 0.0
     else:
         res_theta, res_u = budget._advance(
             grid, t, l2_u**2, l2_theta**2, h1_u, h1_theta,
-            _buoyancy_flux(grid, u, theta, half=True), half=True,
+            _buoyancy_flux(grid, u, theta, half=True),
+            sums[6:].tolist(),
         )
     fit = _fit(grid, _ranked(grid, power_u, half=True), 1.0)
     return DiagnosticsRecord(
         t=t,
         l2_u=l2_u,
         l2_theta=l2_theta,
-        h1_u=_norm_of(grid, h1_u, half=True),
-        h1_theta=_norm_of(grid, h1_theta, half=True),
-        gevrey_X=_gevrey_x(grid, tau, h1_u, h1_theta, half=True),
+        h1_u=h1n_u,
+        h1_theta=h1n_theta,
+        gevrey_X=1.0 + x_u**2 + x_theta**2,
         tau_used=tau,
         radius_fit=0.0 if fit is None else fit.tau_est,
         radius_fit_quality=0.0 if fit is None else fit.quality,

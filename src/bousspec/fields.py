@@ -286,10 +286,9 @@ def _sum(grid, values, half=False):
     return np.sum(values)
 
 
-def _norm_of(grid, weighted, half=False):
-    """sqrt((2 pi)^N sum_j weighted_j), the norm of a weighted power
-    (on the half spectrum when ``half``; see :func:`_sum`)."""
-    return float(np.sqrt(TWO_PI**grid.dim * _sum(grid, weighted, half)))
+def _norm_of(grid, weighted):
+    """sqrt((2 pi)^N sum_j weighted_j), the norm of a weighted power."""
+    return float(np.sqrt(TWO_PI**grid.dim * _sum(grid, weighted)))
 
 
 def norm(field, r: float = 0.0, tau: float = 0.0, s: float = 1.0):

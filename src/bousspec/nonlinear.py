@@ -9,12 +9,17 @@ columns, and in 3D of the masked rows), so the collocation values are
 real and the full output, rebuilt from its half, is Hermitian by
 construction.  Its kernel, ``_advect``, holds for any u.
 
-The time stepper has a kernel of its own, ``_flux_divergence``: its u
-is divergence-free, so u . grad u = div(u u) and u . grad theta =
-div(u theta), and the divergence form needs fewer transforms (3 fields
-in and 5 out in 2D, against 8 and 3; 4 and 9 in 3D, against 15 and 4).
-Both kernels run on the same pruned transforms and differ only in what
-they multiply.
+The time stepper has a kernel of its own, ``_projected_rhs``, which
+returns its whole right-hand side but diffusion: its u is
+divergence-free, so u . grad u = div(u u) and u . grad theta =
+div(u theta), and the Leray projection P removes the gradient
+div(u_N^2 I), so the velocity needs only the traceless flux
+u u - u_N^2 I.  That takes 3 fields in and 4 out in 2D, against 8 and
+3 for the advective form, and 4 and 8 in 3D, against 15 and 4.  The
+divergence and P act together as one fixed map per mode, and the
+projected buoyancy P(theta e_N) as one fixed real vector per mode, so
+the kernel needs no separate projection.  Both kernels run on the same
+pruned transforms and differ only in what they multiply.
 
 ``convect_convolution`` is the oracle: the truncated convolution
 
@@ -93,12 +98,25 @@ def _pruned(grid):
     if grid.dim == 3:
         blocks = ((np.s_[..., : c + 1, :], np.s_[..., : c + 1, : c + 1]),
                   (np.s_[..., c + 1 :, :], np.s_[..., m - c :, : c + 1]))
+    mask = _read_only(_gather(blocks, grid.half_mask))
+    return mask, _read_only(_gather(blocks, grid.half_ik_masked)), blocks
 
-    def gather(half):
-        return np.concatenate([half[h] for _, h in blocks], axis=-2)
 
-    mask = _read_only(gather(grid.half_mask))
-    return mask, _read_only(gather(grid.half_ik_masked)), blocks
+def _gather(blocks, half):
+    """The pruned layout of half spectra ``half`` (see :func:`_pruned`)."""
+    return np.concatenate([half[h] for _, h in blocks], axis=-2)
+
+
+def _shared(*arrays):
+    """One view per (shape, dtype) of ``arrays``, all of one buffer that
+    is large enough for the largest: for arrays whose lifetimes do not
+    overlap."""
+    sizes = [int(np.prod(shape)) for shape, _ in arrays]
+    nbytes = max(n * np.dtype(dtype).itemsize
+                 for n, (_, dtype) in zip(sizes, arrays))
+    buffer = np.empty(-(-nbytes // 16), dtype=complex)
+    return [buffer.view(dtype)[:n].reshape(shape)
+            for n, (shape, dtype) in zip(sizes, arrays)]
 
 
 class _Work:
@@ -110,24 +128,31 @@ class _Work:
     values; :func:`_to_grid` and :func:`_from_grid` transform them
     through the other arrays, by the ``out=`` of the FFTs, so a kernel
     that keeps one ``_Work`` allocates no array of this size again.
+    Arrays that a transform pair holds at different times are views of
+    one buffer, so once the forward transforms have run ``spec_in`` and
+    ``spare`` (n_in, *pruned) are free for the kernel.
     """
 
     def __init__(self, grid, n_in, n_out):
         m, c = grid.modes, grid.dealias_cutoff
         pruned = _pruned(grid)[0].shape
         lead = grid.shape[:-1]
-        self.spec_in = np.empty((n_in,) + pruned, dtype=complex)
-        self.lines = np.empty((n_in,) + pruned, dtype=complex)
-        self.phys = np.empty((n_in,) + grid.shape)
-        self.products = np.empty((n_out,) + grid.shape)
-        self.half = np.empty((n_out,) + lead + (m // 2 + 1,), dtype=complex)
-        self.cols = np.empty((n_out,) + lead + (c + 1,), dtype=complex)
+        cols = lead + (c + 1,)
+        # three buffers, each holding its arrays one after another in the
+        # order of use; the 2D transforms use no kept, spec_out, cols_in
+        # or rows
+        self.spec_in, self.phys, self.half, self.kept = _shared(
+            ((n_in,) + pruned, complex), ((n_in,) + grid.shape, float),
+            ((n_out,) + lead + (m // 2 + 1,), complex),
+            ((n_out,) + pruned, complex))
+        self.lines, self.cols_in, self.products, self.spare = _shared(
+            ((n_in,) + pruned, complex), ((n_in,) + cols, complex),
+            ((n_out,) + grid.shape, float), ((n_in,) + pruned, complex))
+        self.cols, self.spec_out = _shared(((n_out,) + cols, complex),
+                                           ((n_out,) + pruned, complex))
         if grid.dim == 3:
             # the axis -2 rows that the pruned transforms skip stay zero
-            self.rows = np.zeros((n_in,) + lead + (c + 1,), dtype=complex)
-            self.cols_in = np.empty((n_in,) + lead + (c + 1,), dtype=complex)
-            self.kept = np.empty((n_out,) + pruned, dtype=complex)
-            self.spec_out = np.empty((n_out,) + pruned, dtype=complex)
+            self.rows = np.zeros((n_in,) + cols, dtype=complex)
 
 
 def _to_grid(grid, work):
@@ -183,13 +208,10 @@ def _prune(grid, half, out):
     return out
 
 
-def _unprune(grid, spec, out=None):
-    """Full half spectra of pruned ones, masked, with a zero mean mode,
-    written into ``out`` when given."""
+def _unprune(grid, spec):
+    """Full half spectra of pruned ones, masked, with a zero mean mode."""
     mask, _, blocks = _pruned(grid)
-    if out is None:
-        out = np.empty(spec.shape[:1] + grid.half_mask.shape, dtype=complex)
-    out[...] = 0.0
+    out = np.zeros(spec.shape[:1] + grid.half_mask.shape, dtype=complex)
     for pruned, half in blocks:
         np.multiply(spec[pruned], mask[pruned], out=out[half])
     out[(Ellipsis,) + grid.zero_index] = 0.0
@@ -225,64 +247,109 @@ def _advect(grid, u_half, comps_half):
 
 
 @functools.lru_cache(maxsize=2)
-def _flux_layout(dim):
-    """The products the stepper's kernel transforms, u_i u_j for i <= j
-    and then u_j theta, as (i, j) pairs for the first kind, and the
-    (dim + 1, dim) array giving the position of u_c u_j (row c < dim)
-    and of u_j theta (row dim) among them."""
-    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    rows = [[pairs.index((min(c, j), max(c, j))) for j in range(dim)]
-            for c in range(dim)]
-    rows.append([len(pairs) + j for j in range(dim)])
-    return pairs, _read_only(np.array(rows))
+def _traceless_pairs(dim):
+    """(i, j) of the velocity products of :func:`_projected_rhs`, in
+    order: (i, i) for i < dim - 1, standing for u_i u_i - u_N u_N with
+    u_N the last component, then (i, j) for i < j, standing for
+    u_i u_j."""
+    return tuple([(i, i) for i in range(dim - 1)]
+                 + [(i, j) for i in range(dim) for j in range(i + 1, dim)])
 
 
-def _flux_work(grid):
-    """The ``_Work`` of :func:`_flux_divergence` on ``grid``."""
-    pairs, _ = _flux_layout(grid.dim)
-    return _Work(grid, grid.dim + 1, len(pairs) + grid.dim)
+@functools.lru_cache(maxsize=8)
+def _projection_maps(grid):
+    """The fixed per-mode maps of :func:`_projected_rhs` on ``grid``.
+
+    ``velocity`` (dim, n, *pruned) maps the spectra of the n products
+    of :func:`_traceless_pairs` to the velocity rows: with E_p the
+    symmetric unit tensor of product p (e_i e_i, or e_i e_j + e_j e_i),
+    column p is -P(i k . E_p), zero off the retained modes, so row c of
+    -P div T is sum_p velocity[c, p] T_p^.  ``scalar`` (dim, *pruned)
+    is -i k on the retained modes.  ``lift`` (dim, *half) is the real
+    b = e_N - k k_N / |k|^2 (e_N at k = 0), held as complex numbers:
+    P(theta e_N) = b theta.
+    """
+    mask, ik, blocks = _pruned(grid)
+    k = _gather(blocks, grid.half_k)
+    k_over_k2 = _gather(blocks, grid.half_k_over_k2)
+    pairs = _traceless_pairs(grid.dim)
+    velocity = np.zeros((grid.dim, len(pairs)) + mask.shape, dtype=complex)
+    for p, (i, j) in enumerate(pairs):
+        column = np.zeros_like(k)  # E_p k
+        column[i] = k[j]
+        column[j] = k[i]
+        # its Leray projection, v - k (k / |k|^2 . v), times -i
+        column -= k * np.sum(k_over_k2 * column, axis=0)
+        velocity[:, p].imag = -column * mask
+    lift = -grid.half_k * grid.half_k_over_k2[-1]
+    lift[-1] += 1.0
+    return (_read_only(velocity), _read_only(-ik),
+            _read_only(lift.astype(complex)))
 
 
-def _flux_divergence(grid, y, work=None, out=None):
-    """Dealiased div(u u) and div(u theta) for y = [u; theta] on the half
-    spectrum: the stepper's kernel.
+def _rhs_work(grid):
+    """The ``_Work`` of :func:`_projected_rhs` on ``grid``."""
+    n_out = len(_traceless_pairs(grid.dim)) + grid.dim
+    return _Work(grid, grid.dim + 1, n_out)
 
-    For a divergence-free u these are u . grad u and u . grad theta
-    (Canuto, Hussaini, Quarteroni & Zang, *Spectral Methods*, on the
-    convective forms); for any other u each row c gains the dealiased
-    c (div u).  One batched inverse transform takes the dim + 1 masked
-    fields to the collocation points, one batched forward transform
-    brings back the dim (dim + 1) / 2 products u_i u_j and the dim
-    products u_j theta, and row c of the result is sum_j i k_j (u_c u_j)^
-    (or (u_j theta)^).  Same layout as :func:`_advect`: masked, with a
-    zero mean mode.  A caller that evaluates it repeatedly passes one
-    ``work`` (from :func:`_flux_work`) and ``out``, shaped like ``y``,
-    for the result, and the call then allocates no large array.
+
+def _projected_rhs(grid, y, work=None, out=None):
+    """[P(theta e_N - u . grad u); -(u . grad theta)] for y = [u; theta]
+    on the half spectrum, with u divergence-free: the stepper's
+    right-hand side without diffusion.
+
+    For a divergence-free u, u . grad u = div(u u) and u . grad theta =
+    div(u theta) on the dealiased products (Canuto, Hussaini,
+    Quarteroni & Zang, *Spectral Methods*, on the convective forms),
+    and P removes the gradient div(u_N^2 I), so P div(u u) = P div T
+    for the traceless flux T = u u - u_N^2 I.  One batched inverse
+    transform takes the dim + 1 masked fields to the collocation
+    points, one batched forward transform brings back the
+    dim (dim + 1) / 2 - 1 products of T and the dim products u_j theta
+    (3 in and 4 out in 2D, 4 and 8 in 3D), and the divergence and the
+    projection act as one fixed map per mode (:func:`_projection_maps`)
+    on the pruned half spectrum.  The projected buoyancy b theta covers
+    the whole half spectrum; the nonlinear part is masked, with a zero
+    mean mode.  For any other u the velocity rows gain -P(u div u) and
+    the theta row -(theta div u).  A caller that evaluates it
+    repeatedly passes one ``work`` (from :func:`_rhs_work`) and
+    ``out``, shaped like ``y`` and not ``y`` itself, for the result, and
+    the call then allocates no large array.
     """
     dim = grid.dim
-    _, ik, _ = _pruned(grid)
+    velocity, scalar, lift = _projection_maps(grid)
+    pairs = _traceless_pairs(dim)
+    n = len(pairs)
     if work is None:
-        work = _flux_work(grid)
+        work = _rhs_work(grid)
+    if out is None:
+        out = np.empty_like(y)
     _prune(grid, y, work.spec_in)
     phys = _to_grid(grid, work)
     u, theta = phys[:dim], phys[dim]
-    pairs, rows = _flux_layout(dim)
     products = work.products
-    for p, (i, j) in enumerate(pairs):
+    # u_N^2 waits in the slot of the last u_j theta, which is written last
+    np.multiply(u[-1], u[-1], out=products[-1])
+    np.multiply(u[:-1], u[:-1], out=products[: dim - 1])
+    np.subtract(products[: dim - 1], products[-1], out=products[: dim - 1])
+    for p in range(dim - 1, n):
+        i, j = pairs[p]
         np.multiply(u[i], u[j], out=products[p])
-    np.multiply(u, theta, out=products[len(pairs):])
+    np.multiply(u, theta, out=products[n:])
     flux = _from_grid(grid, work)
-    # spec_in and lines are free once the inverse transforms have run:
-    # the divergence collects in spec_in, each term in lines (mode
-    # "clip" lets np.take write into its out without a buffer)
-    div, term = work.spec_in, work.lines
-    np.take(flux, rows[:, 0], axis=0, out=term, mode="clip")
-    np.multiply(ik[0], term, out=div)
-    for j in range(1, dim):
-        np.take(flux, rows[:, j], axis=0, out=term, mode="clip")
-        np.multiply(ik[j], term, out=term)
-        np.add(div, term, out=div)
-    return _unprune(grid, div, out)
+    # the nonlinear part collects in spec_in, each term in spare
+    part, term = work.spec_in, work.spare[:dim]
+    np.multiply(velocity[:, 0], flux[0], out=part[:dim])
+    for p in range(1, n):
+        np.multiply(velocity[:, p], flux[p], out=term)
+        np.add(part[:dim], term, out=part[:dim])
+    np.multiply(scalar, flux[n:], out=term)
+    np.sum(term, axis=0, out=part[dim])
+    np.multiply(lift, y[dim], out=out[:dim])
+    out[dim] = 0.0
+    for pruned, half in _pruned(grid)[2]:
+        np.add(out[half], part[pruned], out=out[half])
+    return out
 
 
 def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):

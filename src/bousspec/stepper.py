@@ -17,9 +17,11 @@ The time loop works on the stacked half spectrum y = [u; theta]
 (last-axis labels 0..M/2, the layout of real-to-complex transforms).
 One integrator advances y in place: it owns its stage arrays and the
 kernel's transform arrays for the whole run, evaluates each stage's
-right-hand side with the divergence-form kernel of ``nonlinear``
-(div(u u) and div(u theta), equal to the advection terms because u is
-divergence-free) and a single Leray projection, and after each step
+right-hand side with the projected kernel of ``nonlinear`` (the
+divergence of the traceless flux u u - u_N^2 I and of u theta, equal
+to the advection terms because u is divergence-free, with the Leray
+projection and the projected buoyancy applied as fixed per-mode maps,
+so a stage runs no separate projection), and after each step
 Leray-projects y, symmetrizes the two last-axis planes that reflect
 onto themselves and zeroes the mean, so that the full spectrum rebuilt
 from y is Hermitian and zero-mean by construction.  States from
@@ -44,7 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import BudgetAccumulator, _record, build_record
+from .diagnostics import (
+    BudgetAccumulator,
+    _record,
+    _record_arrays,
+    build_record,
+)
 from .fields import (
     NonFiniteStateError,
     PhysicalParams,
@@ -55,7 +62,7 @@ from .fields import (
     _symmetrize_half,
 )
 from .grid import GridSpec
-from .nonlinear import _flux_divergence, _flux_work
+from .nonlinear import _projected_rhs, _rhs_work
 
 __all__ = [
     "SCHEMES",
@@ -148,27 +155,6 @@ def _unstack_full(y, grid):
             SpectralScalarField(grid, full[grid.dim]))
 
 
-def _nonstiff_rhs(y, grid, work=None, out=None, scratch=None):
-    """[P(theta e_N - u.grad u); -(u.grad theta)] for y = [u; theta] on
-    the half spectrum, with u divergence-free.
-
-    The advection terms are taken in divergence form, div(u u) and
-    div(u theta).  The projection is linear, so one Leray projection of
-    the combined velocity forcing replaces projecting buoyancy and
-    advection apart.  ``work`` and ``out`` are the kernel's, as in
-    ``_flux_divergence``, and ``scratch``, shaped like ``y``, holds the
-    projection's intermediate arrays.
-    """
-    dim = grid.dim
-    if scratch is None:
-        scratch = np.empty_like(y)
-    f = _flux_divergence(grid, y, work, out)
-    np.negative(f, out=f)
-    f[dim - 1] += y[dim]
-    _leray_in_place(grid.half_k, grid.half_k_over_k2, f[:dim], scratch)
-    return f
-
-
 def _diffusion_rates(grid, params):
     """nu for each velocity row of a stacked [u; theta], kappa for theta."""
     rates = np.array([params.nu] * grid.dim + [params.kappa])
@@ -185,7 +171,7 @@ def rhs_full(state: SimulationState, params: PhysicalParams,
     """
     grid = _check_grid(state, grid)
     y = _stacked_half(state, grid)
-    dy = _nonstiff_rhs(y, grid)
+    dy = _projected_rhs(grid, y)
     dy -= _diffusion_rates(grid, params) * grid.half_k2 * y
     return _unstack_full(_symmetrize_half(grid, dy), grid)
 
@@ -195,12 +181,12 @@ class _Integrator:
     spectrum ``y`` = [u; theta] in place.
 
     It holds the diffusion factors and every work array of a step (the
-    stage arrays, the kernel's transform arrays, a scratch array for the
-    Leray projections and a second state array), allocated once, so a
-    step allocates no array of the state's size.  ``advance`` forms the
-    new state in the second array and swaps it in only when it is
-    finite, so after a failed step ``y`` still holds the last finite
-    state.
+    stage arrays, the kernel's transform arrays and a second state
+    array), allocated once, so a step allocates no array of the state's
+    size.  ``advance`` forms the new state in the second array and swaps
+    it in only when it is finite, so after a failed step ``y`` still
+    holds the last finite state.  Between steps the stage arrays
+    (``free_between_steps``) are free for other work.
     """
 
     def __init__(self, grid, params, config, y):
@@ -216,13 +202,14 @@ class _Integrator:
         self.dt_e_h = self.dt * self.e_h
         self.two_e_h = 2 * self.e_h
         self._next = np.empty_like(y)
-        self._stage = np.empty_like(y)
-        self._k = [np.empty_like(y) for _ in range(3)]
-        self._scratch = np.empty_like(y)
-        self._work = _flux_work(grid)
+        # the stage input and the three stages, in one block that holds
+        # nothing between steps
+        self.free_between_steps = np.empty((4,) + y.shape, dtype=complex)
+        self._stage, *self._k = self.free_between_steps
+        self._work = _rhs_work(grid)
 
     def _rhs(self, y, out):
-        return _nonstiff_rhs(y, self.grid, self._work, out, self._scratch)
+        return _projected_rhs(self.grid, y, self._work, out)
 
     def advance(self):
         """One step of ``dt``; returns False, leaving ``y`` as it was,
@@ -277,8 +264,9 @@ class _Integrator:
 
         if not np.all(np.isfinite(y1)):
             return False
+        # the stage array is free again: it holds the projection's terms
         _leray_in_place(self.grid.half_k, self.grid.half_k_over_k2,
-                        y1[: self.grid.dim], self._scratch)
+                        y1[: self.grid.dim], s)
         _symmetrize_half(self.grid, y1)
         self.y, self._next = y1, y0
         return True
@@ -352,6 +340,8 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
     # each record is taken from the half spectrum the integrator holds;
     # full fields are rebuilt only for snapshots
     budget = BudgetAccumulator(params)
+    # the records' stacking and gather arrays take the free stage arrays
+    arrays = _record_arrays(grid, integrator.free_between_steps)
     records = [build_record(initial, params, budget)]
     take(initial.copy())
     measure0 = records[0].h1_u ** 2 + records[0].h1_theta ** 2
@@ -366,7 +356,8 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
         t, index = t + config.dt, index + 1
         y = integrator.y
         records.append(
-            _record(grid, t, y[: grid.dim], y[grid.dim], params, budget)
+            _record(grid, t, y[: grid.dim], y[grid.dim], params, budget,
+                    arrays)
         )
         measure = records[-1].h1_u ** 2 + records[-1].h1_theta ** 2
         if measure > BLOWUP_FACTOR * measure0 and measure0 > 0:

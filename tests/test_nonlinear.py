@@ -18,7 +18,10 @@ from bousspec.nonlinear import (
     AliasingMode,
     CONVOLUTION_MODE_LIMIT,
     _advect,
-    _flux_divergence,
+    _gather,
+    _projected_rhs,
+    _projection_maps,
+    _pruned,
     buoyancy,
     convect_convolution,
     convect_pseudospectral,
@@ -127,21 +130,49 @@ def unpruned_advect(grid, u_half, comps_half):
     return whole_from_grid(grid, w)
 
 
-def unpruned_flux_divergence(grid, y):
-    """The divergence-form kernel's contract in plain whole-array
-    transforms: mask [u; theta], irfftn, form u_c u_j and u_j theta,
-    rfftn, mask, and sum i k_j over j."""
+def unpruned_projected_rhs(grid, y):
+    """The projected kernel in plain whole-array transforms: mask
+    [u; theta], irfftn, form u_i u_i - u_N u_N (i < N), u_i u_j (i < j)
+    and u_j theta, rfftn, then apply the kernel's per-mode maps term by
+    term in its order on the pruned layout and add them to the
+    projected buoyancy."""
     dim = grid.dim
     phys = whole_to_grid(grid, y)
     u, theta = phys[:dim], phys[dim]
-    fluxes = [[u[c] * u[j] for j in range(dim)] for c in range(dim)]
-    fluxes.append([u[j] * theta for j in range(dim)])
-    flux = whole_from_grid(grid, np.array(fluxes))
-    ik = masked_ik(grid)
-    div = ik[0] * flux[:, 0]
+    square = u[-1] * u[-1]
+    products = [u[i] * u[i] - square for i in range(dim - 1)]
+    products += [u[i] * u[j] for i in range(dim) for j in range(i + 1, dim)]
+    products += [u[j] * theta for j in range(dim)]
+    axes = tuple(range(-dim, 0))
+    blocks = _pruned(grid)[2]
+    flux = _gather(blocks, np.fft.rfftn(np.array(products), axes=axes,
+                                        norm="forward"))
+    velocity, scalar, lift = _projection_maps(grid)
+    n = len(products) - dim
+    part_u = velocity[:, 0] * flux[0]
+    for p in range(1, n):
+        part_u = part_u + velocity[:, p] * flux[p]
+    part_theta = scalar[0] * flux[n]
     for j in range(1, dim):
-        div += ik[j] * flux[:, j]
-    return div
+        part_theta = part_theta + scalar[j] * flux[n + j]
+    out = np.zeros_like(y)
+    out[:dim] = lift * y[dim]
+    for pruned, half in blocks:
+        out[:dim][half] += part_u[pruned]
+        out[dim][half] += part_theta[pruned]
+    return out
+
+
+def leray_half(grid, v):
+    """Leray projection of velocity half spectra: v - k (k / |k|^2 . v)."""
+    return v - grid.half_k * np.sum(grid.half_k_over_k2 * v, axis=0)
+
+
+def projected_buoyancy(grid, theta):
+    """P(theta e_N) on the half spectrum."""
+    forcing = np.zeros((grid.dim,) + theta.shape, dtype=complex)
+    forcing[-1] = theta
+    return leray_half(grid, forcing)
 
 
 def dealiased_dilatation_term(grid, y):
@@ -171,30 +202,59 @@ class TestKernel:
         assert np.array_equal(_advect(g, u, y), unpruned_advect(g, u, y))
         assert np.array_equal(_advect(g, u, y[-1:]),
                               unpruned_advect(g, u, y[-1:]))
-        assert np.array_equal(_flux_divergence(g, y),
-                              unpruned_flux_divergence(g, y))
+        assert np.array_equal(_projected_rhs(g, y),
+                              unpruned_projected_rhs(g, y))
 
     @pytest.mark.parametrize("dim,modes", [(2, 32), (2, 64), (3, 8), (3, 16)])
     def test_divergence_form_equals_advective_form(self, dim, modes):
-        # u is Leray-projected, so div(u c) = u . grad c to roundoff
+        # u is Leray-projected, so P div(u u - u_N^2 I) = P(u . grad u)
+        # and div(u theta) = u . grad theta to roundoff
         g = make_grid(dim, modes)
         y = rough_stack(g, seed=modes + 1)
-        want = _advect(g, y[:dim], y)
-        got = _flux_divergence(g, y)
+        advection = _advect(g, y[:dim], y)
+        want = np.concatenate([
+            leray_half(g, -advection[:dim]) + projected_buoyancy(g, y[dim]),
+            -advection[dim:]])
+        got = _projected_rhs(g, y)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
     def test_compressible_velocity_adds_dilatation_term(self, dim, modes):
         # for any u, div(u c) = u . grad c + c div u on the dealiased
-        # products; stretching one component breaks div u = 0
+        # products, and P removes the gradient of u_N^2 whatever div u
+        # is; stretching one component breaks div u = 0
         g = make_grid(dim, modes)
         y = rough_stack(g, seed=modes + 2)
         y[0] *= 3.0
-        want = _advect(g, y[:dim], y) + dealiased_dilatation_term(g, y)
-        got = _flux_divergence(g, y)
+        dilatation = dealiased_dilatation_term(g, y)
+        advection = _advect(g, y[:dim], y) + dilatation
+        want = np.concatenate([
+            leray_half(g, -advection[:dim]) + projected_buoyancy(g, y[dim]),
+            -advection[dim:]])
+        got = _projected_rhs(g, y)
         scale = np.max(np.abs(want))
-        assert np.max(np.abs(dealiased_dilatation_term(g, y))) > 0.1 * scale
+        assert np.max(np.abs(leray_half(g, dilatation[:dim]))) > 0.1 * scale
+        assert np.max(np.abs(dilatation[dim])) > 0.1 * scale
         assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("dim,modes", [(2, 16), (3, 8)])
+    def test_only_buoyancy_off_the_retained_modes(self, dim, modes):
+        # the nonlinear part lives on the retained modes, inside the
+        # pruned blocks; elsewhere the velocity rows are exactly
+        # b theta, b = e_N - k k_N / |k|^2, and the theta row exactly 0
+        # (written over whatever ``out`` held)
+        g = make_grid(dim, modes)
+        y = rough_stack(g, seed=modes + 3)
+        got = _projected_rhs(g, y, out=np.full_like(y, np.nan))
+        lift = -g.half_k * g.half_k_over_k2[-1]
+        lift[-1] += 1.0
+        outside = np.ones(g.half_mask.shape, dtype=bool)
+        for _, half in _pruned(g)[2]:
+            outside[half] = False
+        for off in (outside, ~g.half_mask):
+            assert np.count_nonzero(y[dim][off]) > 0
+            assert np.array_equal(got[:dim, off], (lift * y[dim])[:, off])
+            assert np.all(got[dim][off] == 0.0)
 
 
 class TestConvolutionOracle:
