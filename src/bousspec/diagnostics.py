@@ -19,12 +19,20 @@ a read-only analysis of states.  Three families:
 
 * radius fits — a least-squares estimate of the decay rate tau in the
   coefficient envelope |u_j| ~ e^{-tau |j|^{1/s}}, the measurable trace
-  of that analyticity on a finite grid.
+  of that analyticity on a finite grid, beside the envelope's tail, how
+  far it has decayed by the edge of the retained modes.
+
+Every sum over modes is taken on the half spectrum: a per-mode quantity
+is folded (its terms at j and -j summed, ``fields._fold``), summed per
+class of equal |j|^2 (``fields._class_sums``) and only then weighted,
+since every weight here is a function of |j|^2.  The per-step record and
+the public functions share these sums, so they agree to the last bit.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields as _dc_fields
 
 import numpy as np
@@ -32,12 +40,12 @@ import numpy as np
 from .fields import (
     GevreyParams,
     PhysicalParams,
+    _class_sums,
     _divergence_max,
-    _gevrey_weight,
-    _norm_of,
+    _fold,
     _power,
-    _sum,
     _weigh,
+    norm,
 )
 from .grid import TWO_PI
 
@@ -65,8 +73,11 @@ class DiagnosticsRecord:
     ``gevrey_X`` is X(t) at ``tau_used = min(t, tau_cap)``; the radius
     fields come from ``fit_radius`` on the velocity spectrum and are
     reported as 0.0/0.0 when the spectrum has too few usable shells to
-    fit; the energy residuals accumulate over the cadence the records
-    were produced at, by the rules of :class:`BudgetAccumulator`.
+    fit; ``tail`` is the velocity envelope's peak on shell ``modes // 3``
+    over its global peak (0.0 for a zero field), which says whether the
+    retained modes resolve the spectrum; the energy residuals accumulate
+    over the cadence the records were produced at, by the rules of
+    :class:`BudgetAccumulator`.
     """
 
     t: float
@@ -78,6 +89,7 @@ class DiagnosticsRecord:
     tau_used: float
     radius_fit: float
     radius_fit_quality: float
+    tail: float
     energy_residual_theta: float
     energy_residual_u: float
     div_max: float
@@ -108,86 +120,98 @@ class RadiusFit:
 
 @functools.lru_cache(maxsize=8)
 def _shell_plan(grid):
-    """Shell bookkeeping of a grid, shared by every envelope on it.
-
-    Returns, as read-only arrays, the stable permutation that sorts the
-    flat modes by integer radius shell floor(|j| + 1/2) (modes of one
-    shell keep their flat order), the same permutation as indices into
-    the flat half spectrum (through ``grid.half_mirror``), the shell of
-    each sorted position, the start of each non-empty shell in the
-    sorted order, and |j| in sorted order.
-    """
-    shell = np.floor(grid.kmag + 0.5).astype(int).ravel()
+    """Shell bookkeeping of a grid's half spectrum, as read-only arrays:
+    the stable order of the flat half modes by shell floor(|j| + 1/2),
+    the start of each shell in it (every shell up to the outermost holds
+    a mode), and in that order the flat full index of each half mode j,
+    that of -j (j itself on the last-axis planes 0 and m/2, which hold
+    both) and i times the later of the two."""
+    shell = np.floor(grid.half_kmag + 0.5).astype(int).ravel()
     order = np.argsort(shell, kind="stable")
-    sorted_shell = shell[order]
-    starts = np.flatnonzero(np.diff(sorted_shell, prepend=-1))
-    plan = (order, grid.half_mirror.ravel()[order], sorted_shell, starts,
-            grid.kmag.ravel()[order])
+    starts = np.flatnonzero(np.diff(shell[order], prepend=-1))
+    full = np.arange(grid.nmodes).reshape(grid.shape)
+    own = full[grid.half_slice].copy()
+    mirror = own.copy()
+    mirror[grid._upper_ix] = full[..., grid.modes // 2 + 1:]
+    own, mirror = own.ravel()[order], mirror.ravel()[order]
+    plan = (order, starts, own, mirror, 1j * np.maximum(own, mirror))
     for value in plan:
         value.flags.writeable = False
     return plan
 
 
-def _ranked(grid, power, half=False):
-    """Amplitudes sqrt(power) in the shell order of :func:`_shell_plan`,
-    from a per-mode power on the full spectrum or, with ``half``, on the
-    half spectrum of a real field."""
-    order = _shell_plan(grid)[1 if half else 0]
-    return np.sqrt(power).ravel()[order]
-
-
-def _envelope(grid, ranked):
-    """``shell_envelope`` of the per-mode amplitudes ``ranked``, given in
-    the shell order of :func:`_shell_plan`."""
-    _, _, sorted_shell, starts, sorted_kmag = _shell_plan(grid)
-    peak = np.zeros(sorted_shell[-1] + 1)
-    peak_kmag = np.zeros(sorted_shell[-1] + 1)
-    peak[sorted_shell[starts]] = np.maximum.reduceat(ranked, starts)
-    # where the loudest mode of each shell sits on the |j| axis; of equal
-    # peaks the one last in flat order counts
-    loud = np.flatnonzero(ranked == peak[sorted_shell])
-    last = loud[np.flatnonzero(np.diff(sorted_shell[loud], append=-1))]
-    peak_kmag[sorted_shell[last]] = sorted_kmag[last]
-    return peak, peak_kmag
+def _envelope(grid, ranked, i_last):
+    """``shell_envelope`` from the amplitudes ``ranked`` of the half modes
+    in :func:`_shell_plan` order, each the larger of those at j and -j,
+    and ``i_last``, i times the flat full index of the later mode that
+    has it.  Complex numbers compare by real part first, so the largest
+    amplitude + i index of a shell is its loudest mode, and of equal
+    peaks the one last in flat full order."""
+    _, starts, *_ = _shell_plan(grid)
+    loudest = np.maximum.reduceat(i_last + ranked, starts)
+    envelope = np.empty((2, len(starts)))
+    envelope[0] = loudest.real
+    np.take(grid.kmag, loudest.imag.astype(np.intp), out=envelope[1])
+    return envelope
 
 
 def shell_envelope(field):
     """Peak amplitude per integer-radius shell [n - 1/2, n + 1/2) on |j|.
 
-    Returns (peak, peak_kmag): the loudest amplitude in each shell and
-    the |j| where it sits.  Shell 0 holds only the (zero) mean mode.  The
-    amplitude of a vector mode is the magnitude over its components.
+    Returns (peak, peak_kmag), as the two rows of one array: the loudest
+    amplitude in each shell and the |j| where it sits.  Shell 0 holds
+    only the (zero) mean mode.  The amplitude of a vector mode is the
+    magnitude over its components.
     """
     grid = field.grid
-    return _envelope(grid, _ranked(grid, _power(field.coeffs, grid.dim)))
+    order, _, own_ix, mirror_ix, i_last = _shell_plan(grid)
+    amp = np.sqrt(_power(field.coeffs, grid.dim))
+    other = amp[grid.half_slice].copy()
+    other[grid._upper_ix] = amp[..., grid.modes // 2 + 1:]
+    own, other = amp[grid.half_slice].ravel()[order], other.ravel()[order]
+    last = np.where(own > other, 1j * own_ix,
+                    np.where(other > own, 1j * mirror_ix, i_last))
+    return _envelope(grid, np.maximum(own, other), last)
 
 
-def _fit(grid, ranked, s):
-    """``fit_radius`` of the per-mode amplitudes ``ranked`` (see
-    :func:`_envelope`)."""
-    peak, peak_kmag = _envelope(grid, ranked)
+def _tail(grid, peak):
+    """The envelope's peak on shell ``modes // 3``, the outermost shell
+    the dealiasing box holds whole, over its global peak (0.0 for a zero
+    field): how far the retained spectrum has decayed.  ``peak`` is a
+    list."""
+    top = max(peak)
+    return peak[grid.modes // 3] / top if top > 0 else 0.0
 
-    floor = AMPLITUDE_FLOOR_RATIO * peak.max()
-    usable = np.flatnonzero(peak > max(floor, 0.0))
-    usable = usable[usable > 0]  # shell 0 is the (zero) mean mode
+
+def _fit(peak, kmag, s):
+    """``fit_radius`` of the envelope given as the lists ``peak`` and
+    ``kmag``.  The fit runs on Python floats: with one point per shell,
+    array operations would cost more than the sums."""
+    floor = AMPLITUDE_FLOOR_RATIO * max(peak)
+    # shell 0 is the (zero) mean mode
+    usable = [n for n in range(1, len(peak)) if peak[n] > floor]
     if len(usable) < MIN_FIT_SHELLS:
         return None
 
-    # the least-squares line in closed form, from mean-centred sums
-    x = peak_kmag[usable] ** (1.0 / s)
-    y = np.log(peak[usable])
-    x_mean, y_mean = x.mean(), y.mean()
-    dx = x - x_mean
-    total = y - y_mean
-    slope = float(np.dot(dx, total) / np.dot(dx, dx))
-    intercept = float(y_mean - slope * x_mean)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.dot(total, total))
-    quality = 1.0 if ss_tot == 0.0 else 1.0 - float(np.dot(resid, resid)) / ss_tot
+    # the least-squares line in closed form, from mean-centred sums of
+    # the points (|j|^{1/s}, log peak)
+    x = [kmag[n] ** (1.0 / s) for n in usable]
+    y = [math.log(peak[n]) for n in usable]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    sxx = sxy = syy = 0.0
+    for x_n, y_n in zip(x, y):
+        dx, dy = x_n - x_mean, y_n - y_mean
+        sxx += dx * dx
+        sxy += dx * dy
+        syy += dy * dy
+    slope = sxy / sxx
+    # the coefficient of determination, 1 - (residual / total) sum of
+    # squares, is sxy^2 / (sxx syy) for the least-squares line
+    quality = 1.0 if syy == 0.0 else slope * sxy / syy
     return RadiusFit(
         tau_est=max(0.0, -slope),
-        intercept=intercept,
-        shells_used=range(int(usable[0]), int(usable[-1]) + 1),
+        intercept=y_mean - slope * x_mean,
+        shells_used=range(usable[0], usable[-1] + 1),
         quality=quality,
     )
 
@@ -202,8 +226,7 @@ def fit_radius(field, s: float = 1.0):
     amplitude floor: too little spectrum to call it a fit.
     """
     GevreyParams(tau=0.0, s=s)  # validate the range
-    grid = field.grid
-    return _fit(grid, _ranked(grid, _power(field.coeffs, grid.dim)), s)
+    return _fit(*shell_envelope(field).tolist(), s)
 
 
 def gevrey_energy(state):
@@ -213,46 +236,38 @@ def gevrey_energy(state):
     smoothing theory predicts, capped where the weight would amplify
     roundoff past the top grid mode.
     """
-    grid = state.u.grid
-    tau = min(state.t, grid.tau_cap)
+    tau = min(state.t, state.u.grid.tau_cap)
     GevreyParams(tau=tau)  # validate the range
-    weight = _gevrey_weight(grid, tau, 1.0, double=True)
-    h1_u = _weigh(grid, _power(state.u.coeffs, grid.dim), r=1.0)
-    h1_theta = _weigh(grid, _power(state.theta.coeffs, grid.dim), r=1.0)
-    return (1.0 + _norm_of(grid, weight * h1_u) ** 2
-            + _norm_of(grid, weight * h1_theta) ** 2)
+    return (1.0 + norm(state.u, r=1.0, tau=tau) ** 2
+            + norm(state.theta, r=1.0, tau=tau) ** 2)
 
 
 # ----------------------------------------------------------------------
 # energy budgets
 
 
-def _buoyancy_flux(grid, u, theta, half=False):
-    """(theta e_N, u) at one instant, from coefficient arrays on the full
-    spectrum or, with ``half``, on the half spectrum of a real state.
-
-    The sum is complex and its real part is taken after it, as for the
-    full arrays: in the gathered half layout a mode's product is the
-    conjugate of the one in the full array, which has the same real
-    part.
-    """
-    product = theta * np.conj(u[-1])
-    return float(TWO_PI**grid.dim * _sum(grid, product, half).real)
+def _buoyancy_flux(grid, u, theta):
+    """(theta e_N, u) from coefficient arrays on the full spectrum: the
+    real part of theta_j conj(u_N,j), summed as in a record."""
+    product = theta.real * u[-1].real
+    product += theta.imag * u[-1].imag
+    return TWO_PI**grid.dim * float(np.sum(
+        _class_sums(grid, _fold(grid, product))))
 
 
 def _exp_fitted_mean(a, b):
-    """The exponential-fitted mean (a - b) / ln(a / b), entry by entry.
-
-    For an entry that varies exponentially from a to b over a step this
-    is its exact mean over the step.  Entries where a or b is zero, or
-    a == b, take the trapezoid mean (a + b) / 2, the rule's limit as
-    a -> b.  Writing ln(a / b) as log1p((a - b) / b) keeps the quotient
-    accurate as a -> b, where a - b is exact.
+    """The exponential-fitted mean (a - b) / ln(a / b), entry by entry:
+    the exact mean over a step of an entry that varies exponentially from
+    a to b.  ln(a / b) = log1p((a - b) / b) stays accurate as a -> b.
+    The mean lies between a and b and tends to a as b -> a and to 0 as a
+    or b -> 0, so the larger of the quotient and min(a, b) is the mean,
+    and its limit where the quotient is 0 / 0 (a == b) or 0 (a or b is
+    0).
     """
-    fitted = (a > 0) & (b > 0) & (a != b)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = a - b
-        return np.where(fitted, diff / np.log1p(diff / b), 0.5 * (a + b))
+        fitted = diff / np.log1p(diff / b)
+    return np.fmax(fitted, np.fmin(a, b))
 
 
 class BudgetAccumulator:
@@ -266,17 +281,18 @@ class BudgetAccumulator:
                     - 2 I[(theta e_N, u)]
 
     where I[.] integrates over the fed-in times.  The two dissipation
-    integrals use the exponential-fitted rule mode by mode: over a step
-    of length h, each mode's density |j|^2 |c_j|^2 contributes
-    h (a - b) / ln(a / b) from its end values a and b (the trapezoid
-    where a or b is 0 or a == b).  The rule is exact for pure diffusive
-    decay, which the integrating-factor stepper also integrates exactly,
-    and second order otherwise, with an error set by how far each
-    mode's log-density bends over a step.  The buoyancy cross term
-    changes sign, so it keeps the trapezoidal rule (second order).  Both
-    residuals vanish for the exact flow; numerically they hold the
-    integrator and quadrature error, so their size depends on the
-    sampling cadence.
+    integrals use the exponential-fitted rule mode by mode (the pair j,
+    -j taken together, as they share |j|^2): over a step of length h,
+    each mode's density |j|^2 |c_j|^2 contributes h (a - b) / ln(a / b)
+    from its end values a and b (its limits where a or b is 0 or
+    a == b; see :func:`_exp_fitted_mean`).  The rule is exact for pure
+    diffusive decay, which the integrating-factor stepper also
+    integrates exactly, and second order otherwise, with an error set by
+    how far each mode's log-density bends over a step.  The buoyancy
+    cross term changes sign, so it keeps the trapezoidal rule (second
+    order).  Both residuals vanish for the exact flow; numerically they
+    hold the integrator and quadrature error, so their size depends on
+    the sampling cadence.
     """
 
     def __init__(self, params: PhysicalParams):
@@ -290,50 +306,31 @@ class BudgetAccumulator:
 
     def update(self, u, theta, t):
         grid = u.grid
-        power_u = _power(u.coeffs, grid.dim)
-        power_theta = _power(theta.coeffs, grid.dim)
-        dens_u = _weigh(grid, power_u, r=1.0)
-        dens_theta = _weigh(grid, power_theta, r=1.0)
+        folded = np.stack([_fold(grid, _power(f.coeffs, grid.dim))
+                           for f in (u, theta)])
         return self._advance(
-            grid, t, _norm_of(grid, power_u) ** 2,
-            _norm_of(grid, power_theta) ** 2, dens_u, dens_theta,
+            grid, t, norm(u) ** 2, norm(theta) ** 2, grid.half_k2 * folded,
             _buoyancy_flux(grid, u.coeffs, theta.coeffs),
-            [float(_sum(grid, mean))
-             for mean in self._fitted_means(dens_u, dens_theta)],
         )
 
-    def _fitted_means(self, dens_u, dens_theta):
-        """Per-mode exponential-fitted means of the dissipation densities
-        of u and theta over the step since the last state fed in (none
-        for the first state)."""
-        if self._prev is None:
-            return []
-        _, dens_u_prev, dens_theta_prev, _ = self._prev
-        return [_exp_fitted_mean(dens_u_prev, dens_u),
-                _exp_fitted_mean(dens_theta_prev, dens_theta)]
-
-    def _advance(self, grid, t, e_u, e_theta, dens_u, dens_theta, cross,
-                 dissipated):
+    def _advance(self, grid, t, e_u, e_theta, dens, cross):
         """``update`` from the state's energies ||u||^2 and ||theta||^2,
-        its dissipation densities |j|^2 |c_j|^2 (summed over components),
-        its buoyancy flux (theta e_N, u) and ``dissipated``, the sums over
-        modes of the :meth:`_fitted_means` (none for the first state).
-
-        The densities are kept for the next step's means, so one
-        accumulator is fed densities in one layout throughout (the full
-        spectrum, or the half spectrum of a real state).
-        """
+        its dissipation densities |j|^2 |c_j|^2 of u and of theta, folded
+        (``fields._fold``) and stacked, and its buoyancy flux.  On a real
+        state the mean of a folded pair is twice that of each mode."""
         if self._prev is None:
             self._e0_u = e_u
             self._e0_theta = e_theta
         else:
-            t_prev, _, _, cross_prev = self._prev
+            t_prev, dens_prev, cross_prev = self._prev
             h = t - t_prev
             scale = h * TWO_PI**grid.dim
-            self._int_u += scale * dissipated[0]
-            self._int_theta += scale * dissipated[1]
+            means = _exp_fitted_mean(dens_prev, dens).reshape(2, -1)
+            dissipated_u, dissipated_theta = means.sum(axis=1).tolist()
+            self._int_u += scale * dissipated_u
+            self._int_theta += scale * dissipated_theta
             self._int_cross += 0.5 * h * (cross_prev + cross)
-        self._prev = (t, dens_u, dens_theta, cross)
+        self._prev = (t, dens, cross)
         res_theta = e_theta + 2 * self.params.kappa * self._int_theta - self._e0_theta
         res_u = (
             e_u
@@ -359,88 +356,73 @@ def build_record(state, params: PhysicalParams,
     step on a shared accumulator yields per-step energy residuals.
     """
     grid = state.u.grid
+    GevreyParams(tau=min(state.t, grid.tau_cap))  # validate the range
     half = grid.half_slice
-    return _record(grid, state.t, state.u.coeffs[half],
-                   state.theta.coeffs[half], params, budget)
+    return _record(grid, state.t, np.concatenate(
+        [state.u.coeffs[half], state.theta.coeffs[np.newaxis][half]]), budget)
 
 
-# power, H1 density and Gevrey-weighted H1 density of u and of theta,
-# and the two exponential-fitted means of a budget
-_RECORD_ROWS = 8
+def _record(grid, t, y, budget, buffer=None):
+    """``build_record`` of the real state at a valid time ``t`` whose
+    stacked half spectrum [u; theta] is ``y``.  ``buffer``, an array free
+    while a record is taken that holds 3 dim + 6 real half spectra, takes
+    the per-mode arrays, so that a run need not allocate them each step.
 
-
-def _record_arrays(grid, buffer=None):
-    """Arrays for :func:`_record` to stack its real per-mode quantities
-    in and to gather them to the full layout, so that a run taking a
-    record every step need not allocate them each time (fresh pages for
-    the gather of every record cost more than its sums).  With
-    ``buffer``, an array with room for both whose contents are free
-    while a record is taken, they are views of it.
+    The powers of u and theta and the buoyancy product are folded and
+    summed per |j|^2 class in one ``bincount``.  The public
+    functions fold the full arrays and run the same sums, so each equals
+    its field here bit for bit.
     """
-    stacked = (_RECORD_ROWS,) + grid.half_k2.shape
-    full = (_RECORD_ROWS, grid.nmodes)
-    if buffer is None:
-        return np.empty(stacked), np.empty(full)
-    values = buffer.reshape(-1).view(float)
-    n = int(np.prod(stacked))
-    return (values[:n].reshape(stacked),
-            values[n : n + int(np.prod(full))].reshape(full))
-
-
-def _record(grid, t, u, theta, params, budget, arrays=None):
-    """``build_record`` of the real state at time ``t`` whose half spectra
-    are ``u`` (dim, *half) and ``theta`` (*half); ``arrays`` are from
-    :func:`_record_arrays`.
-
-    Each per-mode quantity (power, H1 density, Gevrey-weighted H1
-    density, exponential-fitted mean, buoyancy product, divergence) is
-    formed on the half spectrum and gathered to the full layout just
-    before it is summed, so every sum runs over the values, and in the
-    order, of the full arrays and the record is that of the full state
-    to the last bit.  The real quantities are stacked and gathered and
-    summed in one pass; the buoyancy product is complex and is summed
-    apart.
-    """
+    dim = grid.dim
     tau = min(t, grid.tau_cap)
-    GevreyParams(tau=tau)  # validate the range
-    # one |c_j|^2 pass per field feeds every field of the record
-    power_u, power_theta = _power(u, grid.dim), _power(theta, grid.dim)
-    h1_u = grid.half_k2 * power_u
-    h1_theta = grid.half_k2 * power_theta
-    weight = _gevrey_weight(grid, tau, 1.0, double=True, half=True)
-    rows = [power_u, power_theta, h1_u, h1_theta,
-            weight * h1_u, weight * h1_theta]
-    if budget is not None:
-        rows += budget._fitted_means(h1_u, h1_theta)
-    n = len(rows)
-    stacked, full = _record_arrays(grid) if arrays is None else arrays
-    np.stack(rows, out=stacked[:n])
-    # mode "clip" lets np.take write into its out without a buffer
-    np.take(stacked[:n].reshape(n, -1), grid.half_mirror.ravel(), axis=1,
-            out=full[:n], mode="clip")
-    sums = full[:n].sum(axis=1)
-    l2_u, l2_theta, h1n_u, h1n_theta, x_u, x_theta = np.sqrt(
-        TWO_PI**grid.dim * sums[:6]).tolist()
-    if budget is None:
-        res_theta, res_u = 0.0, 0.0
-    else:
-        res_theta, res_u = budget._advance(
-            grid, t, l2_u**2, l2_theta**2, h1_u, h1_theta,
-            _buoyancy_flux(grid, u, theta, half=True),
-            sums[6:].tolist(),
-        )
-    fit = _fit(grid, _ranked(grid, power_u, half=True), 1.0)
+    size = y[0].size
+    work = (np.empty(3 * y.size + 3 * size) if buffer is None
+            else buffer.reshape(-1).view(float))
+    square = work[: 2 * y.size].reshape(y.shape[:-1] + (-1,))
+    power = work[2 * y.size : 3 * y.size].reshape(y.shape)
+    folded = work[3 * y.size : 3 * y.size + 3 * size].reshape(
+        (3,) + y.shape[1:])
+    # one |c_j|^2 pass per field feeds every field of the record, as in
+    # fields._power: re^2 + im^2 of each component, then their sum
+    np.square(y.view(float), out=square)
+    np.add(square[..., ::2], square[..., 1::2], out=power)
+    for i in range(1, dim):
+        np.add(power[i - 1], power[i], out=power[i])
+    # the buoyancy product Re(theta conj(u_N)) = theta_re u_N,re +
+    # theta_im u_N,im takes a free row, so that it is folded and summed
+    # with the powers of u and theta
+    product = np.multiply(y[dim].view(float), y[dim - 1].view(float),
+                          out=square[0])
+    np.add(product[..., ::2], product[..., 1::2], out=power[dim - 2])
+    _fold(grid, power[dim - 2:], folded)
+    sums = _class_sums(grid, folded)
+    # L2, H1 and X: the class sums weighted by 1, |j|^2 and then also by
+    # e^{2 tau |j|}, in the order of fields._weigh
+    h1_sums = _weigh(grid, sums[1:], r=1.0)
+    flux, *norms2 = sums.sum(axis=-1).tolist()
+    norms2 += h1_sums.sum(axis=-1).tolist()
+    norms2 += _weigh(grid, h1_sums, tau=tau).sum(axis=-1).tolist()
+    scale = TWO_PI**dim
+    l2_u, l2_theta, h1_u, h1_theta, x_u, x_theta = (
+        math.sqrt(scale * value) for value in norms2)
+    res_theta, res_u = (0.0, 0.0) if budget is None else budget._advance(
+        grid, t, l2_u**2, l2_theta**2, grid.half_k2 * folded[1:], scale * flux)
+    order, *_, i_last = _shell_plan(grid)
+    peak, peak_kmag = _envelope(
+        grid, np.sqrt(np.take(power[dim - 1], order)), i_last).tolist()
+    fit = _fit(peak, peak_kmag, 1.0)
     return DiagnosticsRecord(
         t=t,
         l2_u=l2_u,
         l2_theta=l2_theta,
-        h1_u=h1n_u,
-        h1_theta=h1n_theta,
+        h1_u=h1_u,
+        h1_theta=h1_theta,
         gevrey_X=1.0 + x_u**2 + x_theta**2,
         tau_used=tau,
         radius_fit=0.0 if fit is None else fit.tau_est,
         radius_fit_quality=0.0 if fit is None else fit.quality,
+        tail=_tail(grid, peak),
         energy_residual_theta=res_theta,
         energy_residual_u=res_u,
-        div_max=_divergence_max(grid.half_k, u),
+        div_max=_divergence_max(grid.half_k_complex, y[:dim]),
     )

@@ -15,10 +15,13 @@ onto the third.  Norms follow the weighted-sum convention
 
 so r = 0, tau = 0 is the plain L2 norm and r = 1 the H1 seminorm (the
 Zygmund operator Lambda = sqrt(-Laplacian) acts as multiplication by |j|).
+The weight is a function of |j|^2, so a norm sums the powers per class of
+equal |j|^2 on the half spectrum and weights those sums (``_class_plan``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,11 +151,21 @@ def enforce_constraints(field):
     Coefficients are replaced by (c_j + conj(c_{-j})) / 2 and the mean
     mode is zeroed.  Idempotent to the last bit: the addition commutes.
     """
-    grid = field.grid
-    arr = field.coeffs
-    out = 0.5 * (arr + np.conj(arr[(Ellipsis,) + grid._conj_ix]))
-    out[(Ellipsis,) + grid.zero_index] = 0.0
-    return type(field)(grid, out)
+    return type(field)(field.grid, _enforce_in_place(field.grid,
+                                                     field.coeffs.copy()))
+
+
+def _enforce_in_place(grid, arr):
+    """:func:`enforce_constraints` on a coefficient array, written into
+    it one field at a time, so that one field's reflection is the only
+    temporary.  Leading (component) axes are kept."""
+    for lead in np.ndindex(arr.shape[: arr.ndim - grid.dim]):
+        reflected = arr[lead][grid._conj_ix]
+        np.conjugate(reflected, out=reflected)
+        np.add(arr[lead], reflected, out=reflected)
+        np.multiply(0.5, reflected, out=arr[lead])
+    arr[(Ellipsis,) + grid.zero_index] = 0.0
+    return arr
 
 
 def _symmetrize_half(grid, half):
@@ -186,13 +199,15 @@ def _from_half(grid, half):
 
 
 def _leray_in_place(k, k_over_k2, arr, scratch):
-    """arr -= k (k_over_k2 . arr), written into ``arr``, with ``scratch``
-    (one row more than ``arr``) for the intermediate arrays."""
-    terms, total = scratch[:-1], scratch[-1]
-    np.multiply(k_over_k2, arr, out=terms)
-    np.sum(terms, axis=0, out=total)
-    np.multiply(k, total, out=terms)
-    return np.subtract(arr, terms, out=arr)
+    """arr -= k (k_over_k2 . arr), written into ``arr``, with the first
+    two rows of ``scratch`` for the intermediate arrays."""
+    total, term = scratch[0], scratch[1]
+    np.multiply(k_over_k2[0], arr[0], out=total)
+    for i in range(1, len(arr)):
+        total += np.multiply(k_over_k2[i], arr[i], out=term)
+    for i in range(len(arr)):
+        arr[i] -= np.multiply(k[i], total, out=term)
+    return arr
 
 
 def leray_project(u: SpectralVectorField):
@@ -202,7 +217,7 @@ def leray_project(u: SpectralVectorField):
     Self-adjoint and idempotent.
     """
     grid = u.grid
-    scratch = np.empty((grid.dim + 1,) + grid.shape, dtype=complex)
+    scratch = np.empty((2,) + grid.shape, dtype=complex)
     return SpectralVectorField(grid, _leray_in_place(
         grid.k, grid.k_over_k2, u.coeffs.copy(), scratch))
 
@@ -216,7 +231,9 @@ def _divergence_max(k, coeffs):
     """``divergence_max`` of velocity coefficients on the wavevectors
     ``k``.  On the half spectrum of a real field it equals the full
     maximum: |j . u_hat(j)| is the same at j and -j."""
-    dot = np.einsum("i...,i...->...", k, coeffs)
+    dot = k[0] * coeffs[0]
+    for k_i, c_i in zip(k[1:], coeffs[1:]):
+        dot += k_i * c_i
     return float(np.max(np.abs(dot)))
 
 
@@ -231,19 +248,70 @@ def hermitian_defect(field):
 # norms
 
 
-def _gevrey_weight(grid, tau, s, double=False, half=False):
-    """exp(tau |j|^(1/s)) (``double``: exp(2 tau |j|^(1/s))) on the full
-    spectrum, or on the half spectrum when ``half``."""
+@functools.lru_cache(maxsize=8)
+def _class_plan(grid):
+    """The classes of equal integer |j|^2 of a grid's half spectrum.
+
+    Returns, as read-only arrays: the class of each flat half mode,
+    repeated thrice with offsets of the number of classes, so that one
+    ``bincount`` sums up to three stacked quantities; the multiplicity of
+    each half mode (1 on the last-axis planes 0 and m/2, which hold both
+    j and -j, and 2 elsewhere, where it stands for j and -j); and |j|^2
+    and |j| of each class, in increasing order.
+    """
+    k2, index = np.unique(grid.half_k2.astype(np.int64).ravel(),
+                          return_inverse=True)
+    mult = np.full(grid.half_k2.shape, 2.0)
+    mult[..., :: grid.modes // 2] = 1.0
+    plan = (np.concatenate([index, index + k2.size, index + 2 * k2.size]),
+            mult, k2.astype(float), np.sqrt(k2))
+    for value in plan:
+        value.flags.writeable = False
+    return plan
+
+
+def _fold(grid, values, out=None):
+    """A per-mode quantity on the half spectrum with its terms at j and -j
+    summed, so that its sum is the sum over all modes; leading axes are
+    kept.  ``values`` on the full spectrum may be any array; on the half
+    spectrum it must take the same value at j and -j (a power of a real
+    field, say), and is multiplied by the multiplicity, into ``out`` when
+    given.  On a real field both give the same bits: v + v == 2 v."""
+    if values.shape[-1] != grid.modes:
+        return np.multiply(_class_plan(grid)[1], values, out=out)
+    folded = values[grid.half_slice].copy()
+    folded[(Ellipsis,) + grid._upper_ix] += values[..., grid.modes // 2 + 1:]
+    return folded
+
+
+def _class_sums(grid, folded):
+    """Per-class sums of a :func:`_fold`-ed quantity of shape (*half), or
+    of up to three stacked, in one ``bincount``: shape (n,) or (rows, n)."""
+    sums = np.bincount(_class_plan(grid)[0][: folded.size],
+                       weights=folded.reshape(-1))
+    return sums.reshape(folded.shape[: folded.ndim - grid.dim] + (-1,))
+
+
+def _weigh(grid, sums, r=0.0, tau=0.0, s=1.0):
+    """Per-class ``sums`` times |j|^(2r), then times exp(2 tau |j|^(1/s)).
+
+    r = 1 multiplies by the exact integer |j|^2; r = 0 and tau = 0 leave
+    ``sums`` as they are.
+    """
+    _, _, k2, kmag = _class_plan(grid)
+    if r == 1.0:
+        sums = k2 * sums
+    elif r != 0.0:
+        sums = kmag ** (2.0 * r) * sums
     if tau > grid.tau_cap:
         raise ValueError(
             f"tau={tau} exceeds tau_cap={grid.tau_cap:.6g} for this grid; "
             "the weight would overflow the spectrum range"
         )
-    factor = 2.0 * tau if double else tau
-    kmag = grid.half_kmag if half else grid.kmag
-    if s == 1.0:
-        return np.exp(factor * kmag)
-    return np.exp(factor * kmag ** (1.0 / s))
+    if tau != 0.0:
+        kmag = kmag if s == 1.0 else kmag ** (1.0 / s)
+        sums = np.exp(2.0 * tau * kmag) * sums
+    return sums
 
 
 def _power(coeffs, dim):
@@ -257,40 +325,6 @@ def _power(coeffs, dim):
     return power
 
 
-def _weigh(grid, power, r=0.0, tau=0.0, s=1.0):
-    """``power`` times |j|^(2r), then times exp(2 tau |j|^(1/s)).
-
-    r = 1 multiplies by the exact integer |j|^2; r = 0 and tau = 0 leave
-    ``power`` as it is.
-    """
-    if r == 1.0:
-        power = grid.k2 * power
-    elif r != 0.0:
-        power = grid.kmag ** (2.0 * r) * power
-    if tau != 0.0:
-        power = _gevrey_weight(grid, tau, s, double=True) * power
-    return power
-
-
-def _sum(grid, values, half=False):
-    """Sum over the full spectrum of a per-mode quantity.
-
-    With ``half``, ``values`` lives on the half spectrum of a real field
-    and takes the same value at j and -j (a power, or a weight times
-    one); it is gathered to the full layout through ``grid.half_mirror``
-    first, so the sum runs over the values, and in the order, of the full
-    array.
-    """
-    if half:
-        values = np.take(values, grid.half_mirror)
-    return np.sum(values)
-
-
-def _norm_of(grid, weighted):
-    """sqrt((2 pi)^N sum_j weighted_j), the norm of a weighted power."""
-    return float(np.sqrt(TWO_PI**grid.dim * _sum(grid, weighted)))
-
-
 def norm(field, r: float = 0.0, tau: float = 0.0, s: float = 1.0):
     """Weighted spectral norm; see the module docstring for the convention.
 
@@ -300,8 +334,9 @@ def norm(field, r: float = 0.0, tau: float = 0.0, s: float = 1.0):
     """
     GevreyParams(tau=tau, r=r, s=s)  # validate ranges
     grid = field.grid
-    return _norm_of(grid, _weigh(grid, _power(field.coeffs, grid.dim),
-                                 r, tau, s))
+    sums = _class_sums(grid, _fold(grid, _power(field.coeffs, grid.dim)))
+    return math.sqrt(TWO_PI**grid.dim * float(np.sum(
+        _weigh(grid, sums, r, tau, s))))
 
 
 def l2_inner(f, g):
@@ -399,19 +434,19 @@ def _rough_h1(grid, seed, p):
     # carry the reality symmetry through the Leray projection; leave them
     # empty (the dealiasing mask removes them from the dynamics anyway)
     for axis in range(grid.dim):
-        amp = amp * (np.abs(grid.k[axis]) != grid.modes // 2)
-
-    def draw():
-        phases = rng.uniform(0.0, TWO_PI, size=grid.shape)
-        return amp * np.exp(1j * phases)
-
-    u = SpectralVectorField(
-        grid, np.stack([draw() for _ in range(grid.dim)])
-    )
-    theta = SpectralScalarField(grid, draw())
-    u = leray_project(enforce_constraints(u))
-    theta = enforce_constraints(theta)
-    return u, theta
+        amp *= np.abs(grid.k[axis]) != grid.modes // 2
+    # u's components, then theta, drawn into one array and constrained
+    # and projected in place, so that no step holds a second copy
+    y = np.empty((grid.dim + 1,) + grid.shape, dtype=complex)
+    for row in y:
+        np.multiply(1j, rng.uniform(0.0, TWO_PI, size=grid.shape), out=row)
+        np.exp(row, out=row)
+        np.multiply(amp, row, out=row)
+    _enforce_in_place(grid, y)
+    _leray_in_place(grid.k, grid.k_over_k2, y[: grid.dim],
+                    np.empty((2,) + grid.shape, dtype=complex))
+    return (SpectralVectorField(grid, y[: grid.dim]),
+            SpectralScalarField(grid, y[grid.dim]))
 
 
 def synthesize_initial(kind, grid, seed=0, sobolev_exponent=None):

@@ -46,12 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (
-    BudgetAccumulator,
-    _record,
-    _record_arrays,
-    build_record,
-)
+from .diagnostics import BudgetAccumulator, _record, build_record
 from .fields import (
     NonFiniteStateError,
     PhysicalParams,
@@ -340,8 +335,6 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
     # each record is taken from the half spectrum the integrator holds;
     # full fields are rebuilt only for snapshots
     budget = BudgetAccumulator(params)
-    # the records' stacking and gather arrays take the free stage arrays
-    arrays = _record_arrays(grid, integrator.free_between_steps)
     records = [build_record(initial, params, budget)]
     take(initial.copy())
     measure0 = records[0].h1_u ** 2 + records[0].h1_theta ** 2
@@ -354,11 +347,9 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
             message = str(NonFiniteStateError(t + config.dt, None))
             break
         t, index = t + config.dt, index + 1
-        y = integrator.y
-        records.append(
-            _record(grid, t, y[: grid.dim], y[grid.dim], params, budget,
-                    arrays)
-        )
+        # the record's per-mode arrays take the free stage arrays
+        records.append(_record(grid, t, integrator.y, budget,
+                               integrator.free_between_steps))
         measure = records[-1].h1_u ** 2 + records[-1].h1_theta ** 2
         if measure > BLOWUP_FACTOR * measure0 and measure0 > 0:
             status = "blowup"

@@ -21,7 +21,12 @@ from bousspec.diagnostics import (
     gevrey_energy,
     shell_envelope,
 )
-from bousspec.stepper import SimulationState, StepperConfig, run_simulation
+from bousspec.stepper import (
+    SimulationState,
+    StepperConfig,
+    run_simulation,
+    step,
+)
 
 
 def envelope_field(grid, law):
@@ -120,6 +125,68 @@ def lexsort_envelope(field):
     peak[shell[last]] = amp[last]
     peak_kmag[shell[last]] = kmag[last]
     return peak, peak_kmag
+
+
+def plain_fitted_mean(a, b):
+    """(a - b) / ln(a / b) entry by entry, a where a == b, 0 where a or b
+    is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = (a - b) / np.log1p((a - b) / b)
+    return np.where(a == b, a, np.where((a > 0) & (b > 0), mean, 0.0))
+
+
+def plain_records(states, params):
+    """The fields of the records of ``states``, fed in order to one
+    budget, from plain ``np.sum`` over the full arrays and
+    :func:`lexsort_envelope`, and for each residual the initial energy,
+    the scale of its cancellations."""
+    grid = states[0].u.grid
+    vol = (2 * np.pi) ** grid.dim
+    rows, integrals = [], np.zeros(3)
+    for n, state in enumerate(states):
+        u, theta = state.u.coeffs, state.theta.coeffs
+        power_u = np.sum(u.real**2 + u.imag**2, axis=0)
+        power_theta = theta.real**2 + theta.imag**2
+        tau = min(state.t, grid.tau_cap)
+        weight = grid.k2 * np.exp(2 * tau * grid.kmag)
+        dens = (grid.k2 * power_u, grid.k2 * power_theta)
+        cross = vol * np.sum((theta * np.conj(u[-1])).real)
+        energy = (vol * np.sum(power_u), vol * np.sum(power_theta))
+        if n == 0:
+            first = energy
+        else:
+            h = state.t - states[n - 1].t
+            for i in (0, 1):
+                integrals[i] += h * vol * np.sum(
+                    plain_fitted_mean(prev_dens[i], dens[i]))
+            integrals[2] += 0.5 * h * (prev_cross + cross)
+        prev_dens, prev_cross = dens, cross
+        peak, peak_kmag = lexsort_envelope(state.u)
+        usable = np.flatnonzero(peak > 1e-14 * peak.max())
+        usable = usable[usable > 0]
+        x, y = peak_kmag[usable], np.log(peak[usable])
+        dx, dy = x - x.mean(), y - y.mean()
+        slope = np.dot(dx, dy) / np.dot(dx, dx)
+        resid = dy - slope * dx
+        rows.append(dict(
+            t=state.t,
+            l2_u=np.sqrt(energy[0]),
+            l2_theta=np.sqrt(energy[1]),
+            h1_u=np.sqrt(vol * np.sum(dens[0])),
+            h1_theta=np.sqrt(vol * np.sum(dens[1])),
+            gevrey_X=1.0 + vol * np.sum(weight * (power_u + power_theta)),
+            tau_used=tau,
+            radius_fit=-slope,
+            radius_fit_quality=1.0 - np.dot(resid, resid) / np.dot(dy, dy),
+            tail=peak[grid.modes // 3] / peak.max(),
+            energy_residual_theta=(energy[1] + 2 * params.kappa
+                                   * integrals[1] - first[1]),
+            energy_residual_u=(energy[0] + 2 * params.nu * integrals[0]
+                               - first[0] - 2 * integrals[2]),
+            div_max=np.max(np.abs(np.einsum("i...,i...->...", grid.k, u))),
+        ))
+    return rows, {"energy_residual_u": first[0],
+                  "energy_residual_theta": first[1]}
 
 
 class TestShellEnvelope:
@@ -263,6 +330,7 @@ class TestRecords:
         for rec, state in zip(traj.records, traj.snapshots):
             u, theta = state.u, state.theta
             fit = fit_radius(u)
+            peak, _ = shell_envelope(u)
             res_theta, res_u = budget.update(u, theta, state.t)
             assert rec == DiagnosticsRecord(
                 t=state.t,
@@ -274,11 +342,37 @@ class TestRecords:
                 tau_used=min(state.t, grid.tau_cap),
                 radius_fit=fit.tau_est,
                 radius_fit_quality=fit.quality,
+                tail=peak[modes // 3] / peak.max(),
                 energy_residual_theta=res_theta,
                 energy_residual_u=res_u,
                 div_max=divergence_max(u),
             )
         assert rec.tau_used > 0.0 and rec.energy_residual_u != 0.0
+        assert 0.0 < rec.tail < 1.0
+
+    @pytest.mark.parametrize("dim,modes", [(2, 64), (3, 16)])
+    def test_record_matches_plain_sums_over_the_full_arrays(self, dim,
+                                                            modes):
+        # every field of a chain of records against plain sums over the
+        # full coefficient arrays, mode by mode, and the lexsort envelope:
+        # a path that shares no fold, class sum or shell plan with the
+        # records.  The last state sits at tau = tau_cap and repeats the
+        # one before it, so every density keeps its value over that step
+        grid = make_grid(dim, modes)
+        params = PhysicalParams(nu=0.5, kappa=0.7)
+        u0, th0 = synthesize_initial("rough_h1", grid, seed=3)
+        s0 = SimulationState(u0, th0)
+        s1 = step(s0, params, StepperConfig(dt=1e-3))
+        states = [s0, s1, SimulationState(s1.u, s1.theta, t=grid.tau_cap)]
+        budget = BudgetAccumulator(params)
+        got = [build_record(state, params, budget) for state in states]
+        want, scales = plain_records(states, params)
+        assert got[-1].tau_used == grid.tau_cap
+        for rec, ref in zip(got, want):
+            for name in DiagnosticsRecord.field_names():
+                assert getattr(rec, name) == pytest.approx(
+                    ref[name], rel=1e-14,
+                    abs=1e-14 * scales.get(name, 0.0)), name
 
     @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
     def test_records_do_not_depend_on_snapshot_cadence(self, dim, modes):
@@ -328,6 +422,6 @@ class TestRecords:
         assert names[0] == "t"
         assert names == [
             "t", "l2_u", "l2_theta", "h1_u", "h1_theta", "gevrey_X",
-            "tau_used", "radius_fit", "radius_fit_quality",
+            "tau_used", "radius_fit", "radius_fit_quality", "tail",
             "energy_residual_theta", "energy_residual_u", "div_max",
         ]

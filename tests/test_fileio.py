@@ -290,7 +290,7 @@ class TestDiagnosticsCsv:
         return DiagnosticsRecord(
             t=t, l2_u=1.0 / 3.0, l2_theta=0.1, h1_u=2.0, h1_theta=0.2,
             gevrey_X=1.5, tau_used=t, radius_fit=0.3,
-            radius_fit_quality=0.99, energy_residual_theta=-1e-17,
+            radius_fit_quality=0.99, tail=1e-5, energy_residual_theta=-1e-17,
             energy_residual_u=1e-16, div_max=1e-15,
         )
 

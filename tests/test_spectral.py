@@ -19,6 +19,7 @@ from bousspec import (
     synthesize_initial,
     to_physical,
 )
+from bousspec.fields import _class_sums, _fold, _power
 
 TWO_PI = 2.0 * np.pi
 
@@ -94,21 +95,29 @@ class TestGridSpec:
         assert tuple(wv[pos]) == (1, 2)
 
     @pytest.mark.parametrize("dim,modes", [(2, 16), (3, 8)])
-    def test_half_mirror_gathers_the_full_power(self, dim, modes):
-        # on a real field |c_{-j}|^2 = |c_j|^2, so the per-mode power of
-        # the half spectrum, gathered through the mirror, is the power
-        # of the full array to the last bit
+    def test_fold_of_the_half_spectrum_equals_that_of_the_full(self, dim,
+                                                                modes):
+        # on a real field |c_{-j}|^2 = |c_j|^2, so the half spectrum's
+        # power times the multiplicity is, to the last bit, the full
+        # power with the terms at j and -j summed; on any field the
+        # folded sum is the sum over all modes
         grid = make_grid(dim, modes)
         for field in (random_scalar(grid, seed=dim),
                       random_vector(grid, seed=modes, solenoidal=False)):
             assert hermitian_defect(field) == 0.0
-            power = field.coeffs.real ** 2 + field.coeffs.imag ** 2
-            if power.ndim > dim:
-                power = power.sum(axis=0)
+            power = _power(field.coeffs, dim)
             half = np.ascontiguousarray(power[grid.half_slice])
-            gathered = np.take(half, grid.half_mirror)
-            assert gathered.shape == grid.shape
-            assert np.array_equal(gathered, power)
+            folded = _fold(grid, power)
+            assert folded.shape == half.shape
+            assert np.array_equal(_fold(grid, half), folded)
+            assert np.array_equal(_class_sums(grid, _fold(grid, half)),
+                                  _class_sums(grid, folded))
+        c = np.random.default_rng(modes).standard_normal((2,) + grid.vshape)
+        field = SpectralVectorField(grid, c[0] + 1j * c[1])
+        assert hermitian_defect(field) > 0.0
+        power = _power(field.coeffs, dim)
+        got = np.sum(_class_sums(grid, _fold(grid, power)))
+        assert abs(got - np.sum(power)) <= 1e-15 * np.sum(power)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
