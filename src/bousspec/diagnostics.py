@@ -44,6 +44,7 @@ from .fields import (
     _divergence_max,
     _fold,
     _power,
+    _stacked_half,
     _weigh,
     norm,
 )
@@ -357,9 +358,8 @@ def build_record(state, params: PhysicalParams,
     """
     grid = state.u.grid
     GevreyParams(tau=min(state.t, grid.tau_cap))  # validate the range
-    half = grid.half_slice
-    return _record(grid, state.t, np.concatenate(
-        [state.u.coeffs[half], state.theta.coeffs[np.newaxis][half]]), budget)
+    return _record(grid, state.t, _stacked_half(state.u, state.theta),
+                   budget)
 
 
 def _record(grid, t, y, budget, buffer=None):

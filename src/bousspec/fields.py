@@ -185,6 +185,12 @@ def _symmetrize_half(grid, half):
     return half
 
 
+def _stacked_half(u, theta):
+    """[u; theta] on the half spectrum, shape (dim + 1, *half)."""
+    half = u.grid.half_slice
+    return np.concatenate([u.coeffs[half], theta.coeffs[np.newaxis][half]])
+
+
 def _from_half(grid, half):
     """Full coefficient array of a half spectrum made real by
     :func:`_symmetrize_half`: the missing labels are the conjugates of

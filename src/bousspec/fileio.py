@@ -37,6 +37,7 @@ from .fields import (
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
+    hermitian_defect,
 )
 from .grid import _check_size, make_grid
 from .stepper import SimulationState, StepperConfig
@@ -256,7 +257,10 @@ def read_snapshot(path):
 
     The stored grid is reconstructed from the header, and snapshots of
     the same dim and modes share one (read-only) grid object;
-    ``step_index`` is not serialized and comes back as 0.
+    ``step_index`` is not serialized and comes back as 0.  Every
+    coefficient must be finite and the spectrum exactly Hermitian, as
+    in every state ``run`` writes: the records read the half spectrum
+    only, so a state that is not real would be misreported.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -276,8 +280,16 @@ def read_snapshot(path):
     grid = _snapshot_grid(header.dim, header.modes)
     flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
     coeffs = grid.from_lex_order(flat.reshape(n_fields, nmodes))
+    if not np.all(np.isfinite(coeffs)):
+        raise SnapshotError(f"{path}: coefficients are not all finite")
     u = SpectralVectorField(grid, coeffs[: header.dim])
     theta = SpectralScalarField(grid, coeffs[header.dim])
+    defect = max(hermitian_defect(u), hermitian_defect(theta))
+    if defect != 0.0:
+        raise SnapshotError(
+            f"{path}: not the spectrum of a real state "
+            f"(hermitian defect {defect:.3g})"
+        )
     return SimulationState(u, theta, header.t, 0)
 
 

@@ -57,9 +57,8 @@ class GridSpec:
     half_slice : index selecting the half spectrum (last-axis labels
         0..modes/2, the ``rfftn`` layout) of a coefficient array.
     half_k, half_k2, half_kmag, half_mask : the meshes above restricted
-        to the half spectrum; ``half_k_over_k2``, ``half_k_complex`` and
-        ``half_ik_masked`` (i k on the retained modes, zero elsewhere) are
-        computed on first use.
+        to the half spectrum; ``half_k_over_k2`` and ``half_k_complex``
+        are computed on first use.
     """
 
     dim: int
@@ -142,11 +141,6 @@ class GridSpec:
         """``half_k`` as complex numbers, whose products with coefficients
         need no cast."""
         return _read_only(self.half_k.astype(complex))
-
-    @functools.cached_property
-    def half_ik_masked(self):
-        """i k on the retained modes of the half spectrum, zero elsewhere."""
-        return _read_only(1j * (self.k * self.dealias_mask)[self.half_slice])
 
     # grids carry large derived arrays, so equality compares the defining
     # scalars only

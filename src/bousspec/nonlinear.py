@@ -1,16 +1,14 @@
 """Advection terms u . grad(v), computed two independent ways.
 
-``convect_pseudospectral`` is the transform path: transform to
-collocation space, multiply, transform back, with the 2/3-rule mask
-applied to inputs and output so quadratic aliasing never reaches a
-retained mode.  It works on the half spectrum with real-to-complex
-transforms (those of ``irfftn``/``rfftn``, pruned of the masked
-columns, and in 3D of the masked rows), so the collocation values are
-real and the full output, rebuilt from its half, is Hermitian by
-construction.  Its kernel, ``_advect``, holds for any u.
+``convect_pseudospectral`` is the transform path in its plain form:
+mask the inputs, ``irfftn`` to the collocation points, multiply,
+``rfftn`` back and mask the output, so quadratic aliasing never
+reaches a retained mode.  It works on the half spectrum, so the
+collocation values are real and the full output, rebuilt from its
+half, is Hermitian by construction; it holds for any u.
 
-The time stepper has a kernel of its own, ``_projected_rhs``, which
-returns its whole right-hand side but diffusion: its u is
+The time stepper runs the one production kernel, ``_projected_rhs``,
+which returns its whole right-hand side but diffusion: its u is
 divergence-free, so u . grad u = div(u u) and u . grad theta =
 div(u theta), and the Leray projection P removes the gradient
 div(u_N^2 I), so the velocity needs only the traceless flux
@@ -18,8 +16,9 @@ u u - u_N^2 I.  That takes 3 fields in and 4 out in 2D, against 8 and
 3 for the advective form, and 4 and 8 in 3D, against 15 and 4.  The
 divergence and P act together as one fixed map per mode, and the
 projected buoyancy P(theta e_N) as one fixed real vector per mode, so
-the kernel needs no separate projection.  Both kernels run on the same
-pruned transforms and differ only in what they multiply.
+the kernel needs no separate projection.  It runs on the transforms of
+``irfftn``/``rfftn`` pruned of the masked columns and, in 3D, of the
+masked rows (Orszag 1971; Markel 1971), which give the same bits.
 
 ``convect_convolution`` is the oracle: the truncated convolution
 
@@ -84,7 +83,7 @@ def _check_grids(u, v, grid):
 
 @functools.lru_cache(maxsize=8)
 def _pruned(grid):
-    """Mask and i k of the pruned half spectrum, and its blocks.
+    """Mask of the pruned half spectrum, and its blocks.
 
     The pruned half spectrum keeps the last-axis columns 0..cutoff and,
     in 3D, the axis -2 rows with |j| <= cutoff: the part of the half
@@ -98,8 +97,7 @@ def _pruned(grid):
     if grid.dim == 3:
         blocks = ((np.s_[..., : c + 1, :], np.s_[..., : c + 1, : c + 1]),
                   (np.s_[..., c + 1 :, :], np.s_[..., m - c :, : c + 1]))
-    mask = _read_only(_gather(blocks, grid.half_mask))
-    return mask, _read_only(_gather(blocks, grid.half_ik_masked)), blocks
+    return _read_only(_gather(blocks, grid.half_mask)), blocks
 
 
 def _gather(blocks, half):
@@ -120,20 +118,23 @@ def _shared(*arrays):
 
 
 class _Work:
-    """The arrays that the pruned transforms of ``n_in`` fields to the
-    grid and ``n_out`` fields back write into.
+    """The arrays that the pruned transforms of :func:`_projected_rhs`
+    write into: n_in = dim + 1 fields [u; theta] to the grid, and its
+    n_out products (:func:`_traceless_pairs`, then u_j theta) back.
 
-    A kernel fills ``spec_in`` (n_in, *pruned) with masked pruned half
+    The kernel fills ``spec_in`` (n_in, *pruned) with masked pruned half
     spectra and ``products`` (n_out, *grid.shape) with collocation
     values; :func:`_to_grid` and :func:`_from_grid` transform them
-    through the other arrays, by the ``out=`` of the FFTs, so a kernel
+    through the other arrays, by the ``out=`` of the FFTs, so a caller
     that keeps one ``_Work`` allocates no array of this size again.
     Arrays that a transform pair holds at different times are views of
     one buffer, so once the forward transforms have run ``spec_in`` and
     ``spare`` (n_in, *pruned) are free for the kernel.
     """
 
-    def __init__(self, grid, n_in, n_out):
+    def __init__(self, grid):
+        n_in = grid.dim + 1
+        n_out = len(_traceless_pairs(grid.dim)) + grid.dim
         m, c = grid.modes, grid.dealias_cutoff
         pruned = _pruned(grid)[0].shape
         lead = grid.shape[:-1]
@@ -171,7 +172,7 @@ def _to_grid(grid, work):
                        out=work.lines)
     if grid.dim == 3:
         # put back the axis -2 rows that the first transform skipped
-        for pruned, half in _pruned(grid)[2]:
+        for pruned, half in _pruned(grid)[1]:
             work.rows[half] = spec[pruned]
         spec = np.fft.ifft(work.rows, axis=-2, norm="forward",
                            out=work.cols_in)
@@ -193,7 +194,7 @@ def _from_grid(grid, work):
     spec = np.fft.fft(spec[..., : grid.dealias_cutoff + 1], axis=-2,
                       norm="forward", out=work.cols)
     if grid.dim == 3:
-        for pruned, half in _pruned(grid)[2]:
+        for pruned, half in _pruned(grid)[1]:
             work.kept[pruned] = spec[half]
         spec = np.fft.fft(work.kept, axis=-3, norm="forward",
                           out=work.spec_out)
@@ -202,48 +203,10 @@ def _from_grid(grid, work):
 
 def _prune(grid, half, out):
     """``out`` = the masked pruned part of half spectra ``half``."""
-    mask, _, blocks = _pruned(grid)
+    mask, blocks = _pruned(grid)
     for pruned, block in blocks:
         np.multiply(half[block], mask[pruned], out=out[pruned])
     return out
-
-
-def _unprune(grid, spec):
-    """Full half spectra of pruned ones, masked, with a zero mean mode."""
-    mask, _, blocks = _pruned(grid)
-    out = np.zeros(spec.shape[:1] + grid.half_mask.shape, dtype=complex)
-    for pruned, half in blocks:
-        np.multiply(spec[pruned], mask[pruned], out=out[half])
-    out[(Ellipsis,) + grid.zero_index] = 0.0
-    return out
-
-
-def _advect(grid, u_half, comps_half):
-    """Dealiased u . grad(c) for stacked components c, on half spectra.
-
-    The kernel of :func:`convect_pseudospectral`; it holds for any u.
-    ``u_half`` is (dim, *half) and ``comps_half`` (n, *half), both in
-    the half-spectrum layout of ``GridSpec``.  One
-    batched inverse transform takes the masked velocity and all n * dim
-    masked gradients to the collocation points, one batched forward
-    transform brings the n products back.  The result is masked, with a
-    zero mean mode, and bit-identical to the same steps written with
-    ``irfftn``/``rfftn`` on the full half spectra.
-    """
-    dim = grid.dim
-    n = len(comps_half)
-    _, ik, blocks = _pruned(grid)
-    work = _Work(grid, dim + n * dim, n)
-    spec = work.spec_in
-    _prune(grid, u_half, spec[:dim])
-    grads = spec[dim:].reshape((n, dim) + ik.shape[1:])
-    for pruned, half in blocks:
-        np.multiply(ik[pruned], comps_half[:, np.newaxis][half],
-                    out=grads[pruned])
-    phys = _to_grid(grid, work)
-    grads = phys[dim:].reshape((n, dim) + grid.shape)
-    np.einsum("i...,ci...->c...", phys[:dim], grads, out=work.products)
-    return _unprune(grid, _from_grid(grid, work))
 
 
 @functools.lru_cache(maxsize=2)
@@ -269,7 +232,7 @@ def _projection_maps(grid):
     b = e_N - k k_N / |k|^2 (e_N at k = 0), held as complex numbers:
     P(theta e_N) = b theta.
     """
-    mask, ik, blocks = _pruned(grid)
+    mask, blocks = _pruned(grid)
     k = _gather(blocks, grid.half_k)
     k_over_k2 = _gather(blocks, grid.half_k_over_k2)
     pairs = _traceless_pairs(grid.dim)
@@ -283,14 +246,8 @@ def _projection_maps(grid):
         velocity[:, p].imag = -column * mask
     lift = -grid.half_k * grid.half_k_over_k2[-1]
     lift[-1] += 1.0
-    return (_read_only(velocity), _read_only(-ik),
+    return (_read_only(velocity), _read_only(-(1j * (k * mask))),
             _read_only(lift.astype(complex)))
-
-
-def _rhs_work(grid):
-    """The ``_Work`` of :func:`_projected_rhs` on ``grid``."""
-    n_out = len(_traceless_pairs(grid.dim)) + grid.dim
-    return _Work(grid, grid.dim + 1, n_out)
 
 
 def _projected_rhs(grid, y, work=None, out=None):
@@ -312,7 +269,7 @@ def _projected_rhs(grid, y, work=None, out=None):
     the whole half spectrum; the nonlinear part is masked, with a zero
     mean mode.  For any other u the velocity rows gain -P(u div u) and
     the theta row -(theta div u).  A caller that evaluates it
-    repeatedly passes one ``work`` (from :func:`_rhs_work`) and
+    repeatedly passes one ``work`` (a ``_Work(grid)``) and
     ``out``, shaped like ``y`` and not ``y`` itself, for the result, and
     the call then allocates no large array.
     """
@@ -321,7 +278,7 @@ def _projected_rhs(grid, y, work=None, out=None):
     pairs = _traceless_pairs(dim)
     n = len(pairs)
     if work is None:
-        work = _rhs_work(grid)
+        work = _Work(grid)
     if out is None:
         out = np.empty_like(y)
     _prune(grid, y, work.spec_in)
@@ -347,7 +304,7 @@ def _projected_rhs(grid, y, work=None, out=None):
     np.sum(term, axis=0, out=part[dim])
     np.multiply(lift, y[dim], out=out[:dim])
     out[dim] = 0.0
-    for pruned, half in _pruned(grid)[2]:
+    for pruned, half in _pruned(grid)[1]:
         np.add(out[half], part[pruned], out=out[half])
     return out
 
@@ -355,22 +312,29 @@ def _projected_rhs(grid, y, work=None, out=None):
 def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):
     """Dealiased transform evaluation of u . grad(v).
 
-    ``v`` may be a velocity or a scalar field.  Inputs are masked, the
-    products are formed on the collocation grid by real transforms, and
-    the result is masked again; it is rebuilt from its half spectrum, so
-    it is zero-mean, Hermitian by construction and supported on the
-    retained modes.
+    ``v`` may be a velocity or a scalar field.  The velocity and the
+    gradients of ``v`` are masked on the half spectrum, taken to the
+    collocation points by one ``irfftn``, multiplied there, and brought
+    back by one ``rfftn``; the result is masked again and rebuilt from
+    its half spectrum, so it is zero-mean, Hermitian by construction and
+    supported on the retained modes.
     """
     grid = _check_grids(u, v, grid)
-    half = grid.half_slice
-    if isinstance(v, SpectralVectorField):
-        out = _advect(grid, u.coeffs[half], v.coeffs[half])
-        field = SpectralVectorField(
-            grid, _from_half(grid, _symmetrize_half(grid, out)))
-    else:
-        out = _advect(grid, u.coeffs[half], v.coeffs[np.newaxis][half])
-        field = SpectralScalarField(
-            grid, _from_half(grid, _symmetrize_half(grid, out[0])))
+    half, mask, dim = grid.half_slice, grid.half_mask, grid.dim
+    vector = isinstance(v, SpectralVectorField)
+    comps = v.coeffs[half] if vector else v.coeffs[np.newaxis][half]
+    grads = 1j * grid.half_k * comps[:, np.newaxis]
+    spec = np.concatenate([u.coeffs[half],
+                           grads.reshape((-1,) + mask.shape)])
+    axes = tuple(range(-dim, 0))
+    phys = np.fft.irfftn(mask * spec, s=grid.shape, axes=axes,
+                         norm="forward")
+    products = np.einsum("i...,ci...->c...", phys[:dim],
+                         phys[dim:].reshape((len(comps), dim) + grid.shape))
+    out = mask * np.fft.rfftn(products, axes=axes, norm="forward")
+    full = _from_half(grid, _symmetrize_half(grid, out))
+    field = (SpectralVectorField(grid, full) if vector
+             else SpectralScalarField(grid, full[0]))
     return ConvectionResult(field, AliasingMode.DEALIASED_2_3)
 
 

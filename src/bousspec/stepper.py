@@ -54,10 +54,11 @@ from .fields import (
     SpectralVectorField,
     _from_half,
     _leray_in_place,
+    _stacked_half,
     _symmetrize_half,
 )
 from .grid import GridSpec
-from .nonlinear import _projected_rhs, _rhs_work
+from .nonlinear import _Work, _projected_rhs
 
 __all__ = [
     "SCHEMES",
@@ -134,14 +135,6 @@ def _check_grid(state, grid):
     return grid
 
 
-def _stacked_half(state, grid):
-    """[u; theta] on the half spectrum, shape (dim + 1, *half)."""
-    half = grid.half_slice
-    return np.concatenate(
-        [state.u.coeffs[half], state.theta.coeffs[np.newaxis][half]]
-    )
-
-
 def _unstack_full(y, grid):
     """(u, theta) fields from a stacked half spectrum [u; theta] made
     real by ``_symmetrize_half``."""
@@ -165,7 +158,7 @@ def rhs_full(state: SimulationState, params: PhysicalParams,
     evaluated in divergence form.
     """
     grid = _check_grid(state, grid)
-    y = _stacked_half(state, grid)
+    y = _stacked_half(state.u, state.theta)
     dy = _projected_rhs(grid, y)
     dy -= _diffusion_rates(grid, params) * grid.half_k2 * y
     return _unstack_full(_symmetrize_half(grid, dy), grid)
@@ -201,7 +194,7 @@ class _Integrator:
         # nothing between steps
         self.free_between_steps = np.empty((4,) + y.shape, dtype=complex)
         self._stage, *self._k = self.free_between_steps
-        self._work = _rhs_work(grid)
+        self._work = _Work(grid)
 
     def _rhs(self, y, out):
         return _projected_rhs(self.grid, y, self._work, out)
@@ -277,7 +270,7 @@ def step(state: SimulationState, params: PhysicalParams,
     """
     grid = _check_grid(state, grid)
     integrator = _Integrator(grid, params, config,
-                             _stacked_half(state, grid))
+                             _stacked_half(state.u, state.theta))
     t1 = state.t + config.dt
     if not integrator.advance():
         raise NonFiniteStateError(t1, state)
@@ -318,7 +311,7 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
     """
     _check_grid(initial, grid)
     integrator = _Integrator(grid, params, config,
-                             _stacked_half(initial, grid))
+                             _stacked_half(initial.u, initial.theta))
     t, index = initial.t, initial.step_index
     snapshots = []
 

@@ -177,6 +177,23 @@ class TestDiagnose:
         assert main(["diagnose", str(snap)]) == 1
         assert "t must be >= 0 and finite" in capsys.readouterr().err
 
+    def test_snapshot_that_is_not_real_exits_1(self, tmp_path, capsys):
+        # a coefficient whose conjugate partner disagrees: the records,
+        # read from the half spectrum, would misreport the state
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
+        snap = out / "snapshot_00000005.bin"
+        blob = bytearray(snap.read_bytes())
+        # the real part of u_1 at j = (-7, -7), the first serialized mode
+        struct.pack_into("<d", blob, 44, 1.0)
+        snap.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["diagnose", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {snap}: ")
+        assert "not the spectrum of a real state" in err
+
     def test_corrupt_snapshot_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"XXXXXXXX" + bytes(64))

@@ -150,8 +150,10 @@ def random_state(grid, seed, t=0.0):
         grid,
         rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape),
     )
+    # the Nyquist slots reflect onto themselves, so the Leray projection
+    # breaks their reality symmetry: the constraints come after it
     return SimulationState(
-        leray_project(enforce_constraints(u)),
+        enforce_constraints(leray_project(u)),
         enforce_constraints(theta),
         t,
         0,
@@ -187,7 +189,7 @@ class TestSnapshots:
         assert not np.array_equal(first.u.coeffs, second.u.coeffs)
         grid = first.u.grid
         for mesh in (grid.k, grid.k2, grid.kmag, grid.dealias_mask,
-                     grid.half_k, grid.k_over_k2, grid.half_ik_masked):
+                     grid.half_k, grid.k_over_k2):
             assert not mesh.flags.writeable
 
     def test_payload_position_of_known_mode(self, tmp_path):
@@ -271,6 +273,31 @@ class TestSnapshots:
             read_snapshot_header(path)
         with pytest.raises(SnapshotError, match="t must be >= 0 and finite"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("field,index", [("u", (0, 1, -2)),
+                                             ("theta", (1, 2))])
+    def test_state_that_is_not_real_refused(self, tmp_path, field, index):
+        # records read the half spectrum only: this u mode, stored at an
+        # upper last-axis label, used to read as l2_u = 0, and this theta
+        # mode, stored without its conjugate, to count twice
+        grid = make_grid(2, 8)
+        state = SimulationState(SpectralVectorField(grid),
+                                SpectralScalarField(grid), 0.0, 0)
+        getattr(state, field).coeffs[index] = 1.0
+        path = str(tmp_path / "state.bin")
+        write_snapshot(state, PhysicalParams(1.0, 1.0), path)
+        with pytest.raises(SnapshotError, match="not the spectrum of a real"):
+            read_snapshot(path)
+
+    def test_non_finite_coefficient_refused(self, tmp_path):
+        grid = make_grid(2, 8)
+        state = random_state(grid, 0)
+        state.theta.coeffs[1, 2] = state.theta.coeffs[-1, -2] = np.nan
+        path = str(tmp_path / "state.bin")
+        write_snapshot(state, PhysicalParams(1.0, 1.0), path)
+        with pytest.raises(SnapshotError, match="not all finite") as err:
+            read_snapshot(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "stub.bin"

@@ -16,6 +16,7 @@ from bousspec import (
     norm,
     synthesize_initial,
 )
+from bousspec.fields import _stacked_half
 from bousspec.nonlinear import (
     _projected_rhs,
     buoyancy,
@@ -24,7 +25,6 @@ from bousspec.nonlinear import (
 from bousspec.stepper import (
     SimulationState,
     StepperConfig,
-    _stacked_half,
     rhs_full,
     run_simulation,
     step,
@@ -122,7 +122,8 @@ class TestRhs:
             return wrapper
 
         grid = make_grid(dim, modes)
-        y = _stacked_half(masked_rough_state(grid, seed=3), grid)
+        state = masked_rough_state(grid, seed=3)
+        y = _stacked_half(state.u, state.theta)
         for name in ("ifft", "irfft", "rfft", "fft"):
             monkeypatch.setattr(np.fft, name, counted(name))
         _projected_rhs(grid, y)
