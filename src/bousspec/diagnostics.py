@@ -22,11 +22,13 @@ a read-only analysis of states.  Three families:
   of that analyticity on a finite grid, beside the envelope's tail, how
   far it has decayed by the edge of the retained modes.
 
-Every sum over modes is taken on the half spectrum: a per-mode quantity
-is folded (its terms at j and -j summed, ``fields._fold``), summed per
-class of equal |j|^2 (``fields._class_sums``) and only then weighted,
-since every weight here is a function of |j|^2.  The per-step record and
-the public functions share these sums, so they agree to the last bit.
+Everything here reads the half spectrum of real fields.  A per-mode
+quantity is folded (its terms at j and -j summed, ``fields._fold``),
+summed per class of equal |j|^2 (``fields._class_sums``) and only then
+weighted, since every weight here is a function of |j|^2; the envelope
+takes the loudest half mode per shell.  The per-step record and the
+public functions share this one path, so they agree to the last bit, and
+a budget is fed only through ``build_record``.
 """
 
 from __future__ import annotations
@@ -124,18 +126,14 @@ def _shell_plan(grid):
     """Shell bookkeeping of a grid's half spectrum, as read-only arrays:
     the stable order of the flat half modes by shell floor(|j| + 1/2),
     the start of each shell in it (every shell up to the outermost holds
-    a mode), and in that order the flat full index of each half mode j,
-    that of -j (j itself on the last-axis planes 0 and m/2, which hold
-    both) and i times the later of the two."""
+    a mode), and in that order i times the flat full index of the later
+    of each half mode j and -j."""
     shell = np.floor(grid.half_kmag + 0.5).astype(int).ravel()
     order = np.argsort(shell, kind="stable")
     starts = np.flatnonzero(np.diff(shell[order], prepend=-1))
     full = np.arange(grid.nmodes).reshape(grid.shape)
-    own = full[grid.half_slice].copy()
-    mirror = own.copy()
-    mirror[grid._upper_ix] = full[..., grid.modes // 2 + 1:]
-    own, mirror = own.ravel()[order], mirror.ravel()[order]
-    plan = (order, starts, own, mirror, 1j * np.maximum(own, mirror))
+    last = np.maximum(full, full[grid._conj_ix])[grid.half_slice]
+    plan = (order, starts, 1j * last.ravel()[order])
     for value in plan:
         value.flags.writeable = False
     return plan
@@ -143,12 +141,12 @@ def _shell_plan(grid):
 
 def _envelope(grid, ranked, i_last):
     """``shell_envelope`` from the amplitudes ``ranked`` of the half modes
-    in :func:`_shell_plan` order, each the larger of those at j and -j,
-    and ``i_last``, i times the flat full index of the later mode that
-    has it.  Complex numbers compare by real part first, so the largest
-    amplitude + i index of a shell is its loudest mode, and of equal
-    peaks the one last in flat full order."""
-    _, starts, *_ = _shell_plan(grid)
+    of a real field in :func:`_shell_plan` order, which each mode shares
+    with its reflection, and ``i_last``, i times the flat full index of
+    the later of the two.  Complex numbers compare by real part first, so
+    the largest amplitude + i index of a shell is its loudest mode, and
+    of equal peaks the one last in flat full order."""
+    _, starts, _ = _shell_plan(grid)
     loudest = np.maximum.reduceat(i_last + ranked, starts)
     envelope = np.empty((2, len(starts)))
     envelope[0] = loudest.real
@@ -160,19 +158,16 @@ def shell_envelope(field):
     """Peak amplitude per integer-radius shell [n - 1/2, n + 1/2) on |j|.
 
     Returns (peak, peak_kmag), as the two rows of one array: the loudest
-    amplitude in each shell and the |j| where it sits.  Shell 0 holds
-    only the (zero) mean mode.  The amplitude of a vector mode is the
-    magnitude over its components.
+    amplitude in each shell and the |j| where it sits, of equal peaks
+    the one last in flat full order.  Shell 0 holds only the (zero) mean
+    mode.  The amplitude of a vector mode is the magnitude over its
+    components.  The field must be real: the envelope is taken on its
+    half spectrum.
     """
     grid = field.grid
-    order, _, own_ix, mirror_ix, i_last = _shell_plan(grid)
-    amp = np.sqrt(_power(field.coeffs, grid.dim))
-    other = amp[grid.half_slice].copy()
-    other[grid._upper_ix] = amp[..., grid.modes // 2 + 1:]
-    own, other = amp[grid.half_slice].ravel()[order], other.ravel()[order]
-    last = np.where(own > other, 1j * own_ix,
-                    np.where(other > own, 1j * mirror_ix, i_last))
-    return _envelope(grid, np.maximum(own, other), last)
+    order, _, i_last = _shell_plan(grid)
+    power = _power(field.coeffs[grid.half_slice], grid.dim)
+    return _envelope(grid, np.sqrt(np.take(power, order)), i_last)
 
 
 def _tail(grid, peak):
@@ -224,7 +219,8 @@ def fit_radius(field, s: float = 1.0):
     class constrains peaks, not means) at that mode's own |j|.  A line
     through (|j|^{1/s}, log amplitude) gives tau_est = -slope, clamped
     at zero.  Returns None when fewer than 4 shells rise above the
-    amplitude floor: too little spectrum to call it a fit.
+    amplitude floor: too little spectrum to call it a fit.  The field
+    must be real, as for :func:`shell_envelope`.
     """
     GevreyParams(tau=0.0, s=s)  # validate the range
     return _fit(*shell_envelope(field).tolist(), s)
@@ -235,7 +231,8 @@ def gevrey_energy(state):
 
     The weight is tau = min(t, tau_cap), the linear-in-time radius the
     smoothing theory predicts, capped where the weight would amplify
-    roundoff past the top grid mode.
+    roundoff past the top grid mode.  The state must be real, as for
+    ``norm``.
     """
     tau = min(state.t, state.u.grid.tau_cap)
     GevreyParams(tau=tau)  # validate the range
@@ -245,15 +242,6 @@ def gevrey_energy(state):
 
 # ----------------------------------------------------------------------
 # energy budgets
-
-
-def _buoyancy_flux(grid, u, theta):
-    """(theta e_N, u) from coefficient arrays on the full spectrum: the
-    real part of theta_j conj(u_N,j), summed as in a record."""
-    product = theta.real * u[-1].real
-    product += theta.imag * u[-1].imag
-    return TWO_PI**grid.dim * float(np.sum(
-        _class_sums(grid, _fold(grid, product))))
 
 
 def _exp_fitted_mean(a, b):
@@ -274,8 +262,8 @@ def _exp_fitted_mean(a, b):
 class BudgetAccumulator:
     """Running energy budget along a trajectory.
 
-    Feed it states in time order; each ``update`` returns the signed
-    residuals
+    Feed it states in time order through :func:`build_record`, which
+    reports the signed residuals
 
         res_theta = ||theta(t)||^2 + 2 kappa I[||grad theta||^2] - ||theta_0||^2
         res_u     = ||u(t)||^2 + 2 nu I[||grad u||^2] - ||u_0||^2
@@ -305,19 +293,11 @@ class BudgetAccumulator:
         self._int_theta = 0.0
         self._int_cross = 0.0
 
-    def update(self, u, theta, t):
-        grid = u.grid
-        folded = np.stack([_fold(grid, _power(f.coeffs, grid.dim))
-                           for f in (u, theta)])
-        return self._advance(
-            grid, t, norm(u) ** 2, norm(theta) ** 2, grid.half_k2 * folded,
-            _buoyancy_flux(grid, u.coeffs, theta.coeffs),
-        )
-
     def _advance(self, grid, t, e_u, e_theta, dens, cross):
-        """``update`` from the state's energies ||u||^2 and ||theta||^2,
-        its dissipation densities |j|^2 |c_j|^2 of u and of theta, folded
-        (``fields._fold``) and stacked, and its buoyancy flux.  On a real
+        """Take the state at time ``t`` from its energies ||u||^2 and
+        ||theta||^2, its dissipation densities |j|^2 |c_j|^2 of u and of
+        theta, folded (``fields._fold``) and stacked, and its buoyancy
+        flux, and return the residuals (res_theta, res_u).  On a real
         state the mean of a folded pair is twice that of each mode."""
         if self._prev is None:
             self._e0_u = e_u
@@ -369,9 +349,9 @@ def _record(grid, t, y, budget, buffer=None):
     the per-mode arrays, so that a run need not allocate them each step.
 
     The powers of u and theta and the buoyancy product are folded and
-    summed per |j|^2 class in one ``bincount``.  The public
-    functions fold the full arrays and run the same sums, so each equals
-    its field here bit for bit.
+    summed per |j|^2 class in one ``bincount``.  The public functions run
+    the same sums on each field's half spectrum, so each equals its field
+    here bit for bit.
     """
     dim = grid.dim
     tau = min(t, grid.tau_cap)
@@ -407,7 +387,7 @@ def _record(grid, t, y, budget, buffer=None):
         math.sqrt(scale * value) for value in norms2)
     res_theta, res_u = (0.0, 0.0) if budget is None else budget._advance(
         grid, t, l2_u**2, l2_theta**2, grid.half_k2 * folded[1:], scale * flux)
-    order, *_, i_last = _shell_plan(grid)
+    order, _, i_last = _shell_plan(grid)
     peak, peak_kmag = _envelope(
         grid, np.sqrt(np.take(power[dim - 1], order)), i_last).tolist()
     fit = _fit(peak, peak_kmag, 1.0)

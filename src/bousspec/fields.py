@@ -9,14 +9,15 @@ Valid states satisfy three constraints throughout:
 * incompressible: j . u_hat(j) == 0 for every j (velocity only).
 
 ``enforce_constraints`` projects onto the first two, ``leray_project``
-onto the third.  Norms follow the weighted-sum convention
+onto the third (keeping the first).  Norms follow the weighted-sum rule
 
     ||f||_{r,tau,s}^2 = (2*pi)^N * sum_j |j|^(2r) e^(2 tau |j|^(1/s)) |f_j|^2
 
 so r = 0, tau = 0 is the plain L2 norm and r = 1 the H1 seminorm (the
 Zygmund operator Lambda = sqrt(-Laplacian) acts as multiplication by |j|).
-The weight is a function of |j|^2, so a norm sums the powers per class of
-equal |j|^2 on the half spectrum and weights those sums (``_class_plan``).
+Norms read the half spectrum of real fields: the weight is a function of
+|j|^2, so a norm folds the powers (``_fold``), sums them per class of
+equal |j|^2 and weights those sums (``_class_plan``), as records do.
 """
 
 from __future__ import annotations
@@ -219,24 +220,39 @@ def _leray_in_place(k, k_over_k2, arr, scratch):
 def leray_project(u: SpectralVectorField):
     """Remove the gradient part: u_hat(j) -= (j . u_hat(j)) j / |j|^2.
 
-    The zero mode passes through untouched (it is zero for valid states).
-    Self-adjoint and idempotent.
+    Slots with label -M/2 are zeroed first, so that a real field stays
+    real.  The zero mode passes through untouched (it is zero for valid
+    states).  Self-adjoint and idempotent.
     """
     grid = u.grid
     scratch = np.empty((2,) + grid.shape, dtype=complex)
     return SpectralVectorField(grid, _leray_in_place(
-        grid.k, grid.k_over_k2, u.coeffs.copy(), scratch))
+        grid.k, grid.k_over_k2, _drop_nyquist(grid, u.coeffs.copy()),
+        scratch))
+
+
+def _drop_nyquist(grid, arr):
+    """Zero the slots of ``arr`` with label -M/2 on any axis in place and
+    return it.  A mode there and its reflection do not sit at opposite
+    wavevectors, so projecting them breaks the reality symmetry."""
+    for axis in range(-grid.dim, 0):
+        arr.swapaxes(axis, -1)[..., grid.modes // 2] = 0.0
+    return arr
 
 
 def divergence_max(u: SpectralVectorField):
-    """max_j |j . u_hat(j)|, the spectral divergence residual."""
-    return _divergence_max(u.grid.k, u.coeffs)
+    """max_j |j . u_hat(j)|, the spectral divergence residual.
+
+    Taken on the half spectrum of a real field, where |j . u_hat(j)| is
+    the same at j and -j, except on slots with label -M/2, which
+    ``leray_project`` and the stepper leave empty.
+    """
+    grid = u.grid
+    return _divergence_max(grid.half_k_complex, u.coeffs[grid.half_slice])
 
 
 def _divergence_max(k, coeffs):
-    """``divergence_max`` of velocity coefficients on the wavevectors
-    ``k``.  On the half spectrum of a real field it equals the full
-    maximum: |j . u_hat(j)| is the same at j and -j."""
+    """``divergence_max`` of coefficients on the wavevectors ``k``."""
     dot = k[0] * coeffs[0]
     for k_i, c_i in zip(k[1:], coeffs[1:]):
         dot += k_i * c_i
@@ -277,17 +293,10 @@ def _class_plan(grid):
 
 
 def _fold(grid, values, out=None):
-    """A per-mode quantity on the half spectrum with its terms at j and -j
-    summed, so that its sum is the sum over all modes; leading axes are
-    kept.  ``values`` on the full spectrum may be any array; on the half
-    spectrum it must take the same value at j and -j (a power of a real
-    field, say), and is multiplied by the multiplicity, into ``out`` when
-    given.  On a real field both give the same bits: v + v == 2 v."""
-    if values.shape[-1] != grid.modes:
-        return np.multiply(_class_plan(grid)[1], values, out=out)
-    folded = values[grid.half_slice].copy()
-    folded[(Ellipsis,) + grid._upper_ix] += values[..., grid.modes // 2 + 1:]
-    return folded
+    """A per-mode quantity on the half spectrum of a real field, equal at
+    j and -j (a power, say), times each half mode's multiplicity, into
+    ``out`` when given: its sum is the sum over all modes."""
+    return np.multiply(_class_plan(grid)[1], values, out=out)
 
 
 def _class_sums(grid, folded):
@@ -336,11 +345,13 @@ def norm(field, r: float = 0.0, tau: float = 0.0, s: float = 1.0):
 
     r = 0, tau = 0 gives the L2 norm; r = 1 the H1 (Zygmund) seminorm;
     tau > 0 applies the Gevrey weight exp(tau |j|^(1/s)).
-    Vector fields sum over components.
+    Vector fields sum over components.  The field must be real: the sum
+    is taken on its half spectrum.
     """
     GevreyParams(tau=tau, r=r, s=s)  # validate ranges
     grid = field.grid
-    sums = _class_sums(grid, _fold(grid, _power(field.coeffs, grid.dim)))
+    power = _power(field.coeffs[grid.half_slice], grid.dim)
+    sums = _class_sums(grid, _fold(grid, power))
     return math.sqrt(TWO_PI**grid.dim * float(np.sum(
         _weigh(grid, sums, r, tau, s))))
 
@@ -435,12 +446,10 @@ def _rough_h1(grid, seed, p):
             f"{grid.dim / 2 + 1}, got {p}; shallower spectra have no H1 limit"
         )
     rng = np.random.default_rng(seed)
-    amp = (1.0 + grid.kmag) ** (-p)
-    # Nyquist slots are their own reflection partners, so they cannot
-    # carry the reality symmetry through the Leray projection; leave them
-    # empty (the dealiasing mask removes them from the dynamics anyway)
-    for axis in range(grid.dim):
-        amp *= np.abs(grid.k[axis]) != grid.modes // 2
+    # Nyquist slots cannot carry the reality symmetry through the Leray
+    # projection; leave them empty (the dealiasing mask removes them from
+    # the dynamics anyway)
+    amp = _drop_nyquist(grid, (1.0 + grid.kmag) ** (-p))
     # u's components, then theta, drawn into one array and constrained
     # and projected in place, so that no step holds a second copy
     y = np.empty((grid.dim + 1,) + grid.shape, dtype=complex)

@@ -4,9 +4,8 @@ Fields are stored as full M^N arrays of Fourier coefficients in the
 standard FFT layout (integer frequencies 0, 1, ..., M/2-1, -M/2, ..., -1
 along every axis).  The grid object precomputes everything the operators
 need: integer wavevector meshes, |j|^2, the 2/3-rule dealiasing mask, the
-index maps used to conjugate-reflect coefficients and to serialize them in
-a fixed lexicographic mode order, and the same meshes restricted to the
-half spectrum that real-to-complex transforms work on.
+index map used to conjugate-reflect coefficients, and the same meshes
+restricted to the half spectrum that real-to-complex transforms work on.
 """
 
 from __future__ import annotations
@@ -85,9 +84,6 @@ class GridSpec:
 
         # index map i -> (-i) mod m implements j -> -j per axis
         conj_idx = (-np.arange(m)) % m
-        # serialization order: j = -m/2+1, ..., 0, ..., m/2 per axis,
-        # where the +m/2 label reads the (aliased) -m/2 slot
-        lex_idx = (np.arange(m) - m // 2 + 1) % m
 
         object.__setattr__(self, "freq1d", freq1d)
         object.__setattr__(self, "k", k)
@@ -98,7 +94,6 @@ class GridSpec:
         object.__setattr__(self, "nmodes", m**self.dim)
         object.__setattr__(self, "zero_index", (0,) * self.dim)
         object.__setattr__(self, "_conj_ix", np.ix_(*([conj_idx] * self.dim)))
-        object.__setattr__(self, "_lex_ix", np.ix_(*([lex_idx] * self.dim)))
         kmax = np.sqrt(self.dim) * (m // 2)
         object.__setattr__(self, "tau_cap", _TAU_CAP_EXPONENT / kmax)
 
@@ -180,19 +175,21 @@ class GridSpec:
         ``coeffs`` has shape ``(*lead, *self.shape)``; the result has
         shape ``(*lead, nmodes)``, one flattened array per leading index
         (a vector's components, say), each in the order of
-        :meth:`wavevectors`.
+        :meth:`wavevectors`: the FFT layout rolled by m/2 - 1 per axis,
+        so that the (aliased) -m/2 slot comes last, as label m/2.
         """
         lead = coeffs.shape[: coeffs.ndim - self.dim]
-        return coeffs[(Ellipsis,) + self._lex_ix].reshape(lead + (-1,))
+        rolled = np.roll(coeffs, self.modes // 2 - 1,
+                         axis=tuple(range(-self.dim, 0)))
+        return rolled.reshape(lead + (-1,))
 
     def from_lex_order(self, flat):
         """Inverse of :meth:`to_lex_order`: ``(*lead, nmodes)`` flattened
         arrays back to coefficient arrays of shape ``(*lead, *self.shape)``."""
         flat = np.asarray(flat, dtype=complex)
         lead = flat.shape[:-1]
-        out = np.empty(lead + self.shape, dtype=complex)
-        out[(Ellipsis,) + self._lex_ix] = flat.reshape(lead + self.shape)
-        return out
+        return np.roll(flat.reshape(lead + self.shape), 1 - self.modes // 2,
+                       axis=tuple(range(-self.dim, 0)))
 
 
 def _read_only(array):

@@ -8,6 +8,7 @@ from bousspec import (
     SpectralScalarField,
     SpectralVectorField,
     divergence_max,
+    enforce_constraints,
     leray_project,
     make_grid,
     norm,
@@ -192,7 +193,7 @@ def plain_records(states, params):
 class TestShellEnvelope:
     @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
     def test_matches_lexsort_reference(self, dim, modes):
-        # a random vector field without the reality symmetry, and fields
+        # real fields made from a random vector field and from fields
         # drawn from small integer sets, whose shells hold many equal
         # peaks at different |j| (and one shell only zeros)
         grid = make_grid(dim, modes)
@@ -204,7 +205,7 @@ class TestShellEnvelope:
         theta.coeffs[np.floor(grid.kmag + 0.5) == 3] = 0.0
         tied = SpectralVectorField(grid, rng.integers(-1, 2, grid.vshape)
                                    + 0j)
-        for field in (u, theta, tied):
+        for field in map(enforce_constraints, (u, theta, tied)):
             for got, want in zip(shell_envelope(field),
                                  lexsort_envelope(field)):
                 assert np.array_equal(got, want)
@@ -248,12 +249,14 @@ class TestEnergyBudget:
         grid = make_grid(2, 16)
         params = PhysicalParams(nu=1.0, kappa=1.0)
         acc = BudgetAccumulator(params)
-        residuals = [
-            acc.update(SpectralVectorField(grid), SpectralScalarField(grid),
-                       0.01 * n)
+        records = [
+            build_record(SimulationState(SpectralVectorField(grid),
+                                         SpectralScalarField(grid), 0.01 * n),
+                         params, acc)
             for n in range(5)
         ]
-        assert np.all(np.array(residuals) == 0.0)
+        assert all(r.energy_residual_theta == r.energy_residual_u == 0.0
+                   for r in records)
 
     def test_pure_heat_budget_is_quadrature_limited(self):
         # theta(t) = e^{-kappa t} cos x_2 exactly; the exponential-fitted
@@ -268,8 +271,8 @@ class TestEnergyBudget:
         for n in range(501):
             t = 1e-3 * n
             theta = SpectralScalarField(grid, th0.coeffs * np.exp(-params.kappa * t))
-            res_theta, _ = acc.update(u0, theta, t)
-            worst = max(worst, abs(res_theta))
+            rec = build_record(SimulationState(u0, theta, t), params, acc)
+            worst = max(worst, abs(rec.energy_residual_theta))
         assert worst <= 1e-12 * e0
 
     def test_budget_matches_solver_records(self):
@@ -284,8 +287,10 @@ class TestEnergyBudget:
         cfg = StepperConfig(dt=1e-3, t_final=0.02, snapshot_every=1)
         traj = run_simulation(cfg, params, grid, SimulationState(u0, th0))
         acc = BudgetAccumulator(params)
-        budget = np.array([acc.update(state.u, state.theta, state.t)
-                           for state in traj.snapshots])
+        budget = np.array([
+            (rec.energy_residual_theta, rec.energy_residual_u)
+            for rec in (build_record(state, params, acc)
+                        for state in traj.snapshots)])
         got_theta = [r.energy_residual_theta for r in traj.records]
         got_u = [r.energy_residual_u for r in traj.records]
         np.testing.assert_array_equal(budget[:, 0], got_theta)
@@ -319,7 +324,7 @@ class TestRecords:
     def test_record_equals_the_public_functions(self, dim, modes):
         # every field of every record along a run, bit for bit, against
         # the functions that compute it one at a time, the residuals
-        # against an accumulator fed the same states
+        # against an accumulator fed the same states by build_record
         grid = make_grid(dim, modes)
         params = PhysicalParams(nu=0.5, kappa=0.7)
         u0, th0 = synthesize_initial("rough_h1", grid, seed=4)
@@ -331,7 +336,7 @@ class TestRecords:
             u, theta = state.u, state.theta
             fit = fit_radius(u)
             peak, _ = shell_envelope(u)
-            res_theta, res_u = budget.update(u, theta, state.t)
+            replay = build_record(state, params, budget)
             assert rec == DiagnosticsRecord(
                 t=state.t,
                 l2_u=norm(u),
@@ -343,8 +348,8 @@ class TestRecords:
                 radius_fit=fit.tau_est,
                 radius_fit_quality=fit.quality,
                 tail=peak[modes // 3] / peak.max(),
-                energy_residual_theta=res_theta,
-                energy_residual_u=res_u,
+                energy_residual_theta=replay.energy_residual_theta,
+                energy_residual_u=replay.energy_residual_u,
                 div_max=divergence_max(u),
             )
         assert rec.tau_used > 0.0 and rec.energy_residual_u != 0.0

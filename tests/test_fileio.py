@@ -1,6 +1,7 @@
 """Config parsing, snapshot binary layout, diagnostics CSV."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ class TestSnapshots:
         state.theta.coeffs[0, 4] = 7.0  # Nyquist column j = (0, 4)
         path = str(tmp_path / "state.bin")
         write_snapshot(state, PhysicalParams(1.0, 1.0), path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
 
         flat_index = (1 + 3) * 8 + (2 + 3)
         re, im = struct.unpack_from("<2d", blob, HEADER_SIZE + 16 * flat_index)
@@ -218,9 +219,9 @@ class TestSnapshots:
         grid = make_grid(2, 8)
         path = str(tmp_path / "state.bin")
         write_snapshot(random_state(grid, 0), PhysicalParams(1.0, 1.0), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[:8] = b"XXXXXXXX"
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(BadMagicError, match="XXXXXXXX"):
             read_snapshot(path)
 
@@ -228,9 +229,9 @@ class TestSnapshots:
         grid = make_grid(2, 8)
         path = str(tmp_path / "state.bin")
         write_snapshot(random_state(grid, 0), PhysicalParams(1.0, 1.0), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         struct.pack_into("<I", blob, 8, FORMAT_VERSION + 1)
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(VersionMismatchError, match="version 2"):
             read_snapshot(path)
 
@@ -238,8 +239,8 @@ class TestSnapshots:
         grid = make_grid(2, 8)
         path = str(tmp_path / "state.bin")
         write_snapshot(random_state(grid, 0), PhysicalParams(1.0, 1.0), path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-8])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-8])
         expected = HEADER_SIZE + 16 * 3 * 64
         with pytest.raises(TruncatedPayloadError) as err:
             read_snapshot(path)
@@ -324,7 +325,7 @@ class TestDiagnosticsCsv:
     def test_empty_records_header_only(self, tmp_path):
         path = str(tmp_path / "diag.csv")
         write_diagnostics([], path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text == ",".join(DiagnosticsRecord.field_names()) + "\n"
 
     def test_round_trip_exact(self, tmp_path):

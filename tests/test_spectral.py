@@ -19,7 +19,6 @@ from bousspec import (
     synthesize_initial,
     to_physical,
 )
-from bousspec.fields import _class_sums, _fold, _power
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,31 +92,6 @@ class TestGridSpec:
         wv = g.wavevectors()
         (pos,) = np.nonzero(flat)[0]
         assert tuple(wv[pos]) == (1, 2)
-
-    @pytest.mark.parametrize("dim,modes", [(2, 16), (3, 8)])
-    def test_fold_of_the_half_spectrum_equals_that_of_the_full(self, dim,
-                                                                modes):
-        # on a real field |c_{-j}|^2 = |c_j|^2, so the half spectrum's
-        # power times the multiplicity is, to the last bit, the full
-        # power with the terms at j and -j summed; on any field the
-        # folded sum is the sum over all modes
-        grid = make_grid(dim, modes)
-        for field in (random_scalar(grid, seed=dim),
-                      random_vector(grid, seed=modes, solenoidal=False)):
-            assert hermitian_defect(field) == 0.0
-            power = _power(field.coeffs, dim)
-            half = np.ascontiguousarray(power[grid.half_slice])
-            folded = _fold(grid, power)
-            assert folded.shape == half.shape
-            assert np.array_equal(_fold(grid, half), folded)
-            assert np.array_equal(_class_sums(grid, _fold(grid, half)),
-                                  _class_sums(grid, folded))
-        c = np.random.default_rng(modes).standard_normal((2,) + grid.vshape)
-        field = SpectralVectorField(grid, c[0] + 1j * c[1])
-        assert hermitian_defect(field) > 0.0
-        power = _power(field.coeffs, dim)
-        got = np.sum(_class_sums(grid, _fold(grid, power)))
-        assert abs(got - np.sum(power)) <= 1e-15 * np.sum(power)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
@@ -205,6 +179,17 @@ class TestLeray:
         scale = np.max(np.abs(out.coeffs))
         assert divergence_max(out) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("dim,modes", [(2, 8), (2, 64), (3, 6)])
+    def test_keeps_real_fields_real(self, dim, modes):
+        # a slot with label -M/2 is its own reflection, so it and its
+        # reflection do not sit at opposite wavevectors; the projection
+        # must drop it to keep the reality symmetry exactly
+        g = make_grid(dim, modes)
+        rng = np.random.default_rng(0)
+        u = SpectralVectorField(g, rng.standard_normal(g.vshape)
+                                + 1j * rng.standard_normal(g.vshape))
+        assert hermitian_defect(leray_project(enforce_constraints(u))) == 0.0
+
     def test_idempotent(self):
         g = make_grid(2, 8)
         u = random_vector(g, 8, solenoidal=False)
@@ -244,6 +229,7 @@ class TestMultipliers:
         g = make_grid(2, 16)
         f = SpectralScalarField(g)
         f.coeffs[3, 4] = 2.0 + 1.0j
+        f.coeffs[-3, -4] = 2.0 - 1.0j
         assert norm(f, r=1.0) == 5.0 * norm(f)
 
     def test_zygmund_zero_mode(self):
@@ -257,6 +243,7 @@ class TestMultipliers:
         g = make_grid(2, 16)
         f = SpectralScalarField(g)
         f.coeffs[3, 4] = 1.0 - 2.0j
+        f.coeffs[-3, -4] = 1.0 + 2.0j
         np.testing.assert_allclose(
             norm(f, tau=0.5, s=1.0), np.exp(2.5) * norm(f), rtol=1e-15
         )
@@ -265,7 +252,7 @@ class TestMultipliers:
         # s = 2: weight exp(tau |j|^(1/2)); |j| = 4 -> exp(2)
         g = make_grid(2, 16)
         f = SpectralScalarField(g)
-        f.coeffs[0, 4] = 1.0
+        f.coeffs[0, 4] = f.coeffs[0, -4] = 1.0
         np.testing.assert_allclose(
             norm(f, tau=1.0, s=2.0), np.exp(2.0) * norm(f), rtol=1e-15
         )
@@ -327,6 +314,23 @@ class TestNorms:
         assert norm(f, tau=0.5) > base
         assert norm(f, r=1.0, tau=0.5) > norm(f, r=1.0)
 
+    @pytest.mark.parametrize("dim,modes", [(2, 16), (3, 8)])
+    def test_half_spectrum_sum_equals_the_full_sum(self, dim, modes):
+        # a norm reads the half spectrum of a real field; the weighted
+        # sum over every mode of the full array is the same to roundoff
+        grid = make_grid(dim, modes)
+        for field in (random_scalar(grid, seed=dim),
+                      random_vector(grid, seed=modes, solenoidal=False)):
+            assert hermitian_defect(field) == 0.0
+            power = np.abs(field.coeffs) ** 2
+            for r, tau, s in ((0, 0, 1), (1, 0, 1), (1, 0.05, 1),
+                              (0.5, 0.01, 2)):
+                weight = grid.kmag ** (2 * r) * np.exp(
+                    2 * tau * grid.kmag ** (1 / s))
+                want = np.sqrt(TWO_PI**dim * np.sum(weight * power))
+                np.testing.assert_allclose(norm(field, r, tau, s), want,
+                                           rtol=1e-14)
+
     def test_norm_tau_guard(self):
         g = make_grid(2, 64)
         f = random_scalar(g, 11)
@@ -340,8 +344,8 @@ class TestDivergence:
         g = make_grid(2, 8)
         c = 0.3 - 0.4j
         u = SpectralVectorField(g)
-        u.coeffs[0][1, 2] = 1j * 1 * c
-        u.coeffs[1][1, 2] = 1j * 2 * c
+        u.coeffs[:, 1, 2] = 1j * np.array([1, 2]) * c
+        u.coeffs[:, -1, -2] = np.conj(u.coeffs[:, 1, 2])
         np.testing.assert_allclose(divergence_max(u), 5 * abs(c), rtol=1e-14)
 
     def test_zero_for_solenoidal(self):
