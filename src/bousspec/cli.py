@@ -28,7 +28,14 @@ import sys
 import numpy as np
 
 from .diagnostics import BudgetAccumulator, build_record, shell_envelope
-from .fields import PhysicalParams, leray_project, synthesize_initial
+from .fields import (
+    PhysicalParams,
+    SpectralScalarField,
+    SpectralVectorField,
+    leray_project,
+    norm,
+    synthesize_initial,
+)
 from .fileio import (
     ConfigError,
     SnapshotError,
@@ -199,13 +206,10 @@ def _ode_deviation(config, grid, params, u0, th0, vel, scal):
     for snap in trajectory.snapshots:
         n = int(round(snap.t / config.dt))
         u_ode, th_ode = reconstruct(ode.states[n], system)
-        ref = max(
-            np.sqrt(np.sum(np.abs(snap.u.coeffs) ** 2)),
-            np.sqrt(np.sum(np.abs(snap.theta.coeffs) ** 2)),
-            1e-300,
-        )
-        du = np.sqrt(np.sum(np.abs(snap.u.coeffs - u_ode.coeffs) ** 2))
-        dth = np.sqrt(np.sum(np.abs(snap.theta.coeffs - th_ode.coeffs) ** 2))
+        ref = max(norm(snap.u), norm(snap.theta), 1e-300)
+        du = norm(SpectralVectorField(grid, snap.u.coeffs - u_ode.coeffs))
+        dth = norm(SpectralScalarField(grid,
+                                       snap.theta.coeffs - th_ode.coeffs))
         worst = max(worst, du / ref, dth / ref)
     return worst
 

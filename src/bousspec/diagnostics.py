@@ -46,7 +46,7 @@ from .fields import (
     _divergence_max,
     _fold,
     _power,
-    _stacked_half,
+    _stacked,
     _weigh,
     norm,
 )
@@ -126,31 +126,36 @@ def _shell_plan(grid):
     """Shell bookkeeping of a grid's half spectrum, as read-only arrays:
     the stable order of the flat half modes by shell floor(|j| + 1/2),
     the start of each shell in it (every shell up to the outermost holds
-    a mode), and in that order i times the flat full index of the later
-    of each half mode j and -j."""
-    shell = np.floor(grid.half_kmag + 0.5).astype(int).ravel()
+    a mode), in that order i times the rank of each half mode j by the
+    flat index in the full FFT layout of the later of j and -j, and the
+    |j| of each rank."""
+    shell = np.floor(grid.kmag + 0.5).astype(int).ravel()
     order = np.argsort(shell, kind="stable")
     starts = np.flatnonzero(np.diff(shell[order], prepend=-1))
-    full = np.arange(grid.nmodes).reshape(grid.shape)
-    last = np.maximum(full, full[grid._conj_ix])[grid.half_slice]
-    plan = (order, starts, 1j * last.ravel()[order])
+    index = np.indices(grid.shape).reshape(grid.dim, -1)
+    last = np.maximum(
+        np.ravel_multi_index(index, grid.physical_shape),
+        np.ravel_multi_index(-index % grid.modes, grid.physical_shape))
+    by_rank = np.argsort(last, kind="stable")
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = np.arange(by_rank.size)
+    plan = (order, starts, 1j * rank[order], grid.kmag.ravel()[by_rank])
     for value in plan:
         value.flags.writeable = False
     return plan
 
 
-def _envelope(grid, ranked, i_last):
+def _envelope(grid, ranked):
     """``shell_envelope`` from the amplitudes ``ranked`` of the half modes
     of a real field in :func:`_shell_plan` order, which each mode shares
-    with its reflection, and ``i_last``, i times the flat full index of
-    the later of the two.  Complex numbers compare by real part first, so
-    the largest amplitude + i index of a shell is its loudest mode, and
-    of equal peaks the one last in flat full order."""
-    _, starts, _ = _shell_plan(grid)
-    loudest = np.maximum.reduceat(i_last + ranked, starts)
+    with its reflection.  Complex numbers compare by real part first, so
+    the largest amplitude + i rank of a shell is its loudest mode, and of
+    equal peaks the one last in flat full order."""
+    _, starts, i_rank, kmag = _shell_plan(grid)
+    loudest = np.maximum.reduceat(i_rank + ranked, starts)
     envelope = np.empty((2, len(starts)))
     envelope[0] = loudest.real
-    np.take(grid.kmag, loudest.imag.astype(np.intp), out=envelope[1])
+    np.take(kmag, loudest.imag.astype(np.intp), out=envelope[1])
     return envelope
 
 
@@ -161,13 +166,11 @@ def shell_envelope(field):
     amplitude in each shell and the |j| where it sits, of equal peaks
     the one last in flat full order.  Shell 0 holds only the (zero) mean
     mode.  The amplitude of a vector mode is the magnitude over its
-    components.  The field must be real: the envelope is taken on its
-    half spectrum.
+    components.
     """
     grid = field.grid
-    order, _, i_last = _shell_plan(grid)
-    power = _power(field.coeffs[grid.half_slice], grid.dim)
-    return _envelope(grid, np.sqrt(np.take(power, order)), i_last)
+    power = _power(field.coeffs, grid.dim)
+    return _envelope(grid, np.sqrt(np.take(power, _shell_plan(grid)[0])))
 
 
 def _tail(grid, peak):
@@ -219,8 +222,7 @@ def fit_radius(field, s: float = 1.0):
     class constrains peaks, not means) at that mode's own |j|.  A line
     through (|j|^{1/s}, log amplitude) gives tau_est = -slope, clamped
     at zero.  Returns None when fewer than 4 shells rise above the
-    amplitude floor: too little spectrum to call it a fit.  The field
-    must be real, as for :func:`shell_envelope`.
+    amplitude floor: too little spectrum to call it a fit.
     """
     GevreyParams(tau=0.0, s=s)  # validate the range
     return _fit(*shell_envelope(field).tolist(), s)
@@ -231,8 +233,7 @@ def gevrey_energy(state):
 
     The weight is tau = min(t, tau_cap), the linear-in-time radius the
     smoothing theory predicts, capped where the weight would amplify
-    roundoff past the top grid mode.  The state must be real, as for
-    ``norm``.
+    roundoff past the top grid mode.
     """
     tau = min(state.t, state.u.grid.tau_cap)
     GevreyParams(tau=tau)  # validate the range
@@ -330,16 +331,13 @@ def build_record(state, params: PhysicalParams,
                  budget: BudgetAccumulator | None = None):
     """DiagnosticsRecord for one state (anything with u, theta, t).
 
-    The state must be real, that is its coefficients Hermitian, as every
-    state from ``step``, ``synthesize_initial`` and ``read_snapshot`` is:
-    the record is formed on the half spectrum.  ``t`` must be finite and
-    at least 0.  Feeds ``budget`` when given, so calling this once per
-    step on a shared accumulator yields per-step energy residuals.
+    ``t`` must be finite and at least 0.  Feeds ``budget`` when given,
+    so calling this once per step on a shared accumulator yields
+    per-step energy residuals.
     """
     grid = state.u.grid
     GevreyParams(tau=min(state.t, grid.tau_cap))  # validate the range
-    return _record(grid, state.t, _stacked_half(state.u, state.theta),
-                   budget)
+    return _record(grid, state.t, _stacked(state.u, state.theta), budget)
 
 
 def _record(grid, t, y, budget, buffer=None):
@@ -386,10 +384,9 @@ def _record(grid, t, y, budget, buffer=None):
     l2_u, l2_theta, h1_u, h1_theta, x_u, x_theta = (
         math.sqrt(scale * value) for value in norms2)
     res_theta, res_u = (0.0, 0.0) if budget is None else budget._advance(
-        grid, t, l2_u**2, l2_theta**2, grid.half_k2 * folded[1:], scale * flux)
-    order, _, i_last = _shell_plan(grid)
-    peak, peak_kmag = _envelope(
-        grid, np.sqrt(np.take(power[dim - 1], order)), i_last).tolist()
+        grid, t, l2_u**2, l2_theta**2, grid.k2 * folded[1:], scale * flux)
+    peak, peak_kmag = _envelope(grid, np.sqrt(
+        np.take(power[dim - 1], _shell_plan(grid)[0]))).tolist()
     fit = _fit(peak, peak_kmag, 1.0)
     return DiagnosticsRecord(
         t=t,
@@ -404,5 +401,5 @@ def _record(grid, t, y, budget, buffer=None):
         tail=_tail(grid, peak),
         energy_residual_theta=res_theta,
         energy_residual_u=res_u,
-        div_max=_divergence_max(grid.half_k_complex, y[:dim]),
+        div_max=_divergence_max(grid.k_complex, y[:dim]),
     )

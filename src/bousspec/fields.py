@@ -1,10 +1,15 @@
 """Spectral fields on the torus and the operators acting on them.
 
-A scalar field theta and a velocity field u are represented by their full
-complex coefficient arrays (shape ``grid.shape`` and ``grid.vshape``).
-Valid states satisfy three constraints throughout:
+A scalar field theta and a velocity field u are real, so they are
+represented by the half spectrum of their complex coefficients, the
+``rfftn`` layout of ``grid.shape`` and ``grid.vshape`` (see ``GridSpec``):
+a coefficient at a last-axis label above M/2 is the conjugate of its
+reflection's, so it is not stored.  Valid states satisfy three
+constraints throughout:
 
-* reality:        coeff(-j) == conj(coeff(j)) for every j,
+* reality:        coeff(-j) == conj(coeff(j)) on the last-axis planes 0
+                  and M/2, which hold both j and -j, and no content at
+                  label -M/2 on any axis,
 * zero mean:      coeff(0) == 0,
 * incompressible: j . u_hat(j) == 0 for every j (velocity only).
 
@@ -15,9 +20,11 @@ onto the third (keeping the first).  Norms follow the weighted-sum rule
 
 so r = 0, tau = 0 is the plain L2 norm and r = 1 the H1 seminorm (the
 Zygmund operator Lambda = sqrt(-Laplacian) acts as multiplication by |j|).
-Norms read the half spectrum of real fields: the weight is a function of
-|j|^2, so a norm folds the powers (``_fold``), sums them per class of
-equal |j|^2 and weights those sums (``_class_plan``), as records do.
+The weight is a function of |j|^2, so a norm folds the powers onto the
+half spectrum (``_fold``), sums them per class of equal |j|^2 and weights
+those sums (``_class_plan``), as records do.  The full spectrum is
+rebuilt (``_from_half``) only where the snapshot format, an oracle or
+the draw of rough data asks for it.
 """
 
 from __future__ import annotations
@@ -50,7 +57,8 @@ __all__ = [
 
 
 class SpectralScalarField:
-    """Scalar field given by its Fourier coefficients on ``grid``."""
+    """Real scalar field given by the half spectrum of its Fourier
+    coefficients on ``grid``."""
 
     __slots__ = ("grid", "coeffs")
 
@@ -72,7 +80,8 @@ class SpectralScalarField:
 
 
 class SpectralVectorField:
-    """Velocity field; component axis first, so ``coeffs[i]`` is u_i."""
+    """Real velocity field on the half spectrum; component axis first, so
+    ``coeffs[i]`` is u_i."""
 
     __slots__ = ("grid", "coeffs")
 
@@ -147,62 +156,57 @@ class NonFiniteStateError(RuntimeError):
 
 
 def enforce_constraints(field):
-    """Project onto zero-mean fields with the reality symmetry.
-
-    Coefficients are replaced by (c_j + conj(c_{-j})) / 2 and the mean
-    mode is zeroed.  Idempotent to the last bit: the addition commutes.
-    """
-    return type(field)(field.grid, _enforce_in_place(field.grid,
-                                                     field.coeffs.copy()))
+    """Project onto real zero-mean fields; see :func:`_constrain`."""
+    return type(field)(field.grid, _constrain(field.grid, field.coeffs.copy()))
 
 
-def _enforce_in_place(grid, arr):
-    """:func:`enforce_constraints` on a coefficient array, written into
-    it one field at a time, so that one field's reflection is the only
-    temporary.  Leading (component) axes are kept."""
-    for lead in np.ndindex(arr.shape[: arr.ndim - grid.dim]):
-        reflected = arr[lead][grid._conj_ix]
-        np.conjugate(reflected, out=reflected)
-        np.add(arr[lead], reflected, out=reflected)
-        np.multiply(0.5, reflected, out=arr[lead])
-    arr[(Ellipsis,) + grid.zero_index] = 0.0
-    return arr
+def _constrain(grid, half):
+    """Make a half spectrum that of a real zero-mean field, in place, and
+    return it; leading (component) axes are kept.
 
-
-def _symmetrize_half(grid, half):
-    """Make a half spectrum (last-axis labels 0..m/2; see ``GridSpec``)
-    that of a real zero-mean field, in place, and return it.
-
-    Only the two planes that reflect onto themselves (last labels 0 and
-    m/2) hold both a mode and its reflection; they are symmetrized as in
-    :func:`enforce_constraints`, and the mean mode is zeroed.  Leading
-    (component) axes are kept.
+    Only the two last-axis planes that reflect onto themselves (labels 0
+    and m/2) hold both a mode and its reflection: there coefficients are
+    replaced by (c_j + conj(c_{-j})) / 2, idempotent to the last bit as
+    the addition commutes.  The slots with label -m/2 are emptied
+    (:func:`_drop_nyquist`) and the mean mode is zeroed.
     """
     planes = half[..., :: grid.modes // 2]
     planes[...] = 0.5 * (
         planes + np.conj(planes[(Ellipsis,) + grid._plane_ix])
     )
+    _drop_nyquist(grid, half)
     half[(Ellipsis,) + grid.zero_index] = 0.0
     return half
 
 
-def _stacked_half(u, theta):
-    """[u; theta] on the half spectrum, shape (dim + 1, *half)."""
-    half = u.grid.half_slice
-    return np.concatenate([u.coeffs[half], theta.coeffs[np.newaxis][half]])
+def _stacked(u, theta):
+    """[u; theta] in one array, shape (dim + 1, *grid.shape)."""
+    return np.concatenate([u.coeffs, theta.coeffs[np.newaxis]])
 
 
 def _from_half(grid, half):
-    """Full coefficient array of a half spectrum made real by
-    :func:`_symmetrize_half`: the missing labels are the conjugates of
-    their reflections, so the result is Hermitian by construction.
-    Leading (component) axes are kept.
+    """Full coefficient array, every label in FFT layout, of a half
+    spectrum made real by :func:`_constrain`: the missing labels are the
+    conjugates of their reflections, so the result is Hermitian by
+    construction.  Leading (component) axes are kept.
     """
     m = grid.modes
     out = np.empty(half.shape[:-1] + (m,), dtype=complex)
     out[..., : m // 2 + 1] = half
     out[..., m // 2 + 1:] = np.conj(half[(Ellipsis,) + grid._upper_ix])
     return out
+
+
+def _real_half(grid, full, out=None):
+    """The half spectrum of (c_j + conj(c_{-j})) / 2, the real part, of
+    full coefficient arrays ``full`` (every label in FFT layout; leading
+    axes kept), into ``out`` when given."""
+    m = grid.modes
+    reflect = np.ix_(*[(-np.arange(m)) % m] * (grid.dim - 1),
+                     (-np.arange(m // 2 + 1)) % m)
+    out = np.add(full[..., : m // 2 + 1], np.conj(full[(Ellipsis,) + reflect]),
+                 out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 def _leray_in_place(k, k_over_k2, arr, scratch):
@@ -233,22 +237,21 @@ def leray_project(u: SpectralVectorField):
 
 def _drop_nyquist(grid, arr):
     """Zero the slots of ``arr`` with label -M/2 on any axis in place and
-    return it.  A mode there and its reflection do not sit at opposite
-    wavevectors, so projecting them breaks the reality symmetry."""
+    return it; only slots with content are written, so an empty one
+    keeps its bits.  A mode there and its reflection do not sit at
+    opposite wavevectors, so a real field carries nothing there."""
     for axis in range(-grid.dim, 0):
-        arr.swapaxes(axis, -1)[..., grid.modes // 2] = 0.0
+        slots = arr.swapaxes(axis, -1)[..., grid.modes // 2]
+        slots[slots != 0] = 0.0
     return arr
 
 
 def divergence_max(u: SpectralVectorField):
-    """max_j |j . u_hat(j)|, the spectral divergence residual.
-
-    Taken on the half spectrum of a real field, where |j . u_hat(j)| is
-    the same at j and -j, except on slots with label -M/2, which
-    ``leray_project`` and the stepper leave empty.
-    """
+    """max_j |j . u_hat(j)|, the spectral divergence residual; on a real
+    field |j . u_hat(j)| is the same at j and -j, so the half spectrum
+    holds every value."""
     grid = u.grid
-    return _divergence_max(grid.half_k_complex, u.coeffs[grid.half_slice])
+    return _divergence_max(grid.k_complex, u.coeffs)
 
 
 def _divergence_max(k, coeffs):
@@ -260,10 +263,12 @@ def _divergence_max(k, coeffs):
 
 
 def hermitian_defect(field):
-    """max_j |c_j - conj(c_{-j})|, zero for fields with the reality symmetry."""
-    arr = field.coeffs
-    reflected = arr[(Ellipsis,) + field.grid._conj_ix]
-    return float(np.max(np.abs(arr - np.conj(reflected))))
+    """max |c_j - conj(c_{-j})| over the modes whose reflections the half
+    spectrum holds too (the last-axis planes 0 and M/2): zero for the
+    half spectrum of a real field."""
+    planes = field.coeffs[..., :: field.grid.modes // 2]
+    reflected = planes[(Ellipsis,) + field.grid._plane_ix]
+    return float(np.max(np.abs(planes - np.conj(reflected))))
 
 
 # ----------------------------------------------------------------------
@@ -281,9 +286,9 @@ def _class_plan(grid):
     j and -j, and 2 elsewhere, where it stands for j and -j); and |j|^2
     and |j| of each class, in increasing order.
     """
-    k2, index = np.unique(grid.half_k2.astype(np.int64).ravel(),
+    k2, index = np.unique(grid.k2.astype(np.int64).ravel(),
                           return_inverse=True)
-    mult = np.full(grid.half_k2.shape, 2.0)
+    mult = np.full(grid.shape, 2.0)
     mult[..., :: grid.modes // 2] = 1.0
     plan = (np.concatenate([index, index + k2.size, index + 2 * k2.size]),
             mult, k2.astype(float), np.sqrt(k2))
@@ -345,25 +350,26 @@ def norm(field, r: float = 0.0, tau: float = 0.0, s: float = 1.0):
 
     r = 0, tau = 0 gives the L2 norm; r = 1 the H1 (Zygmund) seminorm;
     tau > 0 applies the Gevrey weight exp(tau |j|^(1/s)).
-    Vector fields sum over components.  The field must be real: the sum
-    is taken on its half spectrum.
+    Vector fields sum over components.
     """
     GevreyParams(tau=tau, r=r, s=s)  # validate ranges
     grid = field.grid
-    power = _power(field.coeffs[grid.half_slice], grid.dim)
+    power = _power(field.coeffs, grid.dim)
     sums = _class_sums(grid, _fold(grid, power))
     return math.sqrt(TWO_PI**grid.dim * float(np.sum(
         _weigh(grid, sums, r, tau, s))))
 
 
 def l2_inner(f, g):
-    """L2 inner product (2*pi)^N sum_j f_j conj(g_j); complex in general."""
+    """L2 inner product (2*pi)^N sum_j f_j conj(g_j) of real fields, a
+    real number: the terms at j and -j are conjugates, so their sum is
+    twice the real part of either (:func:`_fold`)."""
     if f.grid != g.grid:
         raise ValueError("inner product requires matching grids")
-    prod = f.coeffs * np.conj(g.coeffs)
+    prod = (f.coeffs * np.conj(g.coeffs)).real
     if isinstance(f, SpectralVectorField):
         prod = prod.sum(axis=0)
-    return complex(TWO_PI**f.grid.dim * np.sum(prod))
+    return TWO_PI**f.grid.dim * float(np.sum(_fold(f.grid, prod)))
 
 
 # ----------------------------------------------------------------------
@@ -374,30 +380,31 @@ def l2_inner(f, g):
 
 
 def to_physical(field):
-    """Collocation values on the M^N grid (real part; imaginary ~ roundoff)."""
+    """Collocation values on the M^N grid, by ``irfftn``."""
     grid = field.grid
-    axes = tuple(range(-grid.dim, 0))
-    return np.fft.ifftn(field.coeffs, axes=axes).real * grid.nmodes
+    return np.fft.irfftn(field.coeffs, s=grid.physical_shape,
+                         axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
 def from_physical(grid: GridSpec, values):
-    """Coefficients of real collocation values; inverse of :func:`to_physical`.
+    """Coefficients of real collocation values by ``rfftn``; inverse of
+    :func:`to_physical`.
 
-    Values of shape ``grid.vshape`` give a vector field, values of shape
-    ``grid.shape`` a scalar one.
+    Values of shape ``(dim, *grid.physical_shape)`` give a vector field,
+    values of shape ``grid.physical_shape`` a scalar one.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape == grid.vshape:
+    if values.shape == (grid.dim,) + grid.physical_shape:
         cls = SpectralVectorField
-    elif values.shape == grid.shape:
+    elif values.shape == grid.physical_shape:
         cls = SpectralScalarField
     else:
         raise ValueError(
-            f"values must have shape {grid.shape} or {grid.vshape}, "
-            f"got {values.shape}"
+            f"values must have shape {grid.physical_shape} or "
+            f"{(grid.dim,) + grid.physical_shape}, got {values.shape}"
         )
-    axes = tuple(range(-grid.dim, 0))
-    return cls(grid, np.fft.fftn(values, axes=axes) / grid.nmodes)
+    return cls(grid, np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)),
+                                  norm="forward"))
 
 
 # ----------------------------------------------------------------------
@@ -415,12 +422,13 @@ def _taylor_green(grid):
         raise ValueError("taylor_green initial data is two-dimensional")
     u = SpectralVectorField(grid)
     # u = (cos x1 sin x2, -sin x1 cos x2): four modes per component,
-    # u1_hat(j) = -i j2 / 4 and u2_hat(j) = i j1 / 4 on j in {-1, 1}^2
+    # u1_hat(j) = -i j2 / 4 and u2_hat(j) = i j1 / 4 on j in {-1, 1}^2,
+    # of which the half spectrum holds j2 = 1
+    j2 = 1
     for j1 in (1, -1):
-        for j2 in (1, -1):
-            idx = (j1 % grid.modes, j2 % grid.modes)
-            u.coeffs[0][idx] = -0.25j * j2
-            u.coeffs[1][idx] = 0.25j * j1
+        idx = (j1 % grid.modes, j2)
+        u.coeffs[0][idx] = -0.25j * j2
+        u.coeffs[1][idx] = 0.25j * j1
     theta = SpectralScalarField(grid)
     return u, theta
 
@@ -428,12 +436,8 @@ def _taylor_green(grid):
 def _single_mode_theta(grid):
     u = SpectralVectorField(grid)
     theta = SpectralScalarField(grid)
-    idx_plus = [0] * grid.dim
-    idx_plus[-1] = 1
-    idx_minus = [0] * grid.dim
-    idx_minus[-1] = grid.modes - 1
-    theta.coeffs[tuple(idx_plus)] = 0.5
-    theta.coeffs[tuple(idx_minus)] = 0.5
+    # cos x_N = (e^{i x_N} + e^{-i x_N}) / 2; the half spectrum holds +1
+    theta.coeffs[(0,) * (grid.dim - 1) + (1,)] = 0.5
     return u, theta
 
 
@@ -446,18 +450,19 @@ def _rough_h1(grid, seed, p):
             f"{grid.dim / 2 + 1}, got {p}; shallower spectra have no H1 limit"
         )
     rng = np.random.default_rng(seed)
-    # Nyquist slots cannot carry the reality symmetry through the Leray
-    # projection; leave them empty (the dealiasing mask removes them from
-    # the dynamics anyway)
-    amp = _drop_nyquist(grid, (1.0 + grid.kmag) ** (-p))
-    # u's components, then theta, drawn into one array and constrained
-    # and projected in place, so that no step holds a second copy
+    # the phases are drawn on the full spectrum, one field at a time (u's
+    # components, then theta); Nyquist slots cannot carry the reality
+    # symmetry through the Leray projection, so they are left empty (the
+    # dealiasing mask removes them from the dynamics anyway)
+    amp = _from_half(grid, _drop_nyquist(grid, (1.0 + grid.kmag) ** (-p))).real
+    draw = np.empty(grid.physical_shape, dtype=complex)
     y = np.empty((grid.dim + 1,) + grid.shape, dtype=complex)
     for row in y:
-        np.multiply(1j, rng.uniform(0.0, TWO_PI, size=grid.shape), out=row)
-        np.exp(row, out=row)
-        np.multiply(amp, row, out=row)
-    _enforce_in_place(grid, y)
+        np.multiply(1j, rng.uniform(0.0, TWO_PI, size=draw.shape), out=draw)
+        np.exp(draw, out=draw)
+        np.multiply(amp, draw, out=draw)
+        _real_half(grid, draw, out=row)
+    y[(Ellipsis,) + grid.zero_index] = 0.0
     _leray_in_place(grid.k, grid.k_over_k2, y[: grid.dim],
                     np.empty((2,) + grid.shape, dtype=complex))
     return (SpectralVectorField(grid, y[: grid.dim]),

@@ -8,9 +8,10 @@ Everything here is deliberately boring and bit-reproducible:
 
 * snapshots are a fixed little-endian layout — an eight-byte magic, a
   44-byte header, then the velocity components and the temperature as
-  complex double pairs in lexicographic mode order over
-  j in {-M/2+1, ..., M/2}^N — so two runs of the same config can be
-  compared with ``cmp``;
+  complex double pairs in lexicographic mode order over the full
+  spectrum j in {-M/2+1, ..., M/2}^N, rebuilt from the half spectra the
+  fields hold — so two runs of the same config can be compared with
+  ``cmp``;
 
 * diagnostics go to CSV at 17 significant digits, which round-trips
   IEEE-754 doubles exactly.
@@ -37,7 +38,9 @@ from .fields import (
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
-    hermitian_defect,
+    _drop_nyquist,
+    _from_half,
+    _stacked,
 )
 from .grid import _check_size, make_grid
 from .stepper import SimulationState, StepperConfig
@@ -217,8 +220,8 @@ def write_snapshot(state: SimulationState, params, path):
         MAGIC, FORMAT_VERSION, grid.dim, grid.modes, state.t,
         params.nu, params.kappa,
     )
-    stacked = np.concatenate([state.u.coeffs, state.theta.coeffs[np.newaxis]])
-    payload = np.ascontiguousarray(grid.to_lex_order(stacked), dtype="<c16")
+    full = _from_half(grid, _stacked(state.u, state.theta))
+    payload = np.ascontiguousarray(grid.to_lex_order(full), dtype="<c16")
     _atomic_write(path, header + payload.tobytes())
 
 
@@ -258,9 +261,10 @@ def read_snapshot(path):
     The stored grid is reconstructed from the header, and snapshots of
     the same dim and modes share one (read-only) grid object;
     ``step_index`` is not serialized and comes back as 0.  Every
-    coefficient must be finite and the spectrum exactly Hermitian, as
-    in every state ``run`` writes: the records read the half spectrum
-    only, so a state that is not real would be misreported.
+    coefficient must be finite, the spectrum exactly Hermitian and the
+    slots with label -M/2 empty, as in every state ``run`` writes: the
+    fields hold the half spectrum of a real state only, so any other
+    state would be misread.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -282,15 +286,24 @@ def read_snapshot(path):
     coeffs = grid.from_lex_order(flat.reshape(n_fields, nmodes))
     if not np.all(np.isfinite(coeffs)):
         raise SnapshotError(f"{path}: coefficients are not all finite")
-    u = SpectralVectorField(grid, coeffs[: header.dim])
-    theta = SpectralScalarField(grid, coeffs[header.dim])
-    defect = max(hermitian_defect(u), hermitian_defect(theta))
+    # j -> -j on every axis is a flip and a roll by one
+    axes = tuple(range(-header.dim, 0))
+    reflected = np.roll(np.flip(coeffs, axes), 1, axes)
+    defect = float(np.max(np.abs(coeffs - np.conj(reflected))))
     if defect != 0.0:
         raise SnapshotError(
             f"{path}: not the spectrum of a real state "
             f"(hermitian defect {defect:.3g})"
         )
-    return SimulationState(u, theta, header.t, 0)
+    half = coeffs[..., : header.modes // 2 + 1].copy()
+    if not np.array_equal(_drop_nyquist(grid, half.copy()), half):
+        raise SnapshotError(
+            f"{path}: content at label -{header.modes // 2}, where the "
+            "spectrum of a real state is empty"
+        )
+    return SimulationState(SpectralVectorField(grid, half[: header.dim]),
+                           SpectralScalarField(grid, half[header.dim]),
+                           header.t, 0)
 
 
 # ----------------------------------------------------------------------

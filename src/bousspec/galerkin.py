@@ -26,6 +26,8 @@ in their last two slots.
 When the basis covers exactly the dealias-retained modes of a grid, this
 ODE system is the same dynamical system the dealiased pseudospectral
 solver integrates, so trajectories must agree to integrator accuracy.
+Fields enter and leave the oracle as the half spectra they hold, and it
+works on their full spectra, where each element's two modes sit.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .fields import (
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
+    _from_half,
 )
 from .grid import TWO_PI, GridSpec
 
@@ -173,22 +176,28 @@ def _mode_tangents(basis, dim):
     return np.repeat(np.array(t, dtype=np.int64).reshape(-1, dim), 2, axis=0)
 
 
-def _at(field, k):
-    """Coefficients of ``field`` with a component axis first (length 1 for
-    scalars), and the index of the wavevector rows ``k`` into them."""
-    vector = isinstance(field, SpectralVectorField)
-    return (field.coeffs if vector else field.coeffs[None],
-            (slice(None), *(k % field.grid.modes).T))
+def _at(k, grid):
+    """Index of the wavevector rows ``k`` into full spectra with a
+    component axis first."""
+    return (slice(None), *(k % grid.modes).T)
+
+
+def _synthesize(grid, basis, x, vector):
+    """The field sum_e x[e] (element e of ``basis``), through its full
+    spectrum."""
+    owner, k, w = _flat_modes(basis, grid.dim)
+    full = np.zeros((grid.dim if vector else 1,) + grid.physical_shape,
+                    dtype=complex)
+    np.add.at(full, _at(k, grid), x[owner] * w.T)
+    half = full[..., : grid.modes // 2 + 1].copy()
+    return (SpectralVectorField(grid, half) if vector
+            else SpectralScalarField(grid, half[0]))
 
 
 def basis_field(element: BasisElement, grid: GridSpec):
     """Spectral field of a basis element (two conjugate modes)."""
-    vector = element.direction is not None
-    f = SpectralVectorField(grid) if vector else SpectralScalarField(grid)
-    _, k, w = _flat_modes([element], grid.dim)
-    coeffs, at = _at(f, k)
-    coeffs[at] = w.T
-    return f
+    return _synthesize(grid, [element], np.ones(1),
+                       element.direction is not None)
 
 
 @dataclass
@@ -435,8 +444,9 @@ def project_state(u: SpectralVectorField, theta: SpectralScalarField,
 
     def coords(field, basis):
         _, k, w = _flat_modes(basis, grid.dim)
-        coeffs, at = _at(field, k)
-        total = np.sum(coeffs[at].T * w.conj(), axis=1).reshape(-1, 2).sum(1)
+        full = _from_half(grid, field.coeffs.reshape((-1,) + grid.shape))
+        total = np.sum(full[_at(k, grid)].T * w.conj(),
+                       axis=1).reshape(-1, 2).sum(1)
         return TWO_PI**grid.dim * total.real
 
     return GalerkinState(coords(u, system.vel_basis),
@@ -445,13 +455,5 @@ def project_state(u: SpectralVectorField, theta: SpectralScalarField,
 
 def reconstruct(state: GalerkinState, system: GalerkinSystem):
     """Spectral fields u = sum xi_j E_j, theta = sum eta_a e_a."""
-    grid = system.grid
-
-    def synthesize(field, x, basis):
-        owner, k, w = _flat_modes(basis, grid.dim)
-        np.add.at(*_at(field, k), x[owner] * w.T)
-        return field
-
-    return (synthesize(SpectralVectorField(grid), state.xi, system.vel_basis),
-            synthesize(SpectralScalarField(grid), state.eta,
-                       system.scalar_basis))
+    return (_synthesize(system.grid, system.vel_basis, state.xi, True),
+            _synthesize(system.grid, system.scalar_basis, state.eta, False))

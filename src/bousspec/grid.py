@@ -1,11 +1,15 @@
 """Spectral grid bookkeeping for periodic boxes [0, 2*pi]^N, N = 2 or 3.
 
-Fields are stored as full M^N arrays of Fourier coefficients in the
-standard FFT layout (integer frequencies 0, 1, ..., M/2-1, -M/2, ..., -1
-along every axis).  The grid object precomputes everything the operators
-need: integer wavevector meshes, |j|^2, the 2/3-rule dealiasing mask, the
-index map used to conjugate-reflect coefficients, and the same meshes
-restricted to the half spectrum that real-to-complex transforms work on.
+Fields are real, so they are stored as the half spectrum that
+real-to-complex transforms return (``rfftn`` layout): the standard FFT
+layout (integer frequencies 0, 1, ..., M/2-1, -M/2, ..., -1) along every
+axis but the last, which keeps the labels 0..M/2 only; a coefficient at
+another last-axis label is the conjugate of its reflection's.  The grid
+object precomputes everything the operators need on that layout:
+integer wavevector meshes, |j|^2, the 2/3-rule dealiasing mask and the
+index maps that reflect the two last-axis planes holding both j and -j
+and rebuild the full spectrum where a file format or an oracle asks for
+it.
 """
 
 from __future__ import annotations
@@ -46,18 +50,18 @@ class GridSpec:
     Derived attributes
     ------------------
     freq1d : (modes,) int array of per-axis frequencies in FFT layout.
-    k : (dim, modes, ..., modes) float array, integer wavevector mesh.
+    shape, vshape : shapes of a scalar and a vector coefficient array,
+        the half spectrum (modes, ..., modes, modes/2 + 1).
+    physical_shape : shape of the collocation values, (modes,) * dim.
+    k : (dim, *shape) float array, integer wavevector mesh; the last-axis
+        label modes/2 reads -modes/2, as in the FFT layout.
     k2 : |j|^2 mesh;  kmag : |j| mesh.
-    k_over_k2 : j / |j|^2 mesh, zero at j = 0 (computed on first use).
+    k_over_k2 : j / |j|^2 mesh, zero at j = 0, and ``k_complex``, ``k``
+        as complex numbers (both computed on first use).
     dealias_cutoff : int, per-axis bound of the mask.
     dealias_mask : boolean mesh, True on retained modes.
     nmodes : total number of wavevectors, modes**dim.
     tau_cap : largest Gevrey radius representable without overflow.
-    half_slice : index selecting the half spectrum (last-axis labels
-        0..modes/2, the ``rfftn`` layout) of a coefficient array.
-    half_k, half_k2, half_kmag, half_mask : the meshes above restricted
-        to the half spectrum; ``half_k_over_k2`` and ``half_k_complex``
-        are computed on first use.
     """
 
     dim: int
@@ -67,13 +71,14 @@ class GridSpec:
         _check_size(self.dim, self.modes)
 
         m = self.modes
+        half = m // 2
         freq1d = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
-        shape = (m,) * self.dim
+        shape = (m,) * (self.dim - 1) + (half + 1,)
         k = np.zeros((self.dim,) + shape)
         for axis in range(self.dim):
             ax_shape = [1] * self.dim
-            ax_shape[axis] = m
-            k[axis] = freq1d.reshape(ax_shape)
+            ax_shape[axis] = shape[axis]
+            k[axis] = freq1d[: shape[axis]].reshape(ax_shape)
         k2 = np.sum(k * k, axis=0)
 
         # integer arithmetic: floor((2/3)(m/2)) for even m, no float rounding
@@ -82,10 +87,10 @@ class GridSpec:
         for axis in range(self.dim):
             mask &= np.abs(k[axis]) <= cutoff
 
-        # index map i -> (-i) mod m implements j -> -j per axis
-        conj_idx = (-np.arange(m)) % m
-
         object.__setattr__(self, "freq1d", freq1d)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "vshape", (self.dim,) + shape)
+        object.__setattr__(self, "physical_shape", (m,) * self.dim)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "kmag", np.sqrt(k2))
@@ -93,31 +98,23 @@ class GridSpec:
         object.__setattr__(self, "dealias_mask", mask)
         object.__setattr__(self, "nmodes", m**self.dim)
         object.__setattr__(self, "zero_index", (0,) * self.dim)
-        object.__setattr__(self, "_conj_ix", np.ix_(*([conj_idx] * self.dim)))
-        kmax = np.sqrt(self.dim) * (m // 2)
+        kmax = np.sqrt(self.dim) * half
         object.__setattr__(self, "tau_cap", _TAU_CAP_EXPONENT / kmax)
 
         # grids are shared (``read_snapshot`` keeps one per size), so no
-        # caller may write into their meshes or the half-spectrum views
-        # taken from them below
+        # caller may write into their meshes
         for value in (freq1d, k, k2, self.kmag, mask):
             value.flags.writeable = False
 
-        # real-transform layout: the half spectrum keeps last-axis labels
-        # 0..m/2 (what rfftn returns); the other labels m/2+1..m-1 hold
-        # the conjugates of their reflections
-        half = m // 2
-        reflect = [conj_idx] * (self.dim - 1)
-        object.__setattr__(self, "half_slice", np.s_[..., : half + 1])
-        object.__setattr__(self, "half_k", k[..., : half + 1])
-        object.__setattr__(self, "half_k2", k2[..., : half + 1])
-        object.__setattr__(self, "half_kmag", self.kmag[..., : half + 1])
-        object.__setattr__(self, "half_mask", mask[..., : half + 1])
+        # index map i -> (-i) mod m implements j -> -j on the leading
+        # axes; the last-axis labels 0 and m/2 reflect onto themselves,
+        # and the labels m/2+1..m-1 missing from the half spectrum are
+        # the reflections of m/2-1..1
+        reflect = [(-np.arange(m)) % m] * (self.dim - 1)
+        object.__setattr__(self, "_plane_ix", np.ix_(*reflect, np.arange(2)))
         object.__setattr__(
             self, "_upper_ix", np.ix_(*reflect, np.arange(half - 1, 0, -1))
         )
-        # last-axis labels 0 and m/2 reflect onto themselves
-        object.__setattr__(self, "_plane_ix", np.ix_(*reflect, np.arange(2)))
 
     # computed on first use: only grids that operators run on need these,
     # not the ones ``read_snapshot`` builds
@@ -127,15 +124,10 @@ class GridSpec:
         return _read_only(self.k / np.where(self.k2 == 0, 1.0, self.k2))
 
     @functools.cached_property
-    def half_k_over_k2(self):
-        """``k_over_k2`` on the half spectrum."""
-        return self.k_over_k2[self.half_slice]
-
-    @functools.cached_property
-    def half_k_complex(self):
-        """``half_k`` as complex numbers, whose products with coefficients
+    def k_complex(self):
+        """``k`` as complex numbers, whose products with coefficients
         need no cast."""
-        return _read_only(self.half_k.astype(complex))
+        return _read_only(self.k.astype(complex))
 
     # grids carry large derived arrays, so equality compares the defining
     # scalars only
@@ -146,16 +138,6 @@ class GridSpec:
 
     def __hash__(self):
         return hash((self.dim, self.modes))
-
-    @property
-    def shape(self):
-        """Shape of a scalar coefficient array."""
-        return (self.modes,) * self.dim
-
-    @property
-    def vshape(self):
-        """Shape of a vector coefficient array (component axis first)."""
-        return (self.dim,) + self.shape
 
     def wavevectors(self):
         """Integer wavevectors in the fixed lexicographic order.
@@ -170,13 +152,15 @@ class GridSpec:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
     def to_lex_order(self, coeffs):
-        """Flatten coefficient arrays into lexicographic order.
+        """Flatten full-spectrum coefficient arrays into lexicographic
+        order, the order of snapshot files.
 
-        ``coeffs`` has shape ``(*lead, *self.shape)``; the result has
-        shape ``(*lead, nmodes)``, one flattened array per leading index
-        (a vector's components, say), each in the order of
-        :meth:`wavevectors`: the FFT layout rolled by m/2 - 1 per axis,
-        so that the (aliased) -m/2 slot comes last, as label m/2.
+        ``coeffs`` has shape ``(*lead, *self.physical_shape)``, every
+        label in FFT layout; the result has shape ``(*lead, nmodes)``,
+        one flattened array per leading index (a vector's components,
+        say), each in the order of :meth:`wavevectors`: the FFT layout
+        rolled by m/2 - 1 per axis, so that the (aliased) -m/2 slot comes
+        last, as label m/2.
         """
         lead = coeffs.shape[: coeffs.ndim - self.dim]
         rolled = np.roll(coeffs, self.modes // 2 - 1,
@@ -185,11 +169,12 @@ class GridSpec:
 
     def from_lex_order(self, flat):
         """Inverse of :meth:`to_lex_order`: ``(*lead, nmodes)`` flattened
-        arrays back to coefficient arrays of shape ``(*lead, *self.shape)``."""
+        arrays back to full-spectrum arrays of shape
+        ``(*lead, *self.physical_shape)``."""
         flat = np.asarray(flat, dtype=complex)
         lead = flat.shape[:-1]
-        return np.roll(flat.reshape(lead + self.shape), 1 - self.modes // 2,
-                       axis=tuple(range(-self.dim, 0)))
+        return np.roll(flat.reshape(lead + self.physical_shape),
+                       1 - self.modes // 2, axis=tuple(range(-self.dim, 0)))
 
 
 def _read_only(array):

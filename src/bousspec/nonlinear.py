@@ -3,9 +3,8 @@
 ``convect_pseudospectral`` is the transform path in its plain form:
 mask the inputs, ``irfftn`` to the collocation points, multiply,
 ``rfftn`` back and mask the output, so quadratic aliasing never
-reaches a retained mode.  It works on the half spectrum, so the
-collocation values are real and the full output, rebuilt from its
-half, is Hermitian by construction; it holds for any u.
+reaches a retained mode.  Fields are half spectra, so the collocation
+values are real and so is the output; it holds for any u.
 
 The time stepper runs the one production kernel, ``_projected_rhs``,
 which returns its whole right-hand side but diffusion: its u is
@@ -24,7 +23,8 @@ masked rows (Orszag 1971; Markel 1971), which give the same bits.
 
     w_hat(k) = sum_{p+q=k, p and q resolved} i (q . u_hat(p)) v_hat(q)
 
-summed directly, with no FFT and no mask.  It is exact on the retained
+summed directly over the full spectra of the inputs, rebuilt from
+their halves, with no FFT and no mask.  It is exact on the retained
 modes whenever the inputs are band-limited to half the grid, which is
 what makes it a useful cross-check; it costs O(modes^2) and is guarded
 to small grids.
@@ -41,9 +41,9 @@ import numpy as np
 from .fields import (
     SpectralScalarField,
     SpectralVectorField,
+    _constrain,
     _from_half,
-    _symmetrize_half,
-    enforce_constraints,
+    _real_half,
     leray_project,
 )
 from .grid import GridSpec, _read_only
@@ -97,7 +97,7 @@ def _pruned(grid):
     if grid.dim == 3:
         blocks = ((np.s_[..., : c + 1, :], np.s_[..., : c + 1, : c + 1]),
                   (np.s_[..., c + 1 :, :], np.s_[..., m - c :, : c + 1]))
-    return _read_only(_gather(blocks, grid.half_mask)), blocks
+    return _read_only(_gather(blocks, grid.dealias_mask)), blocks
 
 
 def _gather(blocks, half):
@@ -123,7 +123,7 @@ class _Work:
     n_out products (:func:`_traceless_pairs`, then u_j theta) back.
 
     The kernel fills ``spec_in`` (n_in, *pruned) with masked pruned half
-    spectra and ``products`` (n_out, *grid.shape) with collocation
+    spectra and ``products`` (n_out, *grid.physical_shape) with collocation
     values; :func:`_to_grid` and :func:`_from_grid` transform them
     through the other arrays, by the ``out=`` of the FFTs, so a caller
     that keeps one ``_Work`` allocates no array of this size again.
@@ -135,20 +135,19 @@ class _Work:
     def __init__(self, grid):
         n_in = grid.dim + 1
         n_out = len(_traceless_pairs(grid.dim)) + grid.dim
-        m, c = grid.modes, grid.dealias_cutoff
+        c = grid.dealias_cutoff
         pruned = _pruned(grid)[0].shape
-        lead = grid.shape[:-1]
-        cols = lead + (c + 1,)
+        points = grid.physical_shape
+        cols = points[:-1] + (c + 1,)
         # three buffers, each holding its arrays one after another in the
         # order of use; the 2D transforms use no kept, spec_out, cols_in
         # or rows
         self.spec_in, self.phys, self.half, self.kept = _shared(
-            ((n_in,) + pruned, complex), ((n_in,) + grid.shape, float),
-            ((n_out,) + lead + (m // 2 + 1,), complex),
-            ((n_out,) + pruned, complex))
+            ((n_in,) + pruned, complex), ((n_in,) + points, float),
+            ((n_out,) + grid.shape, complex), ((n_out,) + pruned, complex))
         self.lines, self.cols_in, self.products, self.spare = _shared(
             ((n_in,) + pruned, complex), ((n_in,) + cols, complex),
-            ((n_out,) + grid.shape, float), ((n_in,) + pruned, complex))
+            ((n_out,) + points, float), ((n_in,) + pruned, complex))
         self.cols, self.spec_out = _shared(((n_out,) + cols, complex),
                                            ((n_out,) + pruned, complex))
         if grid.dim == 3:
@@ -157,7 +156,7 @@ class _Work:
 
 
 def _to_grid(grid, work):
-    """Collocation values ``work.phys`` (b, *grid.shape) of the masked
+    """Collocation values ``work.phys`` (b, *grid.physical_shape) of the masked
     pruned half spectra ``work.spec_in`` (b, *pruned).
 
     The transforms of ``irfftn``, one axis at a time and in its order,
@@ -233,8 +232,8 @@ def _projection_maps(grid):
     P(theta e_N) = b theta.
     """
     mask, blocks = _pruned(grid)
-    k = _gather(blocks, grid.half_k)
-    k_over_k2 = _gather(blocks, grid.half_k_over_k2)
+    k = _gather(blocks, grid.k)
+    k_over_k2 = _gather(blocks, grid.k_over_k2)
     pairs = _traceless_pairs(grid.dim)
     velocity = np.zeros((grid.dim, len(pairs)) + mask.shape, dtype=complex)
     for p, (i, j) in enumerate(pairs):
@@ -244,7 +243,7 @@ def _projection_maps(grid):
         # its Leray projection, v - k (k / |k|^2 . v), times -i
         column -= k * np.sum(k_over_k2 * column, axis=0)
         velocity[:, p].imag = -column * mask
-    lift = -grid.half_k * grid.half_k_over_k2[-1]
+    lift = -grid.k * grid.k_over_k2[-1]
     lift[-1] += 1.0
     return (_read_only(velocity), _read_only(-(1j * (k * mask))),
             _read_only(lift.astype(complex)))
@@ -313,38 +312,38 @@ def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):
     """Dealiased transform evaluation of u . grad(v).
 
     ``v`` may be a velocity or a scalar field.  The velocity and the
-    gradients of ``v`` are masked on the half spectrum, taken to the
-    collocation points by one ``irfftn``, multiplied there, and brought
-    back by one ``rfftn``; the result is masked again and rebuilt from
-    its half spectrum, so it is zero-mean, Hermitian by construction and
+    gradients of ``v`` are masked, taken to the collocation points by one
+    ``irfftn``, multiplied there, and brought back by one ``rfftn``; the
+    result is masked again and constrained, so it is real, zero-mean and
     supported on the retained modes.
     """
     grid = _check_grids(u, v, grid)
-    half, mask, dim = grid.half_slice, grid.half_mask, grid.dim
+    mask, dim = grid.dealias_mask, grid.dim
     vector = isinstance(v, SpectralVectorField)
-    comps = v.coeffs[half] if vector else v.coeffs[np.newaxis][half]
-    grads = 1j * grid.half_k * comps[:, np.newaxis]
-    spec = np.concatenate([u.coeffs[half],
-                           grads.reshape((-1,) + mask.shape)])
+    comps = v.coeffs if vector else v.coeffs[np.newaxis]
+    grads = 1j * grid.k * comps[:, np.newaxis]
+    spec = np.concatenate([u.coeffs, grads.reshape((-1,) + grid.shape)])
     axes = tuple(range(-dim, 0))
-    phys = np.fft.irfftn(mask * spec, s=grid.shape, axes=axes,
+    phys = np.fft.irfftn(mask * spec, s=grid.physical_shape, axes=axes,
                          norm="forward")
-    products = np.einsum("i...,ci...->c...", phys[:dim],
-                         phys[dim:].reshape((len(comps), dim) + grid.shape))
-    out = mask * np.fft.rfftn(products, axes=axes, norm="forward")
-    full = _from_half(grid, _symmetrize_half(grid, out))
-    field = (SpectralVectorField(grid, full) if vector
-             else SpectralScalarField(grid, full[0]))
+    products = np.einsum(
+        "i...,ci...->c...", phys[:dim],
+        phys[dim:].reshape((len(comps), dim) + grid.physical_shape))
+    out = _constrain(grid, mask * np.fft.rfftn(products, axes=axes,
+                                               norm="forward"))
+    field = (SpectralVectorField(grid, out) if vector
+             else SpectralScalarField(grid, out[0]))
     return ConvectionResult(field, AliasingMode.DEALIASED_2_3)
 
 
 def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):
     """Direct truncated-convolution evaluation of u . grad(v).
 
-    Sums i (q . u_hat(p)) v_hat(q) over all resolved pairs p + q = k,
-    dropping pairs whose sum leaves the grid.  No transforms are used
-    anywhere, which keeps this path independent of the pseudospectral
-    one.  Guarded to modes**dim <= 4096.
+    Sums i (q . u_hat(p)) v_hat(q) over all resolved pairs p + q = k of
+    the full spectra, dropping pairs whose sum leaves the grid, and
+    returns the half spectrum of the real part, constrained.  No
+    transforms are used anywhere, which keeps this path independent of
+    the pseudospectral one.  Guarded to modes**dim <= 4096.
     """
     grid = _check_grids(u, v, grid)
     if grid.nmodes > CONVOLUTION_MODE_LIMIT:
@@ -358,16 +357,12 @@ def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):
     # work in lexicographic layout over labels j = a - half, a = 0..m-1,
     # so p + q = k is plain index arithmetic
     lex = (np.arange(m) + half) % m
-    ix = np.ix_(*([lex] * d))
-    U = np.stack([u.coeffs[i][ix] for i in range(d)])
-    scalar = not isinstance(v, SpectralVectorField)
-    if scalar:
-        V = (v.coeffs[ix],)
-    else:
-        V = tuple(v.coeffs[i][ix] for i in range(d))
+    ix = (Ellipsis,) + np.ix_(*([lex] * d))
+    U = _from_half(grid, u.coeffs)[ix]
+    V = _from_half(grid, v.coeffs.reshape((-1,) + grid.shape))[ix]
     labels = np.arange(m) - half
 
-    out = [np.zeros(grid.shape, dtype=complex) for _ in V]
+    out = np.zeros(V.shape, dtype=complex)
     nz = np.argwhere(np.any(U != 0.0, axis=0))
     for ap in nz:
         up = U[(slice(None),) + tuple(ap)]
@@ -378,26 +373,21 @@ def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):
             hi = min(m - 1, a + half - 1)
             ksl.append(slice(lo, hi + 1))
             qsl.append(slice(lo - a + half, hi - a + half + 1))
-        ksl, qsl = tuple(ksl), tuple(qsl)
-        qdot = np.zeros(tuple(s.stop - s.start for s in qsl), dtype=complex)
+        ksl, qsl = (Ellipsis, *ksl), (Ellipsis, *qsl)
+        qdot = np.zeros(tuple(s.stop - s.start for s in qsl[1:]),
+                        dtype=complex)
         for axis in range(d):
             shape = [1] * d
             shape[axis] = -1
-            qdot += labels[qsl[axis]].reshape(shape) * up[axis]
-        for c, vc in enumerate(V):
-            out[c][ksl] += 1j * qdot * vc[qsl]
+            qdot += labels[qsl[axis + 1]].reshape(shape) * up[axis]
+        out[ksl] += 1j * qdot * V[qsl]
 
-    def unlex(arr):
-        res = np.zeros(grid.shape, dtype=complex)
-        res[ix] = arr
-        return res
-
-    if scalar:
-        field = enforce_constraints(SpectralScalarField(grid, unlex(out[0])))
-    else:
-        field = enforce_constraints(
-            SpectralVectorField(grid, np.stack([unlex(a) for a in out]))
-        )
+    full = np.zeros_like(out)
+    full[ix] = out
+    real = _constrain(grid, _real_half(grid, full))
+    field = (SpectralVectorField(grid, real)
+             if isinstance(v, SpectralVectorField)
+             else SpectralScalarField(grid, real[0]))
     return ConvectionResult(field, AliasingMode.NONE)
 
 

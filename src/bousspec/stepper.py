@@ -13,30 +13,28 @@ explicit Euler (``if_euler``).  Diffusion is therefore exact to roundoff
 at any dt — a pure heat flow is reproduced to machine precision in a
 single step — and only the advection limits the step size.
 
-The time loop works on the stacked half spectrum y = [u; theta]
-(last-axis labels 0..M/2, the layout of real-to-complex transforms).
-One integrator advances y in place: it owns its stage arrays and the
-kernel's transform arrays for the whole run, evaluates each stage's
-right-hand side with the projected kernel of ``nonlinear`` (the
-divergence of the traceless flux u u - u_N^2 I and of u theta, equal
-to the advection terms because u is divergence-free, with the Leray
-projection and the projected buoyancy applied as fixed per-mode maps,
-so a stage runs no separate projection), and after each step
-Leray-projects y, symmetrizes the two last-axis planes that reflect
-onto themselves and zeroes the mean, so that the full spectrum rebuilt
-from y is Hermitian and zero-mean by construction.  States from
-``step`` and ``synthesize_initial`` are divergence-free; for any other
-u the right-hand side is not the advective one.
+Fields are half spectra (last-axis labels 0..M/2, the layout of
+real-to-complex transforms), and the time loop works on them stacked,
+y = [u; theta].  One integrator advances y in place: it owns its stage
+arrays and the kernel's transform arrays for the whole run, evaluates
+each stage's right-hand side with the projected kernel of ``nonlinear``
+(the divergence of the traceless flux u u - u_N^2 I and of u theta,
+equal to the advection terms because u is divergence-free, with the
+Leray projection and the projected buoyancy applied as fixed per-mode
+maps, so a stage runs no separate projection), and after each step
+Leray-projects y and constrains it (``fields._constrain``), so that it
+is real and zero-mean.  States from ``step`` and ``synthesize_initial``
+are divergence-free; for any other u the right-hand side is not the
+advective one.
 
-``step`` wraps the integrator for a single step, from and to full
-fields.  ``run_simulation`` keeps y from step to step from t = 0 to
-t_final, takes a diagnostics record from it every step, rebuilds full
-fields only for a state snapshot every ``snapshot_every`` steps (or
-handing each to a callback, keeping only the latest), the final state
-and the last finite state of an abort, and aborts (a reported outcome,
-not an exception) if the H1 measure grows by 1e8 over its initial
-value, which for the 3D system past its guaranteed lifespan is an
-admissible result.
+``step`` wraps the integrator for a single step.  ``run_simulation``
+keeps y from step to step from t = 0 to t_final, takes a diagnostics
+record from it every step, copies it into a state snapshot every
+``snapshot_every`` steps (or hands each to a callback, keeping only the
+latest), at the final state and at the last finite state of an abort,
+and aborts (a reported outcome, not an exception) if the H1 measure
+grows by 1e8 over its initial value, which for the 3D system past its
+guaranteed lifespan is an admissible result.
 """
 
 from __future__ import annotations
@@ -52,10 +50,9 @@ from .fields import (
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
-    _from_half,
+    _constrain,
     _leray_in_place,
-    _stacked_half,
-    _symmetrize_half,
+    _stacked,
 )
 from .grid import GridSpec
 from .nonlinear import _Work, _projected_rhs
@@ -135,12 +132,10 @@ def _check_grid(state, grid):
     return grid
 
 
-def _unstack_full(y, grid):
-    """(u, theta) fields from a stacked half spectrum [u; theta] made
-    real by ``_symmetrize_half``."""
-    full = _from_half(grid, y)
-    return (SpectralVectorField(grid, full[: grid.dim]),
-            SpectralScalarField(grid, full[grid.dim]))
+def _unstack(y, grid):
+    """(u, theta) fields, views of a stacked [u; theta]."""
+    return (SpectralVectorField(grid, y[: grid.dim]),
+            SpectralScalarField(grid, y[grid.dim]))
 
 
 def _diffusion_rates(grid, params):
@@ -158,15 +153,15 @@ def rhs_full(state: SimulationState, params: PhysicalParams,
     evaluated in divergence form.
     """
     grid = _check_grid(state, grid)
-    y = _stacked_half(state.u, state.theta)
+    y = _stacked(state.u, state.theta)
     dy = _projected_rhs(grid, y)
-    dy -= _diffusion_rates(grid, params) * grid.half_k2 * y
-    return _unstack_full(_symmetrize_half(grid, dy), grid)
+    dy -= _diffusion_rates(grid, params) * grid.k2 * y
+    return _unstack(_constrain(grid, dy), grid)
 
 
 class _Integrator:
-    """The integrating-factor scheme of a run, advancing the stacked half
-    spectrum ``y`` = [u; theta] in place.
+    """The integrating-factor scheme of a run, advancing the stacked
+    ``y`` = [u; theta] in place.
 
     It holds the diffusion factors and every work array of a step (the
     stage arrays, the kernel's transform arrays and a second state
@@ -183,7 +178,7 @@ class _Integrator:
         self.scheme = config.scheme
         self.y = y
         rates = _diffusion_rates(grid, params)
-        self.e_h = np.exp(-0.5 * self.dt * rates * grid.half_k2)
+        self.e_h = np.exp(-0.5 * self.dt * rates * grid.k2)
         self.e = self.e_h * self.e_h
         # products of the stage formulas, taken once and bit-equal to
         # forming them in each step
@@ -204,8 +199,7 @@ class _Integrator:
         if the new state is not finite.
 
         The new state is Leray-projected and made real and zero-mean
-        (``_symmetrize_half``), so it is divergence-free and its full
-        spectrum is Hermitian.
+        (``_constrain``), so it is divergence-free.
         """
         dt, e_h, e, y0, y1 = self.dt, self.e_h, self.e, self.y, self._next
         s = self._stage
@@ -253,9 +247,9 @@ class _Integrator:
         if not np.all(np.isfinite(y1)):
             return False
         # the stage array is free again: it holds the projection's terms
-        _leray_in_place(self.grid.half_k, self.grid.half_k_over_k2,
+        _leray_in_place(self.grid.k, self.grid.k_over_k2,
                         y1[: self.grid.dim], s)
-        _symmetrize_half(self.grid, y1)
+        _constrain(self.grid, y1)
         self.y, self._next = y1, y0
         return True
 
@@ -265,16 +259,16 @@ def step(state: SimulationState, params: PhysicalParams,
     """One integrating-factor step of ``config.dt`` with ``config.scheme``;
     raises on nonfinite coefficients.
 
-    The new state is Leray-projected and rebuilt from its half spectrum,
-    so it is divergence-free, zero-mean and Hermitian.
+    The new state is Leray-projected and constrained, so it is
+    divergence-free, zero-mean and real.
     """
     grid = _check_grid(state, grid)
     integrator = _Integrator(grid, params, config,
-                             _stacked_half(state.u, state.theta))
+                             _stacked(state.u, state.theta))
     t1 = state.t + config.dt
     if not integrator.advance():
         raise NonFiniteStateError(t1, state)
-    return SimulationState(*_unstack_full(integrator.y, grid), t1,
+    return SimulationState(*_unstack(integrator.y, grid), t1,
                            state.step_index + 1)
 
 
@@ -283,7 +277,7 @@ class SimTrajectory:
     """Everything a run leaves behind.
 
     ``records`` has one entry per step (including t = 0); ``snapshots``
-    holds full states at the configured cadence plus the initial and
+    holds states at the configured cadence plus the initial and
     final ones, or only the latest of them when a callback streamed
     them.  ``status`` is "completed", "blowup", or "nonfinite"; the last
     two are reported outcomes, with ``message`` saying when.
@@ -311,7 +305,7 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
     """
     _check_grid(initial, grid)
     integrator = _Integrator(grid, params, config,
-                             _stacked_half(initial.u, initial.theta))
+                             _stacked(initial.u, initial.theta))
     t, index = initial.t, initial.step_index
     snapshots = []
 
@@ -323,10 +317,11 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
             on_snapshot(snapshot)
 
     def current():
-        return SimulationState(*_unstack_full(integrator.y, grid), t, index)
+        return SimulationState(*_unstack(integrator.y.copy(), grid), t,
+                               index)
 
-    # each record is taken from the half spectrum the integrator holds;
-    # full fields are rebuilt only for snapshots
+    # each record is taken from the state the integrator holds, which is
+    # copied only for snapshots
     budget = BudgetAccumulator(params)
     records = [build_record(initial, params, budget)]
     take(initial.copy())

@@ -178,8 +178,8 @@ class TestDiagnose:
         assert "t must be >= 0 and finite" in capsys.readouterr().err
 
     def test_snapshot_that_is_not_real_exits_1(self, tmp_path, capsys):
-        # a coefficient whose conjugate partner disagrees: the records,
-        # read from the half spectrum, would misreport the state
+        # a coefficient whose conjugate partner disagrees: fields hold
+        # the half spectrum of a real state only, so it would be misread
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
@@ -193,6 +193,24 @@ class TestDiagnose:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {snap}: ")
         assert "not the spectrum of a real state" in err
+
+    def test_snapshot_with_content_at_label_minus_half_exits_1(
+            self, tmp_path, capsys):
+        # a real u_1 coefficient at j = (8, 0), the slot of label -8 on
+        # the first axis: Hermitian, as the slot is its own reflection,
+        # but a real field carries nothing there
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
+        snap = out / "snapshot_00000005.bin"
+        blob = bytearray(snap.read_bytes())
+        struct.pack_into("<d", blob, 44 + 16 * ((8 + 7) * 16 + 7), 1.0)
+        snap.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["diagnose", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {snap}: ")
+        assert "label -8" in err
 
     def test_corrupt_snapshot_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

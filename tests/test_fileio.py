@@ -190,19 +190,20 @@ class TestSnapshots:
         assert not np.array_equal(first.u.coeffs, second.u.coeffs)
         grid = first.u.grid
         for mesh in (grid.k, grid.k2, grid.kmag, grid.dealias_mask,
-                     grid.half_k, grid.k_over_k2):
+                     grid.k_complex, grid.k_over_k2):
             assert not mesh.flags.writeable
 
     def test_payload_position_of_known_mode(self, tmp_path):
         # independent layout oracle: on M = 8 the serialized order runs
         # lexicographically over j in {-3..4}^2, so mode (1, 2) of the
-        # first velocity component sits at flat index (1+3)*8 + (2+3)
+        # first velocity component sits at flat index (1+3)*8 + (2+3),
+        # and its conjugate, which the file holds and the field does not,
+        # at (-1, -2), flat index (-1+3)*8 + (-2+3)
         grid = make_grid(2, 8)
         state = SimulationState(
             SpectralVectorField(grid), SpectralScalarField(grid), 0.0, 0
         )
         state.u.coeffs[0][1, 2] = 3.0 + 4.0j
-        state.u.coeffs[0][-1, -2] = 3.0 - 4.0j
         state.theta.coeffs[0, 4] = 7.0  # Nyquist column j = (0, 4)
         path = str(tmp_path / "state.bin")
         write_snapshot(state, PhysicalParams(1.0, 1.0), path)
@@ -211,6 +212,9 @@ class TestSnapshots:
         flat_index = (1 + 3) * 8 + (2 + 3)
         re, im = struct.unpack_from("<2d", blob, HEADER_SIZE + 16 * flat_index)
         assert (re, im) == (3.0, 4.0)
+        flat_index = (-1 + 3) * 8 + (-2 + 3)
+        re, im = struct.unpack_from("<2d", blob, HEADER_SIZE + 16 * flat_index)
+        assert (re, im) == (3.0, -4.0)
         theta_offset = HEADER_SIZE + 16 * (2 * 64 + (0 + 3) * 8 + (4 + 3))
         re, im = struct.unpack_from("<2d", blob, theta_offset)
         assert (re, im) == (7.0, 0.0)
@@ -278,22 +282,28 @@ class TestSnapshots:
     @pytest.mark.parametrize("field,index", [("u", (0, 1, -2)),
                                              ("theta", (1, 2))])
     def test_state_that_is_not_real_refused(self, tmp_path, field, index):
-        # records read the half spectrum only: this u mode, stored at an
-        # upper last-axis label, used to read as l2_u = 0, and this theta
-        # mode, stored without its conjugate, to count twice
+        # fields hold the half spectrum of a real state only: a file that
+        # holds this mode of u_1, j = (1, -2) at an upper last-axis label,
+        # or this theta mode, j = (1, 2), without its conjugate would be
+        # misread
         grid = make_grid(2, 8)
         state = SimulationState(SpectralVectorField(grid),
                                 SpectralScalarField(grid), 0.0, 0)
-        getattr(state, field).coeffs[index] = 1.0
         path = str(tmp_path / "state.bin")
         write_snapshot(state, PhysicalParams(1.0, 1.0), path)
+        *component, j1, j2 = index
+        row = component[0] if field == "u" else grid.dim
+        blob = bytearray(Path(path).read_bytes())
+        struct.pack_into("<d", blob, HEADER_SIZE + 16 * (
+            row * 64 + (j1 + 3) * 8 + (j2 + 3)), 1.0)
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="not the spectrum of a real"):
             read_snapshot(path)
 
     def test_non_finite_coefficient_refused(self, tmp_path):
         grid = make_grid(2, 8)
         state = random_state(grid, 0)
-        state.theta.coeffs[1, 2] = state.theta.coeffs[-1, -2] = np.nan
+        state.theta.coeffs[1, 2] = np.nan
         path = str(tmp_path / "state.bin")
         write_snapshot(state, PhysicalParams(1.0, 1.0), path)
         with pytest.raises(SnapshotError, match="not all finite") as err:

@@ -25,6 +25,7 @@ from bousspec.nonlinear import (
     convect_convolution,
     convect_pseudospectral,
 )
+from bousspec.fields import _from_half
 
 
 def band_limited_fields(grid, seed, bandwidth):
@@ -48,8 +49,7 @@ def band_limited_fields(grid, seed, bandwidth):
 def shear_flow(grid):
     """u = (cos x2, 0): advects nothing along itself."""
     u = SpectralVectorField(grid)
-    u.coeffs[0][0, 1] = 0.5
-    u.coeffs[0][0, -1] = 0.5
+    u.coeffs[0][0, 1] = 0.5  # and its conjugate at (0, -1)
     return u
 
 
@@ -70,11 +70,12 @@ class TestPseudospectral:
         theta.coeffs[1, 0] = -0.5j
         theta.coeffs[-1, 0] = 0.5j
         res = convect_pseudospectral(u, theta, g).field
-        expect = np.zeros(g.shape, complex)
+        expect = np.zeros(g.physical_shape, complex)
         for j1 in (1, -1):
             for j2 in (1, -1):
                 expect[j1 % 16, j2 % 16] = 0.25
-        np.testing.assert_allclose(res.coeffs, expect, atol=1e-14)
+        np.testing.assert_allclose(_from_half(g, res.coeffs), expect,
+                                   atol=1e-14)
 
     def test_output_masked_and_constrained(self):
         g = make_grid(2, 8)
@@ -97,21 +98,21 @@ class TestPseudospectral:
 
 def masked_ik(grid):
     """i k on the retained modes of the half spectrum, zero elsewhere."""
-    return 1j * grid.half_k * grid.half_mask
+    return 1j * grid.k * grid.dealias_mask
 
 
 def whole_to_grid(grid, spec_half):
     """Mask, then irfftn: the inverse transform without pruning."""
     axes = tuple(range(-grid.dim, 0))
-    return np.fft.irfftn(spec_half * grid.half_mask, s=grid.shape,
-                         axes=axes, norm="forward")
+    return np.fft.irfftn(spec_half * grid.dealias_mask,
+                         s=grid.physical_shape, axes=axes, norm="forward")
 
 
 def whole_from_grid(grid, values):
     """rfftn, then mask and zero the mean: the forward transform without
     pruning."""
     axes = tuple(range(-grid.dim, 0))
-    out = np.fft.rfftn(values, axes=axes, norm="forward") * grid.half_mask
+    out = np.fft.rfftn(values, axes=axes, norm="forward") * grid.dealias_mask
     out[(Ellipsis,) + grid.zero_index] = 0.0
     return out
 
@@ -126,7 +127,7 @@ def unpruned_advect(grid, u_half, comps_half):
     phys = whole_to_grid(grid, np.concatenate(
         [u_half, grads.reshape((n * dim,) + grads.shape[2:])]))
     w = np.einsum("i...,ci...->c...", phys[:dim],
-                  phys[dim:].reshape((n, dim) + grid.shape))
+                  phys[dim:].reshape((n, dim) + grid.physical_shape))
     return whole_from_grid(grid, w)
 
 
@@ -165,7 +166,7 @@ def unpruned_projected_rhs(grid, y):
 
 def leray_half(grid, v):
     """Leray projection of velocity half spectra: v - k (k / |k|^2 . v)."""
-    return v - grid.half_k * np.sum(grid.half_k_over_k2 * v, axis=0)
+    return v - grid.k * np.sum(grid.k_over_k2 * v, axis=0)
 
 
 def projected_buoyancy(grid, theta):
@@ -185,10 +186,9 @@ def dealiased_dilatation_term(grid, y):
 
 
 def rough_stack(grid, seed):
-    """[u; theta] of rough data on the half spectrum; u divergence-free."""
+    """[u; theta] of rough data; u divergence-free."""
     u, theta = synthesize_initial("rough_h1", grid, seed=seed)
-    half = grid.half_slice
-    return np.concatenate([u.coeffs[half], theta.coeffs[np.newaxis][half]])
+    return np.concatenate([u.coeffs, theta.coeffs[np.newaxis]])
 
 
 class TestKernel:
@@ -242,12 +242,12 @@ class TestKernel:
         g = make_grid(dim, modes)
         y = rough_stack(g, seed=modes + 3)
         got = _projected_rhs(g, y, out=np.full_like(y, np.nan))
-        lift = -g.half_k * g.half_k_over_k2[-1]
+        lift = -g.k * g.k_over_k2[-1]
         lift[-1] += 1.0
-        outside = np.ones(g.half_mask.shape, dtype=bool)
+        outside = np.ones(g.shape, dtype=bool)
         for _, half in _pruned(g)[1]:
             outside[half] = False
-        for off in (outside, ~g.half_mask):
+        for off in (outside, ~g.dealias_mask):
             assert np.count_nonzero(y[dim][off]) > 0
             assert np.array_equal(got[:dim, off], (lift * y[dim])[:, off])
             assert np.all(got[dim][off] == 0.0)
@@ -269,13 +269,12 @@ class TestConvolutionOracle:
         g = make_grid(2, 8)
         a, b = 0.7, 0.3 + 0.1j
         u = SpectralVectorField(g)
-        u.coeffs[0][0, 1] = a
-        u.coeffs[0][0, -1] = a
+        u.coeffs[0][0, 1] = a  # and its conjugate at (0, -1)
         v = SpectralScalarField(g)
         v.coeffs[1, 0] = b
         v.coeffs[-1, 0] = np.conj(b)
-        out = convect_convolution(u, v, g).field.coeffs
-        expect = np.zeros(g.shape, complex)
+        out = _from_half(g, convect_convolution(u, v, g).field.coeffs)
+        expect = np.zeros(g.physical_shape, complex)
         for p2 in (1, -1):
             for q1 in (1, -1):
                 vq = b if q1 == 1 else np.conj(b)
@@ -324,16 +323,15 @@ class TestConvolutionOracle:
         # modes, with the bound of ACCEPTANCE 3
         g = make_grid(dim, modes)
         u, theta = band_limited_fields(g, 29, bandwidth=modes // 3)
-        half = g.half_slice
-        y = np.concatenate([u.coeffs[half], theta.coeffs[np.newaxis][half]])
-        conv_u = convect_convolution(u, u, g).field.coeffs[half]
-        conv_theta = convect_convolution(u, theta, g).field.coeffs[half]
+        y = np.concatenate([u.coeffs, theta.coeffs[np.newaxis]])
+        conv_u = convect_convolution(u, u, g).field.coeffs
+        conv_theta = convect_convolution(u, theta, g).field.coeffs
         want = np.concatenate([
             leray_half(g, -conv_u) + projected_buoyancy(g, y[dim]),
             -conv_theta[np.newaxis]])
         got = _projected_rhs(g, y)
-        scale = np.max(np.abs(want * g.half_mask))
-        assert np.max(np.abs((got - want) * g.half_mask)) <= 1e-12 * scale
+        scale = np.max(np.abs(want * g.dealias_mask))
+        assert np.max(np.abs((got - want) * g.dealias_mask)) <= 1e-12 * scale
 
     def test_reality_and_zero_mode(self):
         g = make_grid(2, 8)
@@ -362,8 +360,7 @@ class TestBuoyancy:
         # gradient, projected away entirely
         g = make_grid(2, 8)
         theta = SpectralScalarField(g)
-        theta.coeffs[0, 1] = 0.5
-        theta.coeffs[0, -1] = 0.5
+        theta.coeffs[0, 1] = 0.5  # and its conjugate at (0, -1)
         out = buoyancy(theta)
         assert np.max(np.abs(out.coeffs)) == 0.0
 

@@ -19,6 +19,7 @@ from bousspec import (
     synthesize_initial,
     to_physical,
 )
+from bousspec.fields import _from_half
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,7 +52,8 @@ class TestGridSpec:
     def test_counts_3d(self):
         g = make_grid(3, 4)
         assert g.nmodes == 64
-        assert g.k.shape == (3, 4, 4, 4)
+        assert g.k.shape == (3, 4, 4, 3)  # the half spectrum
+        assert g.physical_shape == (4, 4, 4)
 
     def test_cutoff_uses_exact_rational_arithmetic(self):
         # float 2/3 * 3 rounds below 2; the integer cutoff modes // 3 must not
@@ -76,17 +78,18 @@ class TestGridSpec:
         for f in (random_scalar(make_grid(2, 6), 3),
                   random_vector(make_grid(3, 4), 3, solenoidal=False)):
             g = f.grid
-            flat = g.to_lex_order(f.coeffs)
-            assert np.array_equal(g.from_lex_order(flat), f.coeffs)
+            full = _from_half(g, f.coeffs)
+            flat = g.to_lex_order(full)
+            assert np.array_equal(g.from_lex_order(flat), full)
             # each component on its own: entry n holds the coefficient of
             # the n-th wavevector of the enumeration
             slots = tuple((g.wavevectors() % g.modes).T)
-            comps = f.coeffs.reshape((-1,) + g.shape)
+            comps = full.reshape((-1,) + g.physical_shape)
             want = np.stack([c[slots] for c in comps])
             assert np.array_equal(flat, want.reshape(flat.shape))
         # a single known mode lands where the enumeration says it should
         g = make_grid(2, 6)
-        c = np.zeros(g.shape, complex)
+        c = np.zeros(g.physical_shape, complex)
         c[(1 % 6, 2 % 6)] = 3.5 + 1j
         flat = g.to_lex_order(c)
         wv = g.wavevectors()
@@ -119,15 +122,35 @@ class TestConstraints:
             out = enforce_constraints(f)
             assert np.all(out.coeffs[(Ellipsis,) + g.zero_index] == 0.0)
             assert hermitian_defect(out) == 0.0
-            # each component on its own, j -> -j as a flip and a roll
-            axes = tuple(range(g.dim))
+            # each component on its own: the last-axis planes 0 and M/2
+            # hold j and -j, and there j -> -j is a flip and a roll of
+            # the leading axes; label -M/2 is emptied on every axis
+            axes = tuple(range(g.dim - 1))
             want = []
             for c in f.coeffs.reshape((-1,) + g.shape):
-                w = 0.5 * (c + np.conj(np.roll(np.flip(c), 1, axis=axes)))
+                w = c.copy()
+                for p in (0, g.modes // 2):
+                    plane = c[..., p]
+                    w[..., p] = 0.5 * (plane + np.conj(
+                        np.roll(np.flip(plane), 1, axis=axes)))
+                for axis in range(g.dim):
+                    np.moveaxis(w, axis, -1)[..., g.modes // 2] = 0.0
                 w[g.zero_index] = 0.0
                 want.append(w)
             assert np.array_equal(out.coeffs,
                                   np.reshape(want, f.coeffs.shape))
+
+    @pytest.mark.parametrize("dim,modes", [(2, 8), (3, 6)])
+    def test_label_minus_half_emptied(self, dim, modes):
+        # a slot with label -M/2 and its reflection do not sit at
+        # opposite wavevectors, so a real field carries nothing there
+        g = make_grid(dim, modes)
+        for axis in range(dim):
+            f = SpectralScalarField(g)
+            slot = [1] * dim
+            slot[axis] = modes // 2
+            f.coeffs[tuple(slot)] = 1.0 + 2.0j
+            assert np.max(np.abs(enforce_constraints(f).coeffs)) == 0.0
 
     def test_idempotent_bit_identical(self):
         g = make_grid(3, 4)
@@ -228,8 +251,7 @@ class TestMultipliers:
         # j = (3, 4): |j| = 5 exactly
         g = make_grid(2, 16)
         f = SpectralScalarField(g)
-        f.coeffs[3, 4] = 2.0 + 1.0j
-        f.coeffs[-3, -4] = 2.0 - 1.0j
+        f.coeffs[3, 4] = 2.0 + 1.0j  # and its conjugate at (-3, -4)
         assert norm(f, r=1.0) == 5.0 * norm(f)
 
     def test_zygmund_zero_mode(self):
@@ -243,7 +265,6 @@ class TestMultipliers:
         g = make_grid(2, 16)
         f = SpectralScalarField(g)
         f.coeffs[3, 4] = 1.0 - 2.0j
-        f.coeffs[-3, -4] = 1.0 + 2.0j
         np.testing.assert_allclose(
             norm(f, tau=0.5, s=1.0), np.exp(2.5) * norm(f), rtol=1e-15
         )
@@ -252,7 +273,7 @@ class TestMultipliers:
         # s = 2: weight exp(tau |j|^(1/2)); |j| = 4 -> exp(2)
         g = make_grid(2, 16)
         f = SpectralScalarField(g)
-        f.coeffs[0, 4] = f.coeffs[0, -4] = 1.0
+        f.coeffs[0, 4] = 1.0
         np.testing.assert_allclose(
             norm(f, tau=1.0, s=2.0), np.exp(2.0) * norm(f), rtol=1e-15
         )
@@ -308,7 +329,6 @@ class TestNorms:
         g = make_grid(2, 16)
         f = SpectralScalarField(g)
         f.coeffs[0, 2] = 1.0
-        f.coeffs[0, -2] = 1.0
         base = norm(f)
         assert norm(f, r=1.0) == pytest.approx(2.0 * base, rel=1e-14)
         assert norm(f, tau=0.5) > base
@@ -319,14 +339,15 @@ class TestNorms:
         # a norm reads the half spectrum of a real field; the weighted
         # sum over every mode of the full array is the same to roundoff
         grid = make_grid(dim, modes)
+        k = np.meshgrid(*[grid.freq1d] * dim, indexing="ij")
+        kmag = np.sqrt(sum(k_i**2 for k_i in k))
         for field in (random_scalar(grid, seed=dim),
                       random_vector(grid, seed=modes, solenoidal=False)):
             assert hermitian_defect(field) == 0.0
-            power = np.abs(field.coeffs) ** 2
+            power = np.abs(_from_half(grid, field.coeffs)) ** 2
             for r, tau, s in ((0, 0, 1), (1, 0, 1), (1, 0.05, 1),
                               (0.5, 0.01, 2)):
-                weight = grid.kmag ** (2 * r) * np.exp(
-                    2 * tau * grid.kmag ** (1 / s))
+                weight = kmag ** (2 * r) * np.exp(2 * tau * kmag ** (1 / s))
                 want = np.sqrt(TWO_PI**dim * np.sum(weight * power))
                 np.testing.assert_allclose(norm(field, r, tau, s), want,
                                            rtol=1e-14)
@@ -345,7 +366,6 @@ class TestDivergence:
         c = 0.3 - 0.4j
         u = SpectralVectorField(g)
         u.coeffs[:, 1, 2] = 1j * np.array([1, 2]) * c
-        u.coeffs[:, -1, -2] = np.conj(u.coeffs[:, 1, 2])
         np.testing.assert_allclose(divergence_max(u), 5 * abs(c), rtol=1e-14)
 
     def test_zero_for_solenoidal(self):
@@ -368,9 +388,17 @@ class TestTransforms:
             )
             # each component transformed on its own
             comps = f.coeffs.reshape((-1,) + g.shape)
-            want = np.stack([np.fft.ifftn(c).real * g.nmodes for c in comps])
+            axes = tuple(range(g.dim))
+            want = np.stack([np.fft.irfftn(c, s=g.physical_shape, axes=axes,
+                                           norm="forward") for c in comps])
             assert np.array_equal(vals, want.reshape(vals.shape))
-            want = np.stack([np.fft.fftn(v) / g.nmodes for v in want])
+            # and the complex transform of the full spectrum
+            full = _from_half(g, comps)
+            np.testing.assert_allclose(
+                vals.reshape(want.shape),
+                np.fft.ifftn(full, axes=[a + 1 for a in axes]).real
+                * g.nmodes, atol=1e-14 * np.max(np.abs(vals)))
+            want = np.stack([np.fft.rfftn(v, norm="forward") for v in want])
             assert np.array_equal(back.coeffs, want.reshape(back.coeffs.shape))
 
     def test_taylor_green_collocation_values(self):
@@ -389,12 +417,14 @@ class TestInitialData:
         u, theta = synthesize_initial("taylor_green", g)
         assert u.coeffs[0][1, 1] == -0.25j
         assert u.coeffs[1][1, 1] == 0.25j
-        assert u.coeffs[0][-1 % 8, -1 % 8] == 0.25j  # conjugate partner
+        full = _from_half(g, u.coeffs)
+        assert full[0][-1 % 8, -1 % 8] == 0.25j  # conjugate partner
         assert np.max(np.abs(theta.coeffs)) == 0.0
         assert divergence_max(u) == 0.0
         assert hermitian_defect(u) == 0.0
-        # exactly 4 modes per component
-        assert np.count_nonzero(u.coeffs[0]) == 4
+        # exactly 4 modes per component, 2 of them in the half spectrum
+        assert np.count_nonzero(full[0]) == 4
+        assert np.count_nonzero(u.coeffs[0]) == 2
         with pytest.raises(ValueError, match="two-dimensional"):
             synthesize_initial("taylor_green", make_grid(3, 8))
 
@@ -405,12 +435,13 @@ class TestInitialData:
         assert np.max(np.abs(u.coeffs)) == 0.0
         idx = (0,) * (dim - 1) + (1,)
         assert theta.coeffs[idx] == 0.5
-        assert np.count_nonzero(theta.coeffs) == 2
+        assert np.count_nonzero(_from_half(g, theta.coeffs)) == 2
         # collocation values are cos of the last coordinate
         x = TWO_PI * np.arange(8) / 8
         vals = to_physical(theta)
         expect = np.cos(x).reshape((1,) * (dim - 1) + (8,))
-        np.testing.assert_allclose(vals, np.broadcast_to(expect, g.shape),
+        np.testing.assert_allclose(vals, np.broadcast_to(expect,
+                                                         g.physical_shape),
                                    atol=1e-15)
 
     @pytest.mark.parametrize("dim,modes", [(2, 16), (3, 8)])

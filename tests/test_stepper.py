@@ -16,7 +16,7 @@ from bousspec import (
     norm,
     synthesize_initial,
 )
-from bousspec.fields import _stacked_half
+from bousspec.fields import _stacked
 from bousspec.nonlinear import (
     _projected_rhs,
     buoyancy,
@@ -123,7 +123,7 @@ class TestRhs:
 
         grid = make_grid(dim, modes)
         state = masked_rough_state(grid, seed=3)
-        y = _stacked_half(state.u, state.theta)
+        y = _stacked(state.u, state.theta)
         for name in ("ifft", "irfft", "rfft", "fft"):
             monkeypatch.setattr(np.fft, name, counted(name))
         _projected_rhs(grid, y)
@@ -168,10 +168,10 @@ class TestStep:
 
     @pytest.mark.parametrize("dim,modes", [(2, 64), (3, 16)])
     def test_matches_full_spectrum_reference(self, dim, modes):
-        # the same IF-RK4 written on full spectra with the public
-        # operators: two Leray projections per stage, constraints
-        # enforced after the step; the half-spectrum step must agree to
-        # roundoff over 20 steps of rough data
+        # the same IF-RK4 written with the public operators on whole
+        # arrays: two Leray projections per stage, constraints enforced
+        # after the step; the integrator's step on the pruned kernel must
+        # agree to roundoff over 20 steps of rough data
         grid = make_grid(dim, modes)
         params = PhysicalParams(nu=1.0, kappa=1.0)
         dt = 1e-3
@@ -339,8 +339,8 @@ class TestRunSimulation:
     @pytest.mark.parametrize("scheme", ["if_rk4", "if_euler"])
     @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
     def test_run_equals_a_loop_of_steps(self, dim, modes, scheme):
-        # run_simulation carries the half spectrum from step to step and
-        # step rebuilds the full fields after each one; both advance one
+        # run_simulation carries its state from step to step and step
+        # starts a new integrator for each one; both advance the same
         # integrator, so they reach the same bits
         grid = make_grid(dim, modes)
         params = PhysicalParams(nu=0.05, kappa=0.05)
