@@ -193,7 +193,9 @@ def _from_half(grid, half):
     m = grid.modes
     out = np.empty(half.shape[:-1] + (m,), dtype=complex)
     out[..., : m // 2 + 1] = half
-    out[..., m // 2 + 1:] = np.conj(half[(Ellipsis,) + grid._upper_ix])
+    flat = half.reshape(half.shape[: half.ndim - grid.dim] + (-1,))
+    np.conj(np.take(flat, grid._upper_index, axis=-1),
+            out=out[..., m // 2 + 1:])
     return out
 
 

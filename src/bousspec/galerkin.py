@@ -381,11 +381,12 @@ class GalerkinTrajectory:
     eta_residuals: np.ndarray
 
 
-def _rk4_step(state, system, params, dt):
+def _rk4_step(state, system, params, dt, k1):
+    """One RK4 step of ``dt`` from ``state``, whose right-hand side
+    ``k1`` the caller has taken (it serves several step sizes)."""
     def add(s, dxi, deta, h):
         return GalerkinState(s.xi + h * dxi, s.eta + h * deta, s.t)
 
-    k1 = galerkin_rhs(state, system, params)
     k2 = galerkin_rhs(add(state, *k1, dt / 2), system, params)
     k3 = galerkin_rhs(add(state, *k2, dt / 2), system, params)
     k4 = galerkin_rhs(add(state, *k3, dt), system, params)
@@ -421,12 +422,16 @@ def integrate_galerkin(system: GalerkinSystem, initial: GalerkinState,
     xi_res = np.zeros(n_steps)
     eta_res = np.zeros(n_steps)
     state = initial.copy()
+    # the half step and the step share their first stage, and each step
+    # starts from the power at the end of the one before
+    p1 = _powers(state, system, params)
     for n in range(n_steps):
-        mid = _rk4_step(state, system, params, dt / 2)
-        new = _rk4_step(state, system, params, dt)
+        k1 = galerkin_rhs(state, system, params)
+        mid = _rk4_step(state, system, params, dt / 2, k1)
+        new = _rk4_step(state, system, params, dt, k1)
         if not (np.all(np.isfinite(new.xi)) and np.all(np.isfinite(new.eta))):
             raise NonFiniteStateError(new.t, state)
-        p0 = _powers(state, system, params)
+        p0 = p1
         pm = _powers(mid, system, params)
         p1 = _powers(new, system, params)
         simpson = [dt / 6 * (p0[i] + 4 * pm[i] + p1[i]) for i in (0, 1)]

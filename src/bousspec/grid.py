@@ -107,14 +107,9 @@ class GridSpec:
             value.flags.writeable = False
 
         # index map i -> (-i) mod m implements j -> -j on the leading
-        # axes; the last-axis labels 0 and m/2 reflect onto themselves,
-        # and the labels m/2+1..m-1 missing from the half spectrum are
-        # the reflections of m/2-1..1
+        # axes; the last-axis labels 0 and m/2 reflect onto themselves
         reflect = [(-np.arange(m)) % m] * (self.dim - 1)
         object.__setattr__(self, "_plane_ix", np.ix_(*reflect, np.arange(2)))
-        object.__setattr__(
-            self, "_upper_ix", np.ix_(*reflect, np.arange(half - 1, 0, -1))
-        )
 
     # computed on first use: only grids that operators run on need these,
     # not the ones ``read_snapshot`` builds
@@ -122,6 +117,17 @@ class GridSpec:
     def k_over_k2(self):
         """j / |j|^2 mesh, zero at j = 0 (the Leray projection's weight)."""
         return _read_only(self.k / np.where(self.k2 == 0, 1.0, self.k2))
+
+    @functools.cached_property
+    def _upper_index(self):
+        """Flat indices into one field's half spectrum of the
+        reflections of the last-axis labels m/2+1..m-1, which the half
+        spectrum does not hold (they are those of m/2-1..1), in the
+        row-major order of those labels."""
+        m = self.modes
+        reflect = [(-np.arange(m)) % m] * (self.dim - 1)
+        return _read_only(np.ravel_multi_index(
+            np.ix_(*reflect, np.arange(m // 2 - 1, 0, -1)), self.shape))
 
     @functools.cached_property
     def k_complex(self):

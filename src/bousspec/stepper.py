@@ -15,17 +15,26 @@ single step — and only the advection limits the step size.
 
 Fields are half spectra (last-axis labels 0..M/2, the layout of
 real-to-complex transforms), and the time loop works on them stacked,
-y = [u; theta].  One integrator advances y in place: it owns its stage
-arrays and the kernel's transform arrays for the whole run, evaluates
-each stage's right-hand side with the projected kernel of ``nonlinear``
-(the divergence of the traceless flux u u - u_N^2 I and of u theta,
-equal to the advection terms because u is divergence-free, with the
-Leray projection and the projected buoyancy applied as fixed per-mode
-maps, so a stage runs no separate projection), and after each step
-Leray-projects y and constrains it (``fields._constrain``), so that it
-is real and zero-mean.  States from ``step`` and ``synthesize_initial``
-are divergence-free; for any other u the right-hand side is not the
-advective one.
+y = [u; theta].  One integrator advances y in place, and RK4 steps only
+the modes the 2/3 rule retains (Orszag 1971), 45% of the half spectrum
+in 2D and 30% in 3D, held in the compact core layout of ``nonlinear``.
+Their right-hand side is the projected kernel of ``nonlinear`` (the
+divergence of the traceless flux u u - u_N^2 I and of u theta, equal to
+the advection terms because u is divergence-free, with the Leray
+projection and the projected buoyancy applied as fixed per-mode maps, so
+a stage runs no separate projection); after each step the core is
+Leray-projected and made real and zero-mean, as ``fields._constrain``
+does.  On every other mode the right-hand side is exactly
+[b theta; 0], with b = e_N - j j_N / |j|^2 the projected buoyancy, so
+the scheme's stages there reduce to products of the integrating factors
+and one step is a fixed per-mode linear map, formed once per run (see
+``_Integrator``; Cox & Matthews 2002 on integrating-factor schemes).
+That map is exactly the scheme on those modes, its terms only grouped
+differently, so it agrees with stepping them to roundoff.  It is real
+and even in j, so the state stays exactly real with empty label -M/2
+slots, and j . b = 0, so u stays divergence-free.  States from ``step``
+and ``synthesize_initial`` are divergence-free; for any other u the
+right-hand side is not the advective one.
 
 ``step`` wraps the integrator for a single step.  ``run_simulation``
 keeps y from step to step from t = 0 to t_final, takes a diagnostics
@@ -55,7 +64,15 @@ from .fields import (
     _stacked,
 )
 from .grid import GridSpec
-from .nonlinear import _Work, _projected_rhs
+from .nonlinear import (
+    _core,
+    _core_blocks,
+    _core_rhs,
+    _core_shape,
+    _projected_rhs,
+    _projection_maps,
+    _Work,
+)
 
 __all__ = [
     "SCHEMES",
@@ -163,47 +180,76 @@ class _Integrator:
     """The integrating-factor scheme of a run, advancing the stacked
     ``y`` = [u; theta] in place.
 
-    It holds the diffusion factors and every work array of a step (the
-    stage arrays, the kernel's transform arrays and a second state
-    array), allocated once, so a step allocates no array of the state's
-    size.  ``advance`` forms the new state in the second array and swaps
-    it in only when it is finite, so after a failed step ``y`` still
-    holds the last finite state.  Between steps the stage arrays
-    (``free_between_steps``) are free for other work.
+    RK4 (or Euler) runs only on the retained modes, in the core layout
+    of ``nonlinear._core``.  On the other modes, where F = [b theta; 0],
+    its stages are k1 = k2 = k3 = k4 = 0 for theta and b theta0,
+    b e_k,h theta0, b e_k,h theta0, b e_k theta0 for u (",h" marks the
+    factors of half a step), so a step is theta <- e_k theta and
+    u <- e_n u + g theta with g = dt / 6 b (e_n + 4 e_n,h e_k,h + e_k);
+    Euler's is u <- e_n (u + dt b theta).  ``advance`` applies that map
+    to the whole half spectrum and then writes the core over it.
+
+    The integrator holds the factors of both parts, the kernel's work
+    arrays, a second state array and one block for the core's stages,
+    allocated once, so a step allocates no array of the state's size.
+    ``advance`` forms the new state in the second array and swaps it in
+    only when it is finite, so after a failed step ``y`` still holds the
+    last finite state.  Between steps the block (``free_between_steps``)
+    is free for other work: it holds a record's 3 dim + 6 real half
+    spectra (``diagnostics._record``).
     """
 
     def __init__(self, grid, params, config, y):
-        self.grid = grid
-        self.dt = config.dt
-        self.scheme = config.scheme
-        self.y = y
+        dim, dt = grid.dim, config.dt
+        self.dim, self.dt, self.scheme, self.y = dim, dt, config.scheme, y
         rates = _diffusion_rates(grid, params)
-        self.e_h = np.exp(-0.5 * self.dt * rates * grid.k2)
-        self.e = self.e_h * self.e_h
-        # products of the stage formulas, taken once and bit-equal to
-        # forming them in each step
-        self.dt_e_h = self.dt * self.e_h
+        e_h = np.exp(-0.5 * dt * rates * grid.k2)
+        e = e_h * e_h
+        # the core's factors, and the products of the stage formulas,
+        # taken once and bit-equal to forming them in each step
+        self.e_h, self.e = _core(grid, e_h), _core(grid, e)
+        self.dt_e_h = dt * self.e_h
         self.two_e_h = 2 * self.e_h
+        self.k = _core(grid, grid.k)
+        self.k_over_k2 = _core(grid, grid.k_over_k2)
+        self.blocks = _core_blocks(grid)
+        # the label-0 plane of the core and the reflection j -> -j in it
+        # (the FFT layout of length 2c + 1 on every leading axis)
+        rows = 2 * grid.dealias_cutoff + 1
+        self.reflect = (Ellipsis,) + np.ix_(
+            *[(-np.arange(rows)) % rows] * (dim - 1), [0])
+        # the tail map on interleaved (re, im) pairs, as real factors:
+        # e_n (the same for every velocity row) and e_k, and g
+        lift = _projection_maps(grid)[2].real
+        if self.scheme == "if_euler":
+            gain = dt * lift
+        else:
+            gain = dt / 6 * lift * (e[0] + 4 * e_h[0] * e_h[dim] + e[dim])
+        self.tail_e = np.repeat(e[dim - 1 :], 2, axis=-1)
+        self.tail_gain = np.repeat(gain, 2, axis=-1)
         self._next = np.empty_like(y)
-        # the stage input and the three stages, in one block that holds
-        # nothing between steps
-        self.free_between_steps = np.empty((4,) + y.shape, dtype=complex)
-        self._stage, *self._k = self.free_between_steps
+        # one block, free between steps (a record takes 3 dim + 6 real
+        # half spectra of it); in a step it holds first the tail map's
+        # term, then the core of y, the stage input and the three stages
+        stages = (5,) + y.shape[:1] + _core_shape(grid)
+        self.free_between_steps = np.empty(
+            max(math.prod(stages), -(-(3 * dim + 6) * y[0].size // 2)),
+            dtype=complex)
+        self._stages = self.free_between_steps[: math.prod(stages)].reshape(
+            stages)
+        self._tail_term = self.free_between_steps.view(float)[
+            : self.tail_gain.size].reshape(self.tail_gain.shape)
         self._work = _Work(grid)
 
-    def _rhs(self, y, out):
-        return _projected_rhs(self.grid, y, self._work, out)
+    def _rhs(self, core, out):
+        return _core_rhs(self._work, core, out)
 
-    def advance(self):
-        """One step of ``dt``; returns False, leaving ``y`` as it was,
-        if the new state is not finite.
-
-        The new state is Leray-projected and made real and zero-mean
-        (``_constrain``), so it is divergence-free.
-        """
-        dt, e_h, e, y0, y1 = self.dt, self.e_h, self.e, self.y, self._next
-        s = self._stage
-        k1, k2, k3 = self._k
+    def _step_core(self):
+        """The new core, unprojected, in a stage array."""
+        dt, e_h, e = self.dt, self.e_h, self.e
+        y0, s, k1, k2, k3 = self._stages
+        for core, half in self.blocks:
+            y0[core] = self.y[half]
         # each line computes, operand for operand, one term of the
         # formulas in the comments, so the bits do not depend on the
         # buffers
@@ -212,44 +258,77 @@ class _Integrator:
             self._rhs(y0, k1)
             np.multiply(dt, k1, out=k1)
             np.add(y0, k1, out=k1)
-            np.multiply(e, k1, out=y1)
-        else:
-            # RK4 on the integrating-factor-transformed system, written
-            # back in the original variables (exponentials appear where
-            # the transform is undone at each stage time):
-            #   k1 = F(y0)
-            #   k2 = F(e_h * (y0 + 0.5 * dt * k1))
-            #   k3 = F(e_h * y0 + 0.5 * dt * k2)
-            #   k4 = F(e * y0 + dt * e_h * k3)
-            #   y1 = e * y0 + dt / 6 * (e * k1 + 2 * e_h * (k2 + k3) + k4)
-            self._rhs(y0, k1)
-            np.multiply(0.5 * dt, k1, out=s)
-            np.add(y0, s, out=s)
-            np.multiply(e_h, s, out=s)
-            self._rhs(s, k2)
-            np.multiply(e_h, y0, out=s)
-            np.multiply(0.5 * dt, k2, out=y1)
-            np.add(s, y1, out=s)
-            self._rhs(s, k3)
-            np.multiply(e, y0, out=s)
-            np.multiply(self.dt_e_h, k3, out=y1)
-            np.add(s, y1, out=s)
-            np.add(k2, k3, out=k2)
-            k4 = self._rhs(s, k3)
-            np.multiply(self.two_e_h, k2, out=k2)
             np.multiply(e, k1, out=k1)
-            np.add(k1, k2, out=k1)
-            np.add(k1, k4, out=k1)
-            np.multiply(dt / 6, k1, out=k1)
-            np.multiply(e, y0, out=y1)
-            np.add(y1, k1, out=y1)
+            return k1
+        # RK4 on the integrating-factor-transformed system, written back
+        # in the original variables (exponentials appear where the
+        # transform is undone at each stage time):
+        #   k1 = F(y0)
+        #   k2 = F(e_h * (y0 + 0.5 * dt * k1))
+        #   k3 = F(e_h * y0 + 0.5 * dt * k2)
+        #   k4 = F(e * y0 + dt * e_h * k3)
+        #   y1 = e * y0 + dt / 6 * (e * k1 + 2 * e_h * (k2 + k3) + k4)
+        self._rhs(y0, k1)
+        np.multiply(0.5 * dt, k1, out=s)
+        np.add(y0, s, out=s)
+        np.multiply(e_h, s, out=s)
+        self._rhs(s, k2)
+        np.multiply(e_h, y0, out=s)
+        np.multiply(0.5 * dt, k2, out=k3)
+        np.add(s, k3, out=s)
+        self._rhs(s, k3)
+        np.multiply(e, y0, out=s)
+        np.add(k2, k3, out=k2)
+        np.multiply(self.dt_e_h, k3, out=k3)
+        np.add(s, k3, out=s)
+        k4 = self._rhs(s, k3)
+        np.multiply(self.two_e_h, k2, out=k2)
+        np.multiply(e, k1, out=k1)
+        np.add(k1, k2, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(dt / 6, k1, out=k1)
+        np.multiply(e, y0, out=s)
+        np.add(s, k1, out=k1)
+        return k1
 
-        if not np.all(np.isfinite(y1)):
+    def _step_tail(self, y0, y1):
+        """The tail map from ``y0`` into ``y1``, over the whole half
+        spectrum (the core's values are overwritten afterwards)."""
+        dim, term = self.dim, self._tail_term
+        e_n, e_k = self.tail_e
+        a0, a1 = y0.view(float), y1.view(float)
+        np.multiply(self.tail_gain, a0[dim], out=term)
+        np.multiply(e_k, a0[dim], out=a1[dim])
+        if self.scheme == "if_euler":
+            np.add(a0[:dim], term, out=term)
+            np.multiply(e_n, term, out=a1[:dim])
+        else:
+            np.multiply(e_n, a0[:dim], out=a1[:dim])
+            np.add(a1[:dim], term, out=a1[:dim])
+
+    def advance(self):
+        """One step of ``dt``; returns False, leaving ``y`` as it was,
+        if the new state is not finite.
+
+        The core of the new state is Leray-projected and made real and
+        zero-mean, so the state is divergence-free.
+        """
+        y0, y1 = self.y, self._next
+        self._step_tail(y0, y1)
+        core = self._step_core()
+        # the stage input is free again: it holds the projection's terms;
+        # then the label-0 plane is made real, as in fields._constrain,
+        # and the mean mode zeroed
+        _leray_in_place(self.k, self.k_over_k2, core[: self.dim],
+                        self._stages[1])
+        plane = core[..., :1]
+        plane[...] = 0.5 * (plane + np.conj(plane[self.reflect]))
+        core[(Ellipsis,) + (0,) * self.dim] = 0.0
+        for kept, half in self.blocks:
+            y1[half] = core[kept]
+        # finite exactly when every real and imaginary part is
+        if not np.isfinite(y1.view(float)).all():
             return False
-        # the stage array is free again: it holds the projection's terms
-        _leray_in_place(self.grid.k, self.grid.k_over_k2,
-                        y1[: self.grid.dim], s)
-        _constrain(self.grid, y1)
         self.y, self._next = y1, y0
         return True
 
@@ -335,7 +414,8 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
             message = str(NonFiniteStateError(t + config.dt, None))
             break
         t, index = t + config.dt, index + 1
-        # the record's per-mode arrays take the free stage arrays
+        # the record's per-mode arrays take the free block of the
+        # integrator
         records.append(_record(grid, t, integrator.y, budget,
                                integrator.free_between_steps))
         measure = records[-1].h1_u ** 2 + records[-1].h1_theta ** 2

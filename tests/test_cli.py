@@ -230,7 +230,7 @@ class TestOracleCheck:
         """)
         assert main(["oracle-check", cfg]) == 0
         out = capsys.readouterr().out
-        assert "transform vs convolution" in out
+        assert "projected kernel vs convolution" in out
         assert "solver vs Galerkin ODE" in out
         assert "MISMATCH" not in out
 
@@ -262,7 +262,7 @@ class TestOracleCheck:
         assert main(["oracle-check", cfg]) == 0
         out = capsys.readouterr().out
         assert "skipped (528 basis elements" in out
-        assert "transform vs convolution" in out
+        assert "projected kernel vs convolution" in out
 
     def test_grid_too_large_for_convolution(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """

@@ -17,10 +17,10 @@ from bousspec import (
 from bousspec.nonlinear import (
     AliasingMode,
     CONVOLUTION_MODE_LIMIT,
-    _gather,
+    _core,
+    _core_blocks,
     _projected_rhs,
     _projection_maps,
-    _pruned,
     buoyancy,
     convect_convolution,
     convect_pseudospectral,
@@ -135,7 +135,7 @@ def unpruned_projected_rhs(grid, y):
     """The projected kernel in plain whole-array transforms: mask
     [u; theta], irfftn, form u_i u_i - u_N u_N (i < N), u_i u_j (i < j)
     and u_j theta, rfftn, then apply the kernel's per-mode maps term by
-    term in its order on the pruned layout and add them to the
+    term in its order on the retained modes and add them to the
     projected buoyancy."""
     dim = grid.dim
     phys = whole_to_grid(grid, y)
@@ -145,9 +145,8 @@ def unpruned_projected_rhs(grid, y):
     products += [u[i] * u[j] for i in range(dim) for j in range(i + 1, dim)]
     products += [u[j] * theta for j in range(dim)]
     axes = tuple(range(-dim, 0))
-    blocks = _pruned(grid)[1]
-    flux = _gather(blocks, np.fft.rfftn(np.array(products), axes=axes,
-                                        norm="forward"))
+    flux = _core(grid, np.fft.rfftn(np.array(products), axes=axes,
+                                    norm="forward"))
     velocity, scalar, lift = _projection_maps(grid)
     n = len(products) - dim
     part_u = velocity[:, 0] * flux[0]
@@ -158,9 +157,9 @@ def unpruned_projected_rhs(grid, y):
         part_theta = part_theta + scalar[j] * flux[n + j]
     out = np.zeros_like(y)
     out[:dim] = lift * y[dim]
-    for pruned, half in blocks:
-        out[:dim][half] += part_u[pruned]
-        out[dim][half] += part_theta[pruned]
+    for kept, half in _core_blocks(grid):
+        out[:dim][half] += part_u[kept]
+        out[dim][half] += part_theta[kept]
     return out
 
 
@@ -235,8 +234,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("dim,modes", [(2, 16), (3, 8)])
     def test_only_buoyancy_off_the_retained_modes(self, dim, modes):
-        # the nonlinear part lives on the retained modes, inside the
-        # pruned blocks; elsewhere the velocity rows are exactly
+        # the nonlinear part lives on the retained modes, the blocks of
+        # the kernel's core; elsewhere the velocity rows are exactly
         # b theta, b = e_N - k k_N / |k|^2, and the theta row exactly 0
         # (written over whatever ``out`` held)
         g = make_grid(dim, modes)
@@ -244,13 +243,13 @@ class TestKernel:
         got = _projected_rhs(g, y, out=np.full_like(y, np.nan))
         lift = -g.k * g.k_over_k2[-1]
         lift[-1] += 1.0
-        outside = np.ones(g.shape, dtype=bool)
-        for _, half in _pruned(g)[1]:
-            outside[half] = False
-        for off in (outside, ~g.dealias_mask):
-            assert np.count_nonzero(y[dim][off]) > 0
-            assert np.array_equal(got[:dim, off], (lift * y[dim])[:, off])
-            assert np.all(got[dim][off] == 0.0)
+        off = np.ones(g.shape, dtype=bool)
+        for _, half in _core_blocks(g):
+            off[half] = False
+        assert np.array_equal(off, ~g.dealias_mask)
+        assert np.count_nonzero(y[dim][off]) > 0
+        assert np.array_equal(got[:dim, off], (lift * y[dim])[:, off])
+        assert np.all(got[dim][off] == 0.0)
 
 
 class TestConvolutionOracle:

@@ -17,6 +17,7 @@ from bousspec import (
     synthesize_initial,
 )
 from bousspec.fields import _stacked
+from bousspec.fileio import read_snapshot, write_snapshot
 from bousspec.nonlinear import (
     _projected_rhs,
     buoyancy,
@@ -325,6 +326,35 @@ class TestRunSimulation:
         assert traj.status == "nonfinite"
         assert np.all(np.isfinite(traj.final_state.u.coeffs))
 
+    @pytest.mark.parametrize("scheme", ["if_rk4", "if_euler"])
+    @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
+    def test_tail_keeps_the_state_exactly_real(self, dim, modes, scheme,
+                                               tmp_path):
+        # off the retained modes each step applies only the fixed tail
+        # map, with no constraint after it; the map is real and even in
+        # j, so after 200 steps of rough data the state is still exactly
+        # Hermitian with empty label -M/2 slots, which read_snapshot
+        # checks to the last bit
+        grid = make_grid(dim, modes)
+        params = PhysicalParams(nu=0.05, kappa=0.05)
+        u, theta = synthesize_initial("rough_h1", grid, seed=11)
+        cfg = run_config(1e-3, 0.2, scheme=scheme, snapshot_every=10**9)
+        traj = run_simulation(cfg, params, grid, SimulationState(u, theta))
+        final = traj.final_state
+        assert traj.status == "completed" and final.step_index == 200
+        for field in (final.u, final.theta):
+            assert np.count_nonzero(field.coeffs[..., ~grid.dealias_mask]) > 0
+            assert hermitian_defect(field) == 0.0
+            for axis in range(-dim, 0):
+                slots = field.coeffs.swapaxes(axis, -1)[..., modes // 2]
+                assert np.all(slots == 0.0)
+        path = tmp_path / "final.bin"
+        write_snapshot(final, params, path)
+        back = read_snapshot(path)
+        assert back.t == final.t
+        assert np.array_equal(back.u.coeffs, final.u.coeffs)
+        assert np.array_equal(back.theta.coeffs, final.theta.coeffs)
+
     def test_determinism(self):
         grid = make_grid(2, 16)
         params = PhysicalParams(nu=1.0, kappa=1.0)
@@ -363,17 +393,17 @@ class TestRunSimulation:
         # although the integrator reuses its arrays from step to step
         import bousspec.stepper as stepper
 
-        kernel = stepper._projected_rhs
+        kernel = stepper._core_rhs
         calls_left = {"finite": 0}
 
-        def poisoned(grid, y, *args):
-            out = kernel(grid, y, *args)
+        def poisoned(*args):
+            out = kernel(*args)
             calls_left["finite"] -= 1
             if calls_left["finite"] < 0:
                 out[...] = np.nan
             return out
 
-        monkeypatch.setattr(stepper, "_projected_rhs", poisoned)
+        monkeypatch.setattr(stepper, "_core_rhs", poisoned)
         grid = make_grid(2, 16)
         params = PhysicalParams(nu=0.1, kappa=0.1)
         initial = masked_rough_state(grid, seed=2)
