@@ -1,14 +1,17 @@
 """
 Cross-check of the two independent advection implementations.
 
-The production path evaluates u . grad(v) by transforming to the
-collocation grid, multiplying, and transforming back, with the 2/3-rule
-mask keeping aliased products away from retained modes.  The oracle
-sums the truncated convolution directly in coefficient space, one mode
-pair at a time, with no transforms anywhere.  For inputs band-limited
-to half the dealias cutoff every product stays on the grid, so the two
-must agree to roundoff on every retained mode; that agreement is what
-certifies the transform path, masks and normalization included.
+The plain transform path, ``convect_pseudospectral``, evaluates
+u . grad(v) by transforming to the collocation grid, multiplying, and
+transforming back, with the 2/3-rule mask keeping aliased products away
+from retained modes.  It is the whole-array reference of the stepper's
+kernel (``nonlinear._core_rhs``), which ACCEPTANCE 3 and ``bousspec
+oracle-check`` hold to the same oracle.  The oracle sums the truncated
+convolution directly in coefficient space, one mode pair at a time,
+with no transforms anywhere.  For inputs band-limited to half the
+dealias cutoff every product stays on the grid, so the two must agree
+to roundoff on every retained mode; that agreement is what certifies
+the transform path, masks and normalization included.
 
 The tail of the demo shows the one hole the mask has: when the modes
 count is divisible by 3 the cutoff M/3 is itself a retained wavenumber,

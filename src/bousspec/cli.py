@@ -23,6 +23,7 @@ blow-up, and 1 on every other kind of failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -72,23 +73,23 @@ __all__ = ["main"]
 _ODE_CHECK_MAX_BASIS = 440
 
 
-def _build_initial(config, grid, seed):
-    u, theta = synthesize_initial(
-        config.initial_kind, grid, seed=seed,
-        sobolev_exponent=config.sobolev_exponent,
-    )
-    return SimulationState(u, theta, 0.0, 0)
+def _set_up(args):
+    """The config, its grid, parameters and initial state; a
+    ``--seed-override`` goes through the checks of the file's own seed."""
+    config = parse_config(args.config)
+    if args.seed_override is not None:
+        config = dataclasses.replace(config, seed=args.seed_override)
+    grid = make_grid(config.dim, config.modes)
+    u, theta = synthesize_initial(config.initial_kind, grid, seed=config.seed,
+                                  sobolev_exponent=config.sobolev_exponent)
+    return (config, grid, PhysicalParams(nu=config.nu, kappa=config.kappa),
+            SimulationState(u, theta, 0.0, 0))
 
 
 def _cmd_run(args):
-    config = parse_config(args.config)
-    seed = config.seed if args.seed_override is None else args.seed_override
+    config, grid, params, initial = _set_up(args)
     outdir = args.output_dir if args.output_dir is not None else config.output_dir
     os.makedirs(outdir, exist_ok=True)
-
-    grid = make_grid(config.dim, config.modes)
-    params = PhysicalParams(nu=config.nu, kappa=config.kappa)
-    initial = _build_initial(config, grid, seed)
 
     def on_snapshot(state):
         name = f"snapshot_{state.step_index:08d}.bin"
@@ -142,11 +143,7 @@ _ODE_CHECK_T = 0.02
 
 
 def _cmd_oracle_check(args):
-    config = parse_config(args.config)
-    seed = config.seed if args.seed_override is None else args.seed_override
-    grid = make_grid(config.dim, config.modes)
-    params = PhysicalParams(nu=config.nu, kappa=config.kappa)
-    initial = _build_initial(config, grid, seed)
+    config, grid, params, initial = _set_up(args)
     failures = 0
 
     if grid.nmodes > CONVOLUTION_MODE_LIMIT:

@@ -23,8 +23,8 @@ Zygmund operator Lambda = sqrt(-Laplacian) acts as multiplication by |j|).
 The weight is a function of |j|^2, so a norm folds the powers onto the
 half spectrum (``_fold``), sums them per class of equal |j|^2 and weights
 those sums (``_class_plan``), as records do.  The full spectrum is
-rebuilt (``_from_half``) only where the snapshot format, an oracle or
-the draw of rough data asks for it.
+rebuilt (``_from_half``) only where an oracle or the draw of rough data
+asks for it.
 """
 
 from __future__ import annotations
@@ -179,6 +179,14 @@ def _constrain(grid, half):
     return half
 
 
+def _plane_defect(grid, half):
+    """:func:`hermitian_defect` of a half spectrum, over all its leading
+    (component) axes."""
+    planes = half[..., :: grid.modes // 2]
+    reflected = planes[(Ellipsis,) + grid._plane_ix]
+    return float(np.max(np.abs(planes - np.conj(reflected))))
+
+
 def _stacked(u, theta):
     """[u; theta] in one array, shape (dim + 1, *grid.shape)."""
     return np.concatenate([u.coeffs, theta.coeffs[np.newaxis]])
@@ -237,13 +245,18 @@ def leray_project(u: SpectralVectorField):
         scratch))
 
 
+def _nyquist_slots(grid, arr):
+    """Views of the slots of ``arr`` with label -M/2, one per axis."""
+    return [arr.swapaxes(axis, -1)[..., grid.modes // 2]
+            for axis in range(-grid.dim, 0)]
+
+
 def _drop_nyquist(grid, arr):
     """Zero the slots of ``arr`` with label -M/2 on any axis in place and
     return it; only slots with content are written, so an empty one
     keeps its bits.  A mode there and its reflection do not sit at
     opposite wavevectors, so a real field carries nothing there."""
-    for axis in range(-grid.dim, 0):
-        slots = arr.swapaxes(axis, -1)[..., grid.modes // 2]
+    for slots in _nyquist_slots(grid, arr):
         slots[slots != 0] = 0.0
     return arr
 
@@ -268,9 +281,7 @@ def hermitian_defect(field):
     """max |c_j - conj(c_{-j})| over the modes whose reflections the half
     spectrum holds too (the last-axis planes 0 and M/2): zero for the
     half spectrum of a real field."""
-    planes = field.coeffs[..., :: field.grid.modes // 2]
-    reflected = planes[(Ellipsis,) + field.grid._plane_ix]
-    return float(np.max(np.abs(planes - np.conj(reflected))))
+    return _plane_defect(field.grid, field.coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -419,9 +430,27 @@ def _default_sobolev_exponent(dim):
     return 2.6 if dim == 2 else 3.1
 
 
+def _check_initial(kind, dim, seed, sobolev_exponent):
+    """Raise ValueError unless :func:`synthesize_initial` takes these
+    settings; only ``rough_h1`` reads (and checks) the exponent."""
+    if kind not in INITIAL_KINDS:
+        raise ValueError(f"unknown initial kind {kind!r}: initial_kind "
+                         f"must be one of {INITIAL_KINDS}")
+    if kind == "taylor_green" and dim != 2:
+        raise ValueError("initial_kind taylor_green is two-dimensional, "
+                         f"got dim = {dim}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    p = sobolev_exponent
+    if kind == "rough_h1" and p is not None and not (
+            math.isfinite(p) and p > dim / 2 + 1):
+        raise ValueError(
+            f"sobolev_exponent must be finite and exceed dim/2 + 1 = "
+            f"{dim / 2 + 1}, got {p}; shallower spectra have no H1 limit"
+        )
+
+
 def _taylor_green(grid):
-    if grid.dim != 2:
-        raise ValueError("taylor_green initial data is two-dimensional")
     u = SpectralVectorField(grid)
     # u = (cos x1 sin x2, -sin x1 cos x2): four modes per component,
     # u1_hat(j) = -i j2 / 4 and u2_hat(j) = i j1 / 4 on j in {-1, 1}^2,
@@ -446,11 +475,6 @@ def _single_mode_theta(grid):
 def _rough_h1(grid, seed, p):
     if p is None:
         p = _default_sobolev_exponent(grid.dim)
-    if not (math.isfinite(p) and p > grid.dim / 2 + 1):
-        raise ValueError(
-            f"sobolev_exponent must be finite and exceed dim/2 + 1 = "
-            f"{grid.dim / 2 + 1}, got {p}; shallower spectra have no H1 limit"
-        )
     rng = np.random.default_rng(seed)
     # the phases are drawn on the full spectrum, one field at a time (u's
     # components, then theta); Nyquist slots cannot carry the reality
@@ -490,16 +514,15 @@ def synthesize_initial(kind, grid, seed=0, sobolev_exponent=None):
         Both fields identically zero.
 
     Every kind's u is divergence-free.  Repeated calls with the same
-    arguments are bit-identical.
+    arguments are bit-identical.  The settings are checked as
+    ``RunConfig`` checks them (:func:`_check_initial`): ``seed`` must
+    be >= 0 whatever the kind.
     """
+    _check_initial(kind, grid.dim, seed, sobolev_exponent)
     if kind == "taylor_green":
         return _taylor_green(grid)
     if kind == "single_mode_theta":
         return _single_mode_theta(grid)
     if kind == "rough_h1":
         return _rough_h1(grid, seed, sobolev_exponent)
-    if kind == "zero":
-        return SpectralVectorField(grid), SpectralScalarField(grid)
-    raise ValueError(
-        f"unknown initial kind {kind!r}; expected one of {INITIAL_KINDS}"
-    )
+    return SpectralVectorField(grid), SpectralScalarField(grid)

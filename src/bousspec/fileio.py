@@ -7,11 +7,10 @@ Everything here is deliberately boring and bit-reproducible:
   silently changing a run is worse than a loud failure);
 
 * snapshots are a fixed little-endian layout — an eight-byte magic, a
-  44-byte header, then the velocity components and the temperature as
-  complex double pairs in lexicographic mode order over the full
-  spectrum j in {-M/2+1, ..., M/2}^N, rebuilt from the half spectra the
-  fields hold — so two runs of the same config can be compared with
-  ``cmp``;
+  44-byte header, then the stacked [u_1, ..., u_N, theta] as complex
+  double pairs in C order, shape (N + 1, *grid.shape): the half spectra
+  the fields hold, in the ``rfftn`` layout (see ``GridSpec``) — so two
+  runs of the same config can be compared with ``cmp``;
 
 * diagnostics go to CSV at 17 significant digits, which round-trips
   IEEE-754 doubles exactly.
@@ -34,15 +33,15 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord
 from .fields import (
-    INITIAL_KINDS,
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
-    _drop_nyquist,
-    _from_half,
+    _check_initial,
+    _nyquist_slots,
+    _plane_defect,
     _stacked,
 )
-from .grid import _check_size, make_grid
+from .grid import _check_size, _half_shape, make_grid
 from .stepper import SimulationState, StepperConfig
 
 __all__ = [
@@ -65,7 +64,7 @@ __all__ = [
 ]
 
 MAGIC = b"BOUSSNAP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # magic, version, dim, modes, t, nu, kappa
 _HEADER = struct.Struct("<8sIIIddd")
 
@@ -80,10 +79,11 @@ class RunConfig:
 
     The grid size, the physical parameters and the stepper settings are
     checked by the types that own them (``GridSpec``, ``PhysicalParams``,
-    ``StepperConfig``); their errors come back as ``ConfigError``.
-    ``sobolev_exponent`` is the decay exponent handed to the rough-H1
-    synthesizer; ``None`` keeps that synthesizer's dimension-dependent
-    default.
+    ``StepperConfig``) and the initial-data settings by the check
+    ``synthesize_initial`` runs; their errors come back as
+    ``ConfigError``.  ``sobolev_exponent`` is the decay exponent handed
+    to the rough-H1 synthesizer; ``None`` keeps that synthesizer's
+    dimension-dependent default.
     """
 
     dim: int
@@ -105,15 +105,10 @@ class RunConfig:
             PhysicalParams(self.nu, self.kappa)
             StepperConfig(self.dt, self.scheme, self.t_final,
                           self.snapshot_every)
+            _check_initial(self.initial_kind, self.dim, self.seed,
+                           self.sobolev_exponent)
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if self.initial_kind not in INITIAL_KINDS:
-            raise ConfigError(
-                f"initial_kind must be one of {INITIAL_KINDS}, "
-                f"got {self.initial_kind!r}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 _CONFIG_PARSERS = {
@@ -201,12 +196,13 @@ class TruncatedPayloadError(SnapshotError):
     pass
 
 
-def _atomic_write(path, data: bytes):
+def _atomic_write(path, *chunks):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -220,9 +216,9 @@ def write_snapshot(state: SimulationState, params, path):
         MAGIC, FORMAT_VERSION, grid.dim, grid.modes, state.t,
         params.nu, params.kappa,
     )
-    full = _from_half(grid, _stacked(state.u, state.theta))
-    payload = np.ascontiguousarray(grid.to_lex_order(full), dtype="<c16")
-    _atomic_write(path, header + payload.tobytes())
+    payload = np.ascontiguousarray(_stacked(state.u, state.theta),
+                                   dtype="<c16")
+    _atomic_write(path, header, payload)
 
 
 def _parse_header(blob, path):
@@ -261,48 +257,45 @@ def read_snapshot(path):
     The stored grid is reconstructed from the header, and snapshots of
     the same dim and modes share one (read-only) grid object;
     ``step_index`` is not serialized and comes back as 0.  Every
-    coefficient must be finite, the spectrum exactly Hermitian and the
-    slots with label -M/2 empty, as in every state ``run`` writes: the
-    fields hold the half spectrum of a real state only, so any other
-    state would be misread.
+    coefficient must be finite, the last-axis planes 0 and M/2 (where
+    alone a half spectrum can break the symmetry) exactly Hermitian and
+    the slots with label -M/2 empty, as in every state ``run`` writes:
+    the fields hold the half spectrum of a real state only, so any
+    other state would be misread.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    header = _parse_header(blob, path)
-    # the payload length is checked before any grid is built, so a
-    # corrupt header cannot ask for meshes of its claimed size
-    _check_size(header.dim, header.modes)
-    n_fields = header.dim + 1
-    nmodes = header.modes ** header.dim
-    expected = _HEADER.size + 16 * n_fields * nmodes
-    if len(blob) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: expected {expected} bytes "
-            f"({header.dim}+1 fields of {nmodes} coefficients), "
-            f"got {len(blob)}"
-        )
-    grid = _snapshot_grid(header.dim, header.modes)
-    flat = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    coeffs = grid.from_lex_order(flat.reshape(n_fields, nmodes))
+        header = _parse_header(fh.read(_HEADER.size), path)
+        # the payload length is checked before any grid or array is
+        # built, so a corrupt header cannot ask for arrays of its size
+        dim, modes = header.dim, header.modes
+        _check_size(dim, modes)
+        shape = (dim + 1,) + _half_shape(dim, modes)
+        expected = _HEADER.size + 16 * math.prod(shape)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise TruncatedPayloadError(
+                f"{path}: expected {expected} bytes "
+                f"({dim}+1 fields of shape {shape[1:]}), got {size}"
+            )
+        coeffs = np.empty(shape, dtype="<c16")
+        if fh.readinto(coeffs) != coeffs.nbytes:
+            raise TruncatedPayloadError(f"{path}: file shrank while read")
     if not np.all(np.isfinite(coeffs)):
         raise SnapshotError(f"{path}: coefficients are not all finite")
-    # j -> -j on every axis is a flip and a roll by one
-    axes = tuple(range(-header.dim, 0))
-    reflected = np.roll(np.flip(coeffs, axes), 1, axes)
-    defect = float(np.max(np.abs(coeffs - np.conj(reflected))))
+    grid = _snapshot_grid(dim, modes)
+    defect = _plane_defect(grid, coeffs)
     if defect != 0.0:
         raise SnapshotError(
             f"{path}: not the spectrum of a real state "
             f"(hermitian defect {defect:.3g})"
         )
-    half = coeffs[..., : header.modes // 2 + 1].copy()
-    if not np.array_equal(_drop_nyquist(grid, half.copy()), half):
+    if any(np.any(slots) for slots in _nyquist_slots(grid, coeffs)):
         raise SnapshotError(
-            f"{path}: content at label -{header.modes // 2}, where the "
+            f"{path}: content at label -{modes // 2}, where the "
             "spectrum of a real state is empty"
         )
-    return SimulationState(SpectralVectorField(grid, half[: header.dim]),
-                           SpectralScalarField(grid, half[header.dim]),
+    return SimulationState(SpectralVectorField(grid, coeffs[:dim]),
+                           SpectralScalarField(grid, coeffs[dim]),
                            header.t, 0)
 
 

@@ -8,8 +8,8 @@ another last-axis label is the conjugate of its reflection's.  The grid
 object precomputes everything the operators need on that layout:
 integer wavevector meshes, |j|^2, the 2/3-rule dealiasing mask and the
 index maps that reflect the two last-axis planes holding both j and -j
-and rebuild the full spectrum where a file format or an oracle asks for
-it.
+and rebuild the full spectrum where an oracle or the draw of rough data
+asks for it.  Snapshot files hold the half spectrum in this layout too.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class GridSpec:
         m = self.modes
         half = m // 2
         freq1d = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
-        shape = (m,) * (self.dim - 1) + (half + 1,)
+        shape = _half_shape(self.dim, m)
         k = np.zeros((self.dim,) + shape)
         for axis in range(self.dim):
             ax_shape = [1] * self.dim
@@ -149,43 +149,23 @@ class GridSpec:
         """Integer wavevectors in the fixed lexicographic order.
 
         Returns an (nmodes, dim) int array enumerating j over
-        {-modes/2+1, ..., modes/2}^dim, the order used when coefficients
-        are serialized.
+        {-modes/2+1, ..., modes/2}^dim, the whole resolved spectrum, in
+        which the Galerkin basis picks its canonical representatives.
         """
         m = self.modes
         labels = np.arange(m) - m // 2 + 1
         grids = np.meshgrid(*([labels] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def to_lex_order(self, coeffs):
-        """Flatten full-spectrum coefficient arrays into lexicographic
-        order, the order of snapshot files.
-
-        ``coeffs`` has shape ``(*lead, *self.physical_shape)``, every
-        label in FFT layout; the result has shape ``(*lead, nmodes)``,
-        one flattened array per leading index (a vector's components,
-        say), each in the order of :meth:`wavevectors`: the FFT layout
-        rolled by m/2 - 1 per axis, so that the (aliased) -m/2 slot comes
-        last, as label m/2.
-        """
-        lead = coeffs.shape[: coeffs.ndim - self.dim]
-        rolled = np.roll(coeffs, self.modes // 2 - 1,
-                         axis=tuple(range(-self.dim, 0)))
-        return rolled.reshape(lead + (-1,))
-
-    def from_lex_order(self, flat):
-        """Inverse of :meth:`to_lex_order`: ``(*lead, nmodes)`` flattened
-        arrays back to full-spectrum arrays of shape
-        ``(*lead, *self.physical_shape)``."""
-        flat = np.asarray(flat, dtype=complex)
-        lead = flat.shape[:-1]
-        return np.roll(flat.reshape(lead + self.physical_shape),
-                       1 - self.modes // 2, axis=tuple(range(-self.dim, 0)))
-
 
 def _read_only(array):
     array.flags.writeable = False
     return array
+
+
+def _half_shape(dim, modes):
+    """Shape of one field's half spectrum, (modes, ..., modes/2 + 1)."""
+    return (modes,) * (dim - 1) + (modes // 2 + 1,)
 
 
 def _check_size(dim, modes):

@@ -85,7 +85,28 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 1
         assert "sobolev_exponent" in capsys.readouterr().err
-        assert list(out.iterdir()) == []  # refused before any step
+        assert not out.exists()  # refused before the output directory
+
+    @pytest.mark.parametrize("changes,args,named", [
+        ([("seed = 3", "seed = 3\nsobolev_exponent = 1.5")], [],
+         "run.cfg: sobolev_exponent"),
+        ([("dim = 2", "dim = 3"), ("rough_h1", "taylor_green")], [],
+         "run.cfg: initial_kind taylor_green"),
+        ([], ["--seed-override", "-1"], "seed must be >= 0"),
+    ], ids=["shallow_exponent", "taylor_green_3d", "negative_seed"])
+    def test_bad_initial_settings_exit_1(self, tmp_path, capsys, changes,
+                                         args, named):
+        # each is refused by the one check of the initial-data settings,
+        # with a message naming the config file or the seed, before the
+        # output directory is made
+        text = BASE_CONFIG
+        for change in changes:
+            text = text.replace(*change)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, text), "--quiet",
+                     "--output-dir", str(out), *args]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
@@ -185,8 +206,9 @@ class TestDiagnose:
         assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
         snap = out / "snapshot_00000005.bin"
         blob = bytearray(snap.read_bytes())
-        # the real part of u_1 at j = (-7, -7), the first serialized mode
-        struct.pack_into("<d", blob, 44, 1.0)
+        # the imaginary part of u_1 at j = (0, 0), the first serialized
+        # mode, which is its own reflection on the last-axis plane 0
+        struct.pack_into("<d", blob, 44 + 8, 1.0)
         snap.write_bytes(bytes(blob))
         capsys.readouterr()
         assert main(["diagnose", str(snap)]) == 1
@@ -198,13 +220,15 @@ class TestDiagnose:
             self, tmp_path, capsys):
         # a real u_1 coefficient at j = (8, 0), the slot of label -8 on
         # the first axis: Hermitian, as the slot is its own reflection,
-        # but a real field carries nothing there
+        # but a real field carries nothing there.  Rows of the 16^2 half
+        # spectrum hold the 9 last-axis labels 0..8; label -8 of the
+        # first axis is row 8
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
         snap = out / "snapshot_00000005.bin"
         blob = bytearray(snap.read_bytes())
-        struct.pack_into("<d", blob, 44 + 16 * ((8 + 7) * 16 + 7), 1.0)
+        struct.pack_into("<d", blob, 44 + 16 * (8 * 9 + 0), 1.0)
         snap.write_bytes(bytes(blob))
         capsys.readouterr()
         assert main(["diagnose", str(snap)]) == 1

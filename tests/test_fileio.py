@@ -1,7 +1,9 @@
 """Config parsing, snapshot binary layout, diagnostics CSV."""
 
+import hashlib
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from bousspec import (
     leray_project,
     make_grid,
     synthesize_initial,
+    to_physical,
 )
 from bousspec import fileio
 from bousspec.diagnostics import DiagnosticsRecord
@@ -194,30 +197,63 @@ class TestSnapshots:
             assert not mesh.flags.writeable
 
     def test_payload_position_of_known_mode(self, tmp_path):
-        # independent layout oracle: on M = 8 the serialized order runs
-        # lexicographically over j in {-3..4}^2, so mode (1, 2) of the
-        # first velocity component sits at flat index (1+3)*8 + (2+3),
-        # and its conjugate, which the file holds and the field does not,
-        # at (-1, -2), flat index (-1+3)*8 + (-2+3)
+        # independent layout oracle: on M = 8 each field is 8 rows of the
+        # 5 last-axis labels 0..4, and label j1 of the first axis is row
+        # j1 mod 8, so mode (1, 2) of the first velocity component sits
+        # at flat index 1*5 + 2 and mode (-1, 3) of the second at
+        # 40 + 7*5 + 3; the conjugates at (-1, -2) and (1, -3) are not
+        # stored
         grid = make_grid(2, 8)
         state = SimulationState(
             SpectralVectorField(grid), SpectralScalarField(grid), 0.0, 0
         )
         state.u.coeffs[0][1, 2] = 3.0 + 4.0j
+        state.u.coeffs[1][-1, 3] = 5.0 - 6.0j
         state.theta.coeffs[0, 4] = 7.0  # Nyquist column j = (0, 4)
         path = str(tmp_path / "state.bin")
         write_snapshot(state, PhysicalParams(1.0, 1.0), path)
         blob = Path(path).read_bytes()
+        assert len(blob) == HEADER_SIZE + 16 * 3 * 8 * 5
 
-        flat_index = (1 + 3) * 8 + (2 + 3)
-        re, im = struct.unpack_from("<2d", blob, HEADER_SIZE + 16 * flat_index)
-        assert (re, im) == (3.0, 4.0)
-        flat_index = (-1 + 3) * 8 + (-2 + 3)
-        re, im = struct.unpack_from("<2d", blob, HEADER_SIZE + 16 * flat_index)
-        assert (re, im) == (3.0, -4.0)
-        theta_offset = HEADER_SIZE + 16 * (2 * 64 + (0 + 3) * 8 + (4 + 3))
-        re, im = struct.unpack_from("<2d", blob, theta_offset)
-        assert (re, im) == (7.0, 0.0)
+        for flat_index, value in ((1 * 5 + 2, (3.0, 4.0)),
+                                  (40 + 7 * 5 + 3, (5.0, -6.0)),
+                                  (2 * 40 + 0 * 5 + 4, (7.0, 0.0))):
+            offset = HEADER_SIZE + 16 * flat_index
+            assert struct.unpack_from("<2d", blob, offset) == value
+        payload = np.frombuffer(blob, "<f8", offset=HEADER_SIZE)
+        assert np.count_nonzero(payload) == 5
+
+    @pytest.mark.parametrize("dim,modes", [(2, 16), (3, 8)])
+    def test_external_reader_recipe(self, tmp_path, dim, modes):
+        # the recipe of the README's "File formats", which needs numpy
+        # only: the payload, shaped (dim+1, M, ..., M, M/2+1), is the
+        # stacked rfftn spectra of [u; theta]
+        grid = make_grid(dim, modes)
+        u, theta = synthesize_initial("rough_h1", grid, seed=dim)
+        path = str(tmp_path / "state.bin")
+        write_snapshot(SimulationState(u, theta, 0.0, 0),
+                       PhysicalParams(1.0, 1.0), path)
+        shape = (dim + 1,) + (modes,) * (dim - 1) + (modes // 2 + 1,)
+        payload = np.frombuffer(Path(path).read_bytes(), "<c16",
+                                offset=HEADER_SIZE).reshape(shape)
+        values = np.fft.irfftn(payload, s=(modes,) * dim,
+                               axes=tuple(range(1, dim + 1)), norm="forward")
+        back = read_snapshot(path)
+        assert np.array_equal(values[:dim], to_physical(back.u))
+        assert np.array_equal(values[dim], to_physical(back.theta))
+
+    def test_format_frozen(self, tmp_path):
+        # the 8^2 taylor_green coefficients are exact (+-0.25i), so these
+        # bytes are the same on every IEEE-754 platform: a change of the
+        # layout must change FORMAT_VERSION and this digest together
+        grid = make_grid(2, 8)
+        u, theta = synthesize_initial("taylor_green", grid)
+        path = tmp_path / "state.bin"
+        write_snapshot(SimulationState(u, theta, 0.0, 0),
+                       PhysicalParams(1.0, 1.0), str(path))
+        assert FORMAT_VERSION == 2
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7069eb569f8c5b844834f2e17340949d5b63b5be953b2555eeaf50abdf1bfc08")
 
     def test_bad_magic(self, tmp_path):
         grid = make_grid(2, 8)
@@ -236,7 +272,14 @@ class TestSnapshots:
         blob = bytearray(Path(path).read_bytes())
         struct.pack_into("<I", blob, 8, FORMAT_VERSION + 1)
         Path(path).write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatchError, match="version 2"):
+        with pytest.raises(VersionMismatchError,
+                           match=f"version {FORMAT_VERSION + 1}"):
+            read_snapshot(path)
+        # a version-1 file of the zero state on 8^2: the full spectrum of
+        # 64 coefficients per field in lexicographic order
+        Path(path).write_bytes(struct.pack("<8sIIIddd", MAGIC, 1, 2, 8,
+                                           0.0, 1.0, 1.0) + bytes(16 * 3 * 64))
+        with pytest.raises(VersionMismatchError, match="version 1"):
             read_snapshot(path)
 
     def test_truncated_payload_names_lengths(self, tmp_path):
@@ -245,7 +288,7 @@ class TestSnapshots:
         write_snapshot(random_state(grid, 0), PhysicalParams(1.0, 1.0), path)
         blob = Path(path).read_bytes()
         Path(path).write_bytes(blob[:-8])
-        expected = HEADER_SIZE + 16 * 3 * 64
+        expected = HEADER_SIZE + 16 * 3 * 8 * 5  # 3 half spectra of 8 x 5
         with pytest.raises(TruncatedPayloadError) as err:
             read_snapshot(path)
         assert str(expected) in str(err.value)
@@ -266,6 +309,22 @@ class TestSnapshots:
         with pytest.raises(TruncatedPayloadError, match="got 52"):
             read_snapshot(str(path))
 
+    def test_file_that_shrinks_while_read_refused(self, tmp_path,
+                                                  monkeypatch):
+        # the length is taken from the file's size before the payload is
+        # read into an uninitialized array: a short read must not leave
+        # part of that array in the state
+        grid = make_grid(2, 8)
+        path = tmp_path / "state.bin"
+        write_snapshot(random_state(grid, 0), PhysicalParams(1.0, 1.0),
+                       str(path))
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-16])
+        monkeypatch.setattr(fileio.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(TruncatedPayloadError, match="shrank"):
+            read_snapshot(str(path))
+
     @pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf")])
     def test_time_outside_range_refused(self, tmp_path, t):
         # a state's time is finite and at least 0; any other t in a
@@ -279,13 +338,14 @@ class TestSnapshots:
         with pytest.raises(SnapshotError, match="t must be >= 0 and finite"):
             read_snapshot(path)
 
-    @pytest.mark.parametrize("field,index", [("u", (0, 1, -2)),
-                                             ("theta", (1, 2))])
+    @pytest.mark.parametrize("field,index", [("u", (0, 1, 0)),
+                                             ("theta", (-3, 0))])
     def test_state_that_is_not_real_refused(self, tmp_path, field, index):
-        # fields hold the half spectrum of a real state only: a file that
-        # holds this mode of u_1, j = (1, -2) at an upper last-axis label,
-        # or this theta mode, j = (1, 2), without its conjugate would be
-        # misread
+        # fields hold the half spectrum of a real state only: off the
+        # last-axis planes 0 and M/2 any value is the half of a real
+        # field, but there a mode and its reflection are both stored, so
+        # this mode of u_1, j = (1, 0), or of theta, j = (-3, 0), without
+        # its conjugate at -j would be misread
         grid = make_grid(2, 8)
         state = SimulationState(SpectralVectorField(grid),
                                 SpectralScalarField(grid), 0.0, 0)
@@ -295,7 +355,7 @@ class TestSnapshots:
         row = component[0] if field == "u" else grid.dim
         blob = bytearray(Path(path).read_bytes())
         struct.pack_into("<d", blob, HEADER_SIZE + 16 * (
-            row * 64 + (j1 + 3) * 8 + (j2 + 3)), 1.0)
+            row * 40 + (j1 % 8) * 5 + j2), 1.0)
         Path(path).write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="not the spectrum of a real"):
             read_snapshot(path)

@@ -73,29 +73,6 @@ class TestGridSpec:
             tuple(wv[i]) < tuple(wv[i + 1]) for i in range(len(wv) - 1)
         )
 
-    def test_lex_round_trip(self):
-        # a 2D scalar and a 3D vector (leading component axis)
-        for f in (random_scalar(make_grid(2, 6), 3),
-                  random_vector(make_grid(3, 4), 3, solenoidal=False)):
-            g = f.grid
-            full = _from_half(g, f.coeffs)
-            flat = g.to_lex_order(full)
-            assert np.array_equal(g.from_lex_order(flat), full)
-            # each component on its own: entry n holds the coefficient of
-            # the n-th wavevector of the enumeration
-            slots = tuple((g.wavevectors() % g.modes).T)
-            comps = full.reshape((-1,) + g.physical_shape)
-            want = np.stack([c[slots] for c in comps])
-            assert np.array_equal(flat, want.reshape(flat.shape))
-        # a single known mode lands where the enumeration says it should
-        g = make_grid(2, 6)
-        c = np.zeros(g.physical_shape, complex)
-        c[(1 % 6, 2 % 6)] = 3.5 + 1j
-        flat = g.to_lex_order(c)
-        wv = g.wavevectors()
-        (pos,) = np.nonzero(flat)[0]
-        assert tuple(wv[pos]) == (1, 2)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
             make_grid(2, 7)
