@@ -23,7 +23,6 @@ fileio, cli       config files, binary snapshots, CSV, command line
 
 from .grid import GridSpec, make_grid
 from .fields import (
-    GevreyParams,
     NonFiniteStateError,
     PhysicalParams,
     SpectralScalarField,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec",
     "make_grid",
-    "GevreyParams",
     "NonFiniteStateError",
     "PhysicalParams",
     "SpectralScalarField",

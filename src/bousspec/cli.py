@@ -73,21 +73,27 @@ __all__ = ["main"]
 _ODE_CHECK_MAX_BASIS = 440
 
 
-def _set_up(args):
-    """The config, its grid, parameters and initial state; a
-    ``--seed-override`` goes through the checks of the file's own seed."""
+def _config(args):
+    """The config file's settings; a ``--seed-override`` goes through the
+    checks of the file's own seed."""
     config = parse_config(args.config)
     if args.seed_override is not None:
         config = dataclasses.replace(config, seed=args.seed_override)
+    return config
+
+
+def _set_up(config):
+    """The grid, parameters and initial state of a config."""
     grid = make_grid(config.dim, config.modes)
     u, theta = synthesize_initial(config.initial_kind, grid, seed=config.seed,
                                   sobolev_exponent=config.sobolev_exponent)
-    return (config, grid, PhysicalParams(nu=config.nu, kappa=config.kappa),
+    return (grid, PhysicalParams(nu=config.nu, kappa=config.kappa),
             SimulationState(u, theta, 0.0, 0))
 
 
 def _cmd_run(args):
-    config, grid, params, initial = _set_up(args)
+    config = _config(args)
+    grid, params, initial = _set_up(config)
     outdir = args.output_dir if args.output_dir is not None else config.output_dir
     os.makedirs(outdir, exist_ok=True)
 
@@ -127,7 +133,7 @@ def _cmd_diagnose(args):
     order = sorted(range(len(headers)), key=lambda i: headers[i].t)
     params = PhysicalParams(nu=first.nu, kappa=first.kappa)
     budget = BudgetAccumulator(params) if len(headers) >= 2 else None
-    records = [build_record(read_snapshot(args.snapshots[i]), params, budget)
+    records = [build_record(read_snapshot(args.snapshots[i]), budget)
                for i in order]
     if args.output_dir is not None:
         os.makedirs(args.output_dir, exist_ok=True)
@@ -143,16 +149,18 @@ _ODE_CHECK_T = 0.02
 
 
 def _cmd_oracle_check(args):
-    config, grid, params, initial = _set_up(args)
-    failures = 0
-
-    if grid.nmodes > CONVOLUTION_MODE_LIMIT:
+    config = _config(args)
+    # checked before any array is built, so a grid past it costs nothing
+    if config.modes ** config.dim > CONVOLUTION_MODE_LIMIT:
         print(
             f"error: {config.modes}^{config.dim} grid exceeds the "
             f"{CONVOLUTION_MODE_LIMIT}-mode direct-convolution limit",
             file=sys.stderr,
         )
         return 1
+    grid, params, initial = _set_up(config)
+    failures = 0
+
     # the routes only promise agreement on the dealias-retained modes,
     # for inputs that are themselves retained (the 2/3-rule guarantee)
     u_in, th_in = initial.u, initial.theta

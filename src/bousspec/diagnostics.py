@@ -14,11 +14,11 @@ a read-only analysis of states.  Three families:
   on top of the integrator error;
 
 * Gevrey energy X(t) = 1 + ||L e^{tau L} u||^2 + ||L e^{tau L} theta||^2
-  with tau = min(t, tau_cap), the quantity whose boundedness expresses
+  with tau = t capped at tau_cap, the quantity whose boundedness expresses
   that the flow has become analytic with radius at least tau;
 
 * radius fits — a least-squares estimate of the decay rate tau in the
-  coefficient envelope |u_j| ~ e^{-tau |j|^{1/s}}, the measurable trace
+  coefficient envelope |u_j| ~ e^{-tau |j|}, the measurable trace
   of that analyticity on a finite grid, beside the envelope's tail, how
   far it has decayed by the edge of the retained modes.
 
@@ -40,7 +40,6 @@ from dataclasses import dataclass, fields as _dc_fields
 import numpy as np
 
 from .fields import (
-    GevreyParams,
     PhysicalParams,
     _class_sums,
     _divergence_max,
@@ -73,14 +72,14 @@ class DiagnosticsRecord:
     """One row of run diagnostics at time ``t``.
 
     ``h1_u``/``h1_theta`` are the Zygmund seminorms ||Lambda . ||;
-    ``gevrey_X`` is X(t) at ``tau_used = min(t, tau_cap)``; the radius
-    fields come from ``fit_radius`` on the velocity spectrum and are
-    reported as 0.0/0.0 when the spectrum has too few usable shells to
-    fit; ``tail`` is the velocity envelope's peak on shell ``modes // 3``
-    over its global peak (0.0 for a zero field), which says whether the
-    retained modes resolve the spectrum; the energy residuals accumulate
-    over the cadence the records were produced at, by the rules of
-    :class:`BudgetAccumulator`.
+    ``gevrey_X`` is X(t) at the radius ``tau_used``, t capped at
+    ``tau_cap``; the radius fields come from ``fit_radius`` on the
+    velocity spectrum and are reported as 0.0/0.0 when the spectrum has
+    too few usable shells to fit; ``tail`` is the velocity envelope's
+    peak on shell ``grid.dealias_cutoff`` over its global peak (0.0 for
+    a zero field), which says whether the retained modes resolve the
+    spectrum; the energy residuals accumulate over the cadence the
+    records were produced at, by the rules of :class:`BudgetAccumulator`.
     """
 
     t: float
@@ -107,7 +106,7 @@ class DiagnosticsRecord:
 
 @dataclass
 class RadiusFit:
-    """Least-squares envelope fit log|u_j| ~ intercept - tau_est |j|^{1/s}.
+    """Least-squares envelope fit log|u_j| ~ intercept - tau_est |j|.
 
     ``shells_used`` is the integer range from the innermost to the
     outermost shell that passed the amplitude floor; ``quality`` is the
@@ -174,15 +173,15 @@ def shell_envelope(field):
 
 
 def _tail(grid, peak):
-    """The envelope's peak on shell ``modes // 3``, the outermost shell
-    the dealiasing box holds whole, over its global peak (0.0 for a zero
-    field): how far the retained spectrum has decayed.  ``peak`` is a
-    list."""
+    """The envelope's peak on shell ``grid.dealias_cutoff``, the
+    outermost shell the dealiasing box holds whole, over its global peak
+    (0.0 for a zero field): how far the retained spectrum has decayed.
+    ``peak`` is a list."""
     top = max(peak)
-    return peak[grid.modes // 3] / top if top > 0 else 0.0
+    return peak[grid.dealias_cutoff] / top if top > 0 else 0.0
 
 
-def _fit(peak, kmag, s):
+def _fit(peak, kmag):
     """``fit_radius`` of the envelope given as the lists ``peak`` and
     ``kmag``.  The fit runs on Python floats: with one point per shell,
     array operations would cost more than the sums."""
@@ -193,8 +192,8 @@ def _fit(peak, kmag, s):
         return None
 
     # the least-squares line in closed form, from mean-centred sums of
-    # the points (|j|^{1/s}, log peak)
-    x = [kmag[n] ** (1.0 / s) for n in usable]
+    # the points (|j|, log peak)
+    x = [kmag[n] for n in usable]
     y = [math.log(peak[n]) for n in usable]
     x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
     sxx = sxy = syy = 0.0
@@ -215,28 +214,31 @@ def _fit(peak, kmag, s):
     )
 
 
-def fit_radius(field, s: float = 1.0):
+def fit_radius(field):
     """Estimate the analyticity radius from the coefficient envelope.
 
     Each shell contributes its loudest mode (the envelope — the Gevrey
     class constrains peaks, not means) at that mode's own |j|.  A line
-    through (|j|^{1/s}, log amplitude) gives tau_est = -slope, clamped
-    at zero.  Returns None when fewer than 4 shells rise above the
+    through (|j|, log amplitude) gives tau_est = -slope, clamped at
+    zero.  Returns None when fewer than 4 shells rise above the
     amplitude floor: too little spectrum to call it a fit.
     """
-    GevreyParams(tau=0.0, s=s)  # validate the range
-    return _fit(*shell_envelope(field).tolist(), s)
+    return _fit(*shell_envelope(field).tolist())
+
+
+def _tau(grid, t):
+    """The weight's radius at a time ``t`` >= 0: t, the linear-in-time
+    radius the smoothing theory predicts, capped at ``tau_cap``, past
+    which the weight would amplify roundoff at the top grid mode."""
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    return min(t, grid.tau_cap)
 
 
 def gevrey_energy(state):
-    """X(t) = 1 + ||L e^{tau L} u||^2 + ||L e^{tau L} theta||^2.
-
-    The weight is tau = min(t, tau_cap), the linear-in-time radius the
-    smoothing theory predicts, capped where the weight would amplify
-    roundoff past the top grid mode.
-    """
-    tau = min(state.t, state.u.grid.tau_cap)
-    GevreyParams(tau=tau)  # validate the range
+    """X(t) = 1 + ||L e^{tau L} u||^2 + ||L e^{tau L} theta||^2, with
+    the weight's radius tau of :func:`_tau`."""
+    tau = _tau(state.u.grid, state.t)
     return (1.0 + norm(state.u, r=1.0, tau=tau) ** 2
             + norm(state.theta, r=1.0, tau=tau) ** 2)
 
@@ -327,8 +329,7 @@ class BudgetAccumulator:
 # per-state record assembly
 
 
-def build_record(state, params: PhysicalParams,
-                 budget: BudgetAccumulator | None = None):
+def build_record(state, budget: BudgetAccumulator | None = None):
     """DiagnosticsRecord for one state (anything with u, theta, t).
 
     ``t`` must be finite and at least 0.  Feeds ``budget`` when given,
@@ -336,15 +337,22 @@ def build_record(state, params: PhysicalParams,
     per-step energy residuals.
     """
     grid = state.u.grid
-    GevreyParams(tau=min(state.t, grid.tau_cap))  # validate the range
-    return _record(grid, state.t, _stacked(state.u, state.theta), budget)
+    return _record(grid, state.t, _stacked(state.u, state.theta), budget,
+                   np.empty(_record_scratch_size(grid), dtype=complex))
 
 
-def _record(grid, t, y, budget, buffer=None):
-    """``build_record`` of the real state at a valid time ``t`` whose
-    stacked half spectrum [u; theta] is ``y``.  ``buffer``, an array free
-    while a record is taken that holds 3 dim + 6 real half spectra, takes
-    the per-mode arrays, so that a run need not allocate them each step.
+def _record_scratch_size(grid):
+    """The number of complex entries that hold a record's per-mode
+    arrays: 3 dim + 6 real half spectra."""
+    return -(-(3 * grid.dim + 6) * math.prod(grid.shape) // 2)
+
+
+def _record(grid, t, y, budget, buffer):
+    """``build_record`` of the real state at time ``t`` whose stacked
+    half spectrum [u; theta] is ``y``.  ``buffer``, a flat complex array
+    free while a record is taken, of :func:`_record_scratch_size` entries
+    or more, holds the per-mode arrays, so that a run allocates none per
+    step.
 
     The powers of u and theta and the buoyancy product are folded and
     summed per |j|^2 class in one ``bincount``.  The public functions run
@@ -352,10 +360,9 @@ def _record(grid, t, y, budget, buffer=None):
     here bit for bit.
     """
     dim = grid.dim
-    tau = min(t, grid.tau_cap)
+    tau = _tau(grid, t)
     size = y[0].size
-    work = (np.empty(3 * y.size + 3 * size) if buffer is None
-            else buffer.reshape(-1).view(float))
+    work = buffer.view(float)
     square = work[: 2 * y.size].reshape(y.shape[:-1] + (-1,))
     power = work[2 * y.size : 3 * y.size].reshape(y.shape)
     folded = work[3 * y.size : 3 * y.size + 3 * size].reshape(
@@ -387,7 +394,7 @@ def _record(grid, t, y, budget, buffer=None):
         grid, t, l2_u**2, l2_theta**2, grid.k2 * folded[1:], scale * flux)
     peak, peak_kmag = _envelope(grid, np.sqrt(
         np.take(power[dim - 1], _shell_plan(grid)[0]))).tolist()
-    fit = _fit(peak, peak_kmag, 1.0)
+    fit = _fit(peak, peak_kmag)
     return DiagnosticsRecord(
         t=t,
         l2_u=l2_u,

@@ -16,10 +16,11 @@ constraints throughout:
 ``enforce_constraints`` projects onto the first two, ``leray_project``
 onto the third (keeping the first).  Norms follow the weighted-sum rule
 
-    ||f||_{r,tau,s}^2 = (2*pi)^N * sum_j |j|^(2r) e^(2 tau |j|^(1/s)) |f_j|^2
+    ||f||_{r,tau}^2 = (2*pi)^N * sum_j |j|^(2r) e^(2 tau |j|) |f_j|^2
 
-so r = 0, tau = 0 is the plain L2 norm and r = 1 the H1 seminorm (the
-Zygmund operator Lambda = sqrt(-Laplacian) acts as multiplication by |j|).
+so r = 0, tau = 0 is the plain L2 norm, r = 1 the H1 seminorm (the
+Zygmund operator Lambda = sqrt(-Laplacian) acts as multiplication by |j|)
+and tau > 0 the analytic Gevrey weight probing a strip of radius tau.
 The weight is a function of |j|^2, so a norm folds the powers onto the
 half spectrum (``_fold``), sums them per class of equal |j|^2 and weights
 those sums (``_class_plan``), as records do.  The full spectrum is
@@ -40,7 +41,6 @@ from .grid import TWO_PI, GridSpec
 __all__ = [
     "SpectralScalarField",
     "SpectralVectorField",
-    "GevreyParams",
     "PhysicalParams",
     "NonFiniteStateError",
     "enforce_constraints",
@@ -100,27 +100,6 @@ class SpectralVectorField:
 
     def copy(self):
         return SpectralVectorField(self.grid, self.coeffs.copy())
-
-
-@dataclass(frozen=True)
-class GevreyParams:
-    """Weight parameters (r, tau, s) for the norms above.
-
-    ``s = 1`` is the analytic class; ``tau`` is the radius of the strip of
-    analyticity probed by the weight.
-    """
-
-    tau: float
-    r: float = 0.0
-    s: float = 1.0
-
-    def __post_init__(self):
-        for key, low in (("tau", 0), ("r", 0), ("s", 1)):
-            value = getattr(self, key)
-            if not (value >= low and math.isfinite(value)):
-                raise ValueError(
-                    f"{key} must be >= {low} and finite, got {value}"
-                )
 
 
 @dataclass(frozen=True)
@@ -325,8 +304,9 @@ def _class_sums(grid, folded):
     return sums.reshape(folded.shape[: folded.ndim - grid.dim] + (-1,))
 
 
-def _weigh(grid, sums, r=0.0, tau=0.0, s=1.0):
-    """Per-class ``sums`` times |j|^(2r), then times exp(2 tau |j|^(1/s)).
+def _weigh(grid, sums, r=0.0, tau=0.0):
+    """Per-class ``sums`` times |j|^(2r), then times exp(2 tau |j|), for
+    an r and tau that :func:`norm` takes.
 
     r = 1 multiplies by the exact integer |j|^2; r = 0 and tau = 0 leave
     ``sums`` as they are.
@@ -336,13 +316,7 @@ def _weigh(grid, sums, r=0.0, tau=0.0, s=1.0):
         sums = k2 * sums
     elif r != 0.0:
         sums = kmag ** (2.0 * r) * sums
-    if tau > grid.tau_cap:
-        raise ValueError(
-            f"tau={tau} exceeds tau_cap={grid.tau_cap:.6g} for this grid; "
-            "the weight would overflow the spectrum range"
-        )
     if tau != 0.0:
-        kmag = kmag if s == 1.0 else kmag ** (1.0 / s)
         sums = np.exp(2.0 * tau * kmag) * sums
     return sums
 
@@ -358,19 +332,27 @@ def _power(coeffs, dim):
     return power
 
 
-def norm(field, r: float = 0.0, tau: float = 0.0, s: float = 1.0):
+def norm(field, r: float = 0.0, tau: float = 0.0):
     """Weighted spectral norm; see the module docstring for the convention.
 
     r = 0, tau = 0 gives the L2 norm; r = 1 the H1 (Zygmund) seminorm;
-    tau > 0 applies the Gevrey weight exp(tau |j|^(1/s)).
-    Vector fields sum over components.
+    tau > 0 applies the Gevrey weight exp(tau |j|).  Vector fields sum
+    over components.  r and tau must be >= 0 and finite, and tau at most
+    the grid's ``tau_cap``, past which the weight would overflow.
     """
-    GevreyParams(tau=tau, r=r, s=s)  # validate ranges
     grid = field.grid
+    for key, value in (("tau", tau), ("r", r)):
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{key} must be >= 0 and finite, got {value}")
+    if tau > grid.tau_cap:
+        raise ValueError(
+            f"tau={tau} exceeds tau_cap={grid.tau_cap:.6g} for this grid; "
+            "the weight would overflow the spectrum range"
+        )
     power = _power(field.coeffs, grid.dim)
     sums = _class_sums(grid, _fold(grid, power))
     return math.sqrt(TWO_PI**grid.dim * float(np.sum(
-        _weigh(grid, sums, r, tau, s))))
+        _weigh(grid, sums, r, tau))))
 
 
 def l2_inner(f, g):

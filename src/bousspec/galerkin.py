@@ -68,9 +68,8 @@ class BasisElement:
 
     ``wavevector`` is the canonical representative of the conjugate pair
     (first nonzero component positive); ``parity`` is "cos" or "sin".
-    Velocity elements carry the unit tangent ``direction`` and the
-    1-based index ``direction_index`` of the coordinate axis whose
-    tangential projection generated it; scalar elements carry neither.
+    Velocity elements carry an integer ``tangent`` to the wavevector
+    and the unit ``direction`` along it; scalar elements carry neither.
     ``amplitude`` normalizes the element to unit L2 norm.
     """
 
@@ -78,7 +77,7 @@ class BasisElement:
     parity: str
     amplitude: float
     direction: tuple | None = None
-    direction_index: int = 0
+    tangent: tuple | None = None
 
     @property
     def eigenvalue(self):
@@ -116,20 +115,19 @@ def _tangents(k):
 
     Projecting the coordinate vectors e_l onto the plane orthogonal to k
     in ascending l and removing the earlier tangents, with every step
-    scaled to stay in integers, yields dim-1 tangents; the returned list
-    pairs each with the 1-based l that produced it.  Exact arithmetic
-    decides which projections vanish and which dot products with integer
-    wavevectors are 0.
+    scaled to stay in integers, yields dim-1 tangents, in the order of
+    the l that produced them.  Exact arithmetic decides which projections
+    vanish and which dot products with integer wavevectors are 0.
     """
     k = np.asarray(k, dtype=np.int64)
     tangents = []
     for ell in range(len(k)):
         t = -k[ell] * k
         t[ell] += k @ k
-        for _, d in tangents:
+        for d in tangents:
             t = (d @ d) * t - (t @ d) * d
         if np.any(t):
-            tangents.append((ell + 1, t // np.gcd.reduce(t)))
+            tangents.append(t // np.gcd.reduce(t))
     return tangents
 
 
@@ -138,17 +136,17 @@ def build_basis(grid: GridSpec):
     which is the truncation matching the spectral solver.
 
     Elements are ordered by nondecreasing |k|, then lexicographically in
-    the canonical wavevector, then by ascending tangent index (velocity),
-    with cos before sin.
+    the canonical wavevector, then in the order of ``_tangents``
+    (velocity), with cos before sin.
     """
     amp = float(np.sqrt(2.0 / TWO_PI**grid.dim))
     vel = []
     scal = []
     for k in _pair_representatives(grid):
-        for ell, t in _tangents(k):
+        for t in _tangents(k):
             d = tuple(t / np.linalg.norm(t))
             for parity in ("cos", "sin"):
-                vel.append(BasisElement(k, parity, amp, d, ell))
+                vel.append(BasisElement(k, parity, amp, d, tuple(t.tolist())))
         for parity in ("cos", "sin"):
             scal.append(BasisElement(wavevector=k, parity=parity, amplitude=amp))
     return vel, scal
@@ -167,13 +165,13 @@ def _flat_modes(basis, dim):
             np.stack([w, w.conj()], axis=1).reshape(2 * n, ncomp))
 
 
-def _mode_tangents(basis, dim):
+def _mode_tangents(basis):
     """Integer vector every mode's direction is parallel to, ordered as
     in ``_flat_modes``: the element's tangent, or 1 for scalar elements."""
     if not basis or basis[0].direction is None:
         return np.ones((2 * len(basis), 1), dtype=np.int64)
-    t = [dict(_tangents(e.wavevector))[e.direction_index] for e in basis]
-    return np.repeat(np.array(t, dtype=np.int64).reshape(-1, dim), 2, axis=0)
+    t = np.array([e.tangent for e in basis], dtype=np.int64)
+    return np.repeat(t, 2, axis=0)
 
 
 def _at(k, grid):
@@ -316,12 +314,12 @@ def assemble_tensors(vel_basis, scalar_basis, grid: GridSpec):
     half = 2 * grid.dealias_cutoff
     vmodes = _flat_modes(vel_basis, grid.dim)
     smodes = _flat_modes(scalar_basis, grid.dim)
-    vtangents = _mode_tangents(vel_basis, grid.dim)
+    vtangents = _mode_tangents(vel_basis)
     vtable = _lookup(vmodes[1], half)
     A, A_index = _advection_coo(vmodes, vtangents, vmodes, vtangents, vtable,
                                 half, vol)
     B, B_index = _advection_coo(vmodes, vtangents, smodes,
-                                _mode_tangents(scalar_basis, grid.dim),
+                                _mode_tangents(scalar_basis),
                                 _lookup(smodes[1], half), half, vol)
 
     # scalar mode p forces the velocity modes at -p, through their

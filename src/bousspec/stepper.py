@@ -53,7 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import BudgetAccumulator, _record, build_record
+from .diagnostics import (
+    BudgetAccumulator,
+    _record,
+    _record_scratch_size,
+    build_record,
+)
 from .fields import (
     NonFiniteStateError,
     PhysicalParams,
@@ -195,8 +200,8 @@ class _Integrator:
     ``advance`` forms the new state in the second array and swaps it in
     only when it is finite, so after a failed step ``y`` still holds the
     last finite state.  Between steps the block (``free_between_steps``)
-    is free for other work: it holds a record's 3 dim + 6 real half
-    spectra (``diagnostics._record``).
+    is free for other work: it is large enough to hold a record's
+    per-mode arrays (``diagnostics._record_scratch_size``).
     """
 
     def __init__(self, grid, params, config, y):
@@ -228,12 +233,12 @@ class _Integrator:
         self.tail_e = np.repeat(e[dim - 1 :], 2, axis=-1)
         self.tail_gain = np.repeat(gain, 2, axis=-1)
         self._next = np.empty_like(y)
-        # one block, free between steps (a record takes 3 dim + 6 real
-        # half spectra of it); in a step it holds first the tail map's
-        # term, then the core of y, the stage input and the three stages
+        # one block, free between steps (a record takes part of it); in a
+        # step it holds first the tail map's term, then the core of y,
+        # the stage input and the three stages
         stages = (5,) + y.shape[:1] + _core_shape(grid)
         self.free_between_steps = np.empty(
-            max(math.prod(stages), -(-(3 * dim + 6) * y[0].size // 2)),
+            max(math.prod(stages), _record_scratch_size(grid)),
             dtype=complex)
         self._stages = self.free_between_steps[: math.prod(stages)].reshape(
             stages)
@@ -402,7 +407,7 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
     # each record is taken from the state the integrator holds, which is
     # copied only for snapshots
     budget = BudgetAccumulator(params)
-    records = [build_record(initial, params, budget)]
+    records = [build_record(initial, budget)]
     take(initial.copy())
     measure0 = records[0].h1_u ** 2 + records[0].h1_theta ** 2
 

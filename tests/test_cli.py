@@ -297,6 +297,23 @@ class TestOracleCheck:
         assert main(["oracle-check", cfg]) == 1
         assert "limit" in capsys.readouterr().err
 
+    def test_grid_limit_checked_before_the_draw(self, tmp_path, capsys,
+                                                monkeypatch):
+        # 66^2 = 4356 modes is past the limit; the initial state, whose
+        # draw costs more than the check, is not built
+        def refuse(*args, **kwargs):
+            raise AssertionError("initial state drawn")
+
+        monkeypatch.setattr(bousspec.cli, "synthesize_initial", refuse)
+        cfg = write_config(tmp_path, """
+            dim = 2
+            modes = 66
+            t_final = 0.01
+        """)
+        assert main(["oracle-check", cfg]) == 1
+        assert ("66^2 grid exceeds the 4096-mode direct-convolution limit"
+                in capsys.readouterr().err)
+
 
 class TestSpectrum:
     def test_envelope_table(self, tmp_path, capsys):

@@ -66,21 +66,6 @@ class TestRadiusFit:
         )
         assert scaled.quality == pytest.approx(base.quality, abs=1e-12)
 
-    def test_gevrey_index_rescales_axis(self):
-        grid = make_grid(2, 64)
-        f = envelope_field(grid, lambda k: np.exp(-0.4 * np.sqrt(k)))
-        fit = fit_radius(f, s=2.0)
-        assert fit.tau_est == pytest.approx(0.4, abs=1e-3)
-        with pytest.raises(ValueError, match="s"):
-            fit_radius(f, s=0.5)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_gevrey_index_rejected(self, bad):
-        # a nan or inf index would reach the least-squares fit
-        f = envelope_field(make_grid(2, 32), lambda k: np.exp(-0.3 * k))
-        with pytest.raises(ValueError, match="^s must be .* finite"):
-            fit_radius(f, s=bad)
-
     def test_too_few_shells_is_unfittable(self):
         grid = make_grid(2, 16)
         f = SpectralScalarField(grid)
@@ -266,7 +251,7 @@ class TestEnergyBudget:
         records = [
             build_record(SimulationState(SpectralVectorField(grid),
                                          SpectralScalarField(grid), 0.01 * n),
-                         params, acc)
+                         acc)
             for n in range(5)
         ]
         assert all(r.energy_residual_theta == r.energy_residual_u == 0.0
@@ -285,7 +270,7 @@ class TestEnergyBudget:
         for n in range(501):
             t = 1e-3 * n
             theta = SpectralScalarField(grid, th0.coeffs * np.exp(-params.kappa * t))
-            rec = build_record(SimulationState(u0, theta, t), params, acc)
+            rec = build_record(SimulationState(u0, theta, t), acc)
             worst = max(worst, abs(rec.energy_residual_theta))
         assert worst <= 1e-12 * e0
 
@@ -303,7 +288,7 @@ class TestEnergyBudget:
         acc = BudgetAccumulator(params)
         budget = np.array([
             (rec.energy_residual_theta, rec.energy_residual_u)
-            for rec in (build_record(state, params, acc)
+            for rec in (build_record(state, acc)
                         for state in traj.snapshots)])
         got_theta = [r.energy_residual_theta for r in traj.records]
         got_u = [r.energy_residual_u for r in traj.records]
@@ -322,10 +307,9 @@ class TestEnergyBudget:
 class TestRecords:
     def test_record_fields(self):
         grid = make_grid(2, 32)
-        params = PhysicalParams(nu=1.0, kappa=1.0)
         u, theta = synthesize_initial("rough_h1", grid, seed=2)
         state = SimulationState(u, theta, t=0.05)
-        rec = build_record(state, params)
+        rec = build_record(state)
         assert rec.t == 0.05
         assert rec.h1_u == norm(u, r=1.0)
         assert rec.gevrey_X >= 1.0
@@ -350,7 +334,7 @@ class TestRecords:
             u, theta = state.u, state.theta
             fit = fit_radius(u)
             peak, _ = shell_envelope(u)
-            replay = build_record(state, params, budget)
+            replay = build_record(state, budget)
             assert rec == DiagnosticsRecord(
                 t=state.t,
                 l2_u=norm(u),
@@ -384,7 +368,7 @@ class TestRecords:
         s1 = step(s0, params, StepperConfig(dt=1e-3))
         states = [s0, s1, SimulationState(s1.u, s1.theta, t=grid.tau_cap)]
         budget = BudgetAccumulator(params)
-        got = [build_record(state, params, budget) for state in states]
+        got = [build_record(state, budget) for state in states]
         want, scales = plain_records(states, params)
         assert got[-1].tau_used == grid.tau_cap
         for rec, ref in zip(got, want):
@@ -410,29 +394,28 @@ class TestRecords:
         }
         assert runs[1].records == runs[7].records
         budget = BudgetAccumulator(params)
-        assert runs[1].records == [build_record(state, params, budget)
+        assert runs[1].records == [build_record(state, budget)
                                    for state in runs[1].snapshots]
 
-    @pytest.mark.parametrize("t", [-0.5, float("nan")])
+    @pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf")])
     def test_time_outside_the_weight_range_refused(self, t):
-        # tau = min(t, tau_cap) must be a valid Gevrey radius, as in
-        # gevrey_energy; a negative t used to give tau_used = t and a
-        # weight e^{-|j|}, a NaN t a row of NaNs
+        # a state's time must be >= 0 and finite, as in gevrey_energy; a
+        # negative t used to give tau_used = t and a weight e^{-|j|}, a
+        # NaN t a row of NaNs, and an infinite t a record at t = inf
         grid = make_grid(2, 16)
         u, theta = synthesize_initial("rough_h1", grid, seed=1)
         state = SimulationState(u, theta, t=t)
-        with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+        with pytest.raises(ValueError, match="^t must be >= 0 and finite"):
             gevrey_energy(state)
-        with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
-            build_record(state, PhysicalParams(nu=1.0, kappa=1.0))
+        with pytest.raises(ValueError, match="^t must be >= 0 and finite"):
+            build_record(state)
 
     def test_record_when_spectrum_unfittable(self):
         # Taylor-Green occupies a single shell: no radius fit, reported
         # as zeros rather than an error
         grid = make_grid(2, 16)
-        params = PhysicalParams(nu=1.0, kappa=1.0)
         u, theta = synthesize_initial("taylor_green", grid)
-        rec = build_record(SimulationState(u, theta), params)
+        rec = build_record(SimulationState(u, theta))
         assert rec.radius_fit == 0.0
         assert rec.radius_fit_quality == 0.0
 

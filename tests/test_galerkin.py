@@ -108,11 +108,10 @@ def _all_pairs_tensors(vel, scal, grid):
     half = 2 * grid.dealias_cutoff
     vmodes = _flat_modes(vel, grid.dim)
     smodes = _flat_modes(scal, grid.dim)
-    vtangents = _mode_tangents(vel, grid.dim)
+    vtangents = _mode_tangents(vel)
     vtable = _lookup(vmodes[1], half)
     A = _all_pairs_coo(vmodes, vtangents, vmodes, vtangents, vtable, half, vol)
-    B = _all_pairs_coo(vmodes, vtangents, smodes,
-                       _mode_tangents(scal, grid.dim),
+    B = _all_pairs_coo(vmodes, vtangents, smodes, _mode_tangents(scal),
                        _lookup(smodes[1], half), half, vol)
     g, c = _receivers(smodes[1], vtable, half)
     C = np.zeros((len(scal), len(vel)))

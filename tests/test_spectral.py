@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bousspec import (
-    GevreyParams,
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
@@ -222,7 +221,7 @@ class TestLeray:
 
 
 class TestMultipliers:
-    """The weights |j|^r and exp(tau |j|^(1/s)) of :func:`norm`, by value."""
+    """The weights |j|^r and exp(tau |j|) of :func:`norm`, by value."""
 
     def test_zygmund_integer_magnitude(self):
         # j = (3, 4): |j| = 5 exactly
@@ -243,16 +242,7 @@ class TestMultipliers:
         f = SpectralScalarField(g)
         f.coeffs[3, 4] = 1.0 - 2.0j
         np.testing.assert_allclose(
-            norm(f, tau=0.5, s=1.0), np.exp(2.5) * norm(f), rtol=1e-15
-        )
-
-    def test_gevrey_subanalytic_weight(self):
-        # s = 2: weight exp(tau |j|^(1/2)); |j| = 4 -> exp(2)
-        g = make_grid(2, 16)
-        f = SpectralScalarField(g)
-        f.coeffs[0, 4] = 1.0
-        np.testing.assert_allclose(
-            norm(f, tau=1.0, s=2.0), np.exp(2.0) * norm(f), rtol=1e-15
+            norm(f, tau=0.5), np.exp(2.5) * norm(f), rtol=1e-15
         )
 
     def test_gevrey_tau_cap_guard(self):
@@ -262,23 +252,20 @@ class TestMultipliers:
             norm(f, tau=g.tau_cap * 1.01)
 
     def test_param_validation(self):
+        f = random_scalar(make_grid(2, 16), 5)
         with pytest.raises(ValueError, match="tau"):
-            GevreyParams(tau=-0.1)
-        with pytest.raises(ValueError, match="s"):
-            GevreyParams(tau=0.0, s=0.5)
+            norm(f, tau=-0.1)
         with pytest.raises(ValueError, match="nu"):
             PhysicalParams(nu=0.0, kappa=1.0)
         with pytest.raises(ValueError, match="kappa"):
             PhysicalParams(nu=1.0, kappa=-1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("key", ["tau", "r", "s"])
+    @pytest.mark.parametrize("key", ["tau", "r"])
     def test_nonfinite_params_rejected(self, key, bad):
         # nan fails no comparison, so a range check alone lets it through
         # to a nan norm
         f = random_scalar(make_grid(2, 16), 5)
-        with pytest.raises(ValueError, match=f"^{key} must be .* finite"):
-            GevreyParams(**{"tau": 0.0, key: bad})
         with pytest.raises(ValueError, match=f"^{key} must be .* finite"):
             norm(f, **{key: bad})
 
@@ -322,11 +309,10 @@ class TestNorms:
                       random_vector(grid, seed=modes, solenoidal=False)):
             assert hermitian_defect(field) == 0.0
             power = np.abs(_from_half(grid, field.coeffs)) ** 2
-            for r, tau, s in ((0, 0, 1), (1, 0, 1), (1, 0.05, 1),
-                              (0.5, 0.01, 2)):
-                weight = kmag ** (2 * r) * np.exp(2 * tau * kmag ** (1 / s))
+            for r, tau in ((0, 0), (1, 0), (1, 0.05), (0.5, 0.01)):
+                weight = kmag ** (2 * r) * np.exp(2 * tau * kmag)
                 want = np.sqrt(TWO_PI**dim * np.sum(weight * power))
-                np.testing.assert_allclose(norm(field, r, tau, s), want,
+                np.testing.assert_allclose(norm(field, r, tau), want,
                                            rtol=1e-14)
 
     def test_norm_tau_guard(self):
