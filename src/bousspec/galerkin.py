@@ -32,6 +32,7 @@ works on their full spectra, where each element's two modes sit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,7 @@ from .fields import (
     _from_half,
 )
 from .grid import TWO_PI, GridSpec
+from .stepper import _step_times
 
 __all__ = [
     "BasisElement",
@@ -103,10 +105,12 @@ def _canonical(k):
 
 
 def _pair_representatives(grid):
-    """Canonical wavevectors inside the dealias mask, sorted by (|k|^2, lex)."""
+    """Canonical wavevectors of the dealias mask's box |k_i| <= cutoff,
+    sorted by (|k|^2, lex)."""
     c = grid.dealias_cutoff
-    reps = {_canonical(row) for row in grid.wavevectors()
-            if np.any(row) and np.all(np.abs(row) <= c)}
+    reps = {_canonical(k)
+            for k in itertools.product(range(-c, c + 1), repeat=grid.dim)
+            if any(k)}
     return sorted(reps, key=lambda k: (sum(v * v for v in k), k))
 
 
@@ -405,25 +409,22 @@ def _powers(state, system, params):
 
 def integrate_galerkin(system: GalerkinSystem, initial: GalerkinState,
                        T: float, dt: float, params: PhysicalParams):
-    """Fixed-step RK4 integration to time T, sampling every step."""
+    """Fixed-step RK4 integration to the end time T counted from
+    ``initial.t``, sampling every step: ``run_simulation``'s steps to
+    that end time, so state n is at the time of the solver's step n."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be > 0 and finite, got {dt}")
     if not (T >= dt and math.isfinite(T)):
         raise ValueError(
             f"T must be finite and at least dt, got T={T}, dt={dt}"
         )
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * dt:
-        n_steps = int(T / dt)
-
-    states = [initial.copy()]
-    xi_res = np.zeros(n_steps)
-    eta_res = np.zeros(n_steps)
     state = initial.copy()
+    states = [state]
+    xi_res, eta_res = [], []
     # the half step and the step share their first stage, and each step
     # starts from the power at the end of the one before
     p1 = _powers(state, system, params)
-    for n in range(n_steps):
+    for _ in _step_times(initial.t, initial.t + T, dt):
         k1 = galerkin_rhs(state, system, params)
         mid = _rk4_step(state, system, params, dt / 2, k1)
         new = _rk4_step(state, system, params, dt, k1)
@@ -433,11 +434,13 @@ def integrate_galerkin(system: GalerkinSystem, initial: GalerkinState,
         pm = _powers(mid, system, params)
         p1 = _powers(new, system, params)
         simpson = [dt / 6 * (p0[i] + 4 * pm[i] + p1[i]) for i in (0, 1)]
-        xi_res[n] = 0.5 * (np.sum(new.xi**2) - np.sum(state.xi**2)) - simpson[0]
-        eta_res[n] = 0.5 * (np.sum(new.eta**2) - np.sum(state.eta**2)) - simpson[1]
+        xi_res.append(
+            0.5 * (np.sum(new.xi**2) - np.sum(state.xi**2)) - simpson[0])
+        eta_res.append(
+            0.5 * (np.sum(new.eta**2) - np.sum(state.eta**2)) - simpson[1])
         state = new
-        states.append(state.copy())
-    return GalerkinTrajectory(states, xi_res, eta_res)
+        states.append(state)
+    return GalerkinTrajectory(states, np.array(xi_res), np.array(eta_res))
 
 
 def project_state(u: SpectralVectorField, theta: SpectralScalarField,

@@ -145,18 +145,6 @@ class GridSpec:
     def __hash__(self):
         return hash((self.dim, self.modes))
 
-    def wavevectors(self):
-        """Integer wavevectors in the fixed lexicographic order.
-
-        Returns an (nmodes, dim) int array enumerating j over
-        {-modes/2+1, ..., modes/2}^dim, the whole resolved spectrum, in
-        which the Galerkin basis picks its canonical representatives.
-        """
-        m = self.modes
-        labels = np.arange(m) - m // 2 + 1
-        grids = np.meshgrid(*([labels] * self.dim), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
-
 
 def _read_only(array):
     array.flags.writeable = False

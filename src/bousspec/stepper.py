@@ -356,6 +356,14 @@ def step(state: SimulationState, params: PhysicalParams,
                            state.step_index + 1)
 
 
+def _step_times(t, t_final, dt):
+    """The time after each step of a run from t to t_final: the one rule
+    of how many steps the solver and the Galerkin ODE take."""
+    while t < t_final - 0.5 * dt:
+        t += dt
+        yield t
+
+
 @dataclass
 class SimTrajectory:
     """Everything a run leaves behind.
@@ -413,12 +421,12 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
 
     status = "completed"
     message = ""
-    while t < config.t_final - 0.5 * config.dt:
+    for t_next in _step_times(t, config.t_final, config.dt):
         if not integrator.advance():
             status = "nonfinite"
-            message = str(NonFiniteStateError(t + config.dt, None))
+            message = str(NonFiniteStateError(t_next, None))
             break
-        t, index = t + config.dt, index + 1
+        t, index = t_next, index + 1
         # the record's per-mode arrays take the free block of the
         # integrator
         records.append(_record(grid, t, integrator.y, budget,

@@ -244,19 +244,37 @@ class TestDiagnose:
 
 
 class TestOracleCheck:
-    def test_passes_on_small_grid(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, """
+    # 0.02 / 7e-4 = 28.57 and 0.02 / 3e-3 = 6.67: both runs end past
+    # T = 0.02, and the ODE takes the same steps
+    @pytest.mark.parametrize("dt", [1e-3, 7e-4, 3e-3])
+    def test_passes_on_small_grid(self, tmp_path, capsys, dt):
+        cfg = write_config(tmp_path, f"""
             dim = 2
             modes = 10
             t_final = 0.01
-            dt = 1e-3
+            dt = {dt}
             seed = 5
         """)
         assert main(["oracle-check", cfg]) == 0
         out = capsys.readouterr().out
         assert "projected kernel vs convolution" in out
-        assert "solver vs Galerkin ODE" in out
+        assert "solver vs Galerkin ODE (T = 0.02): " in out
         assert "MISMATCH" not in out
+
+    def test_skips_ode_when_dt_exceeds_its_horizon(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, """
+            dim = 2
+            modes = 8
+            t_final = 0.1
+            dt = 0.05
+            seed = 5
+        """)
+        assert main(["oracle-check", cfg]) == 0
+        captured = capsys.readouterr()
+        assert ("solver vs Galerkin ODE: skipped (dt = 0.05 exceeds its "
+                "horizon T = 0.02)" in captured.out)
+        assert "MISMATCH" not in captured.out
+        assert captured.err == ""
 
     def test_passes_on_3d_grid(self, tmp_path, capsys):
         # 8^3 keeps |j_i| <= 2: 248 velocity elements, the largest 3D

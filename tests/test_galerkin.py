@@ -445,14 +445,31 @@ class TestSolverEquivalence:
         assert traj_pde.status == "completed"
         worst = 0.0
         for snap in traj_pde.snapshots:
-            n = int(round(snap.t / dt))
-            u_ode, th_ode = reconstruct(traj_ode.states[n], system)
-            du = norm_diff(snap.u.coeffs, u_ode.coeffs, grid)
-            dth = norm_diff(snap.theta.coeffs, th_ode.coeffs, grid)
+            u_ode, th_ode = reconstruct(traj_ode.states[snap.step_index],
+                                        system)
+            du = norm(SpectralVectorField(grid, snap.u.coeffs - u_ode.coeffs))
+            dth = norm(SpectralScalarField(grid,
+                                           snap.theta.coeffs - th_ode.coeffs))
             ref = max(norm(snap.u), norm(snap.theta))
             worst = max(worst, du / ref, dth / ref)
         assert worst <= 1e-6, f"trajectory deviation {worst:.3e}"
 
+    @pytest.mark.parametrize("dt", [1e-3, 7e-4, 1.5e-3, 3e-3])
+    def test_ode_takes_the_solver_steps(self, small_system, dt):
+        # one clock for both: the ODE's state n is at the time of the
+        # solver's step n, also where dt does not divide T
+        from bousspec.stepper import SimulationState, StepperConfig, run_simulation
 
-def norm_diff(a, b, grid):
-    return float(np.sqrt((2 * np.pi) ** grid.dim * np.sum(np.abs(a - b) ** 2)))
+        grid = small_system.grid
+        params = PhysicalParams(nu=1.0, kappa=1.0)
+        u0, th0 = synthesize_initial("rough_h1", grid, seed=21)
+        u0.coeffs *= grid.dealias_mask
+        th0.coeffs *= grid.dealias_mask
+        u0 = leray_project(u0)
+        T = 0.02
+        ode = integrate_galerkin(small_system,
+                                 project_state(u0, th0, small_system),
+                                 T=T, dt=dt, params=params)
+        traj = run_simulation(StepperConfig(dt=dt, t_final=T), params, grid,
+                              SimulationState(u0, th0, 0.0, 0))
+        assert [s.t for s in ode.states] == [r.t for r in traj.records]

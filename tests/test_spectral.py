@@ -58,20 +58,6 @@ class TestGridSpec:
         # float 2/3 * 3 rounds below 2; the integer cutoff modes // 3 must not
         assert make_grid(2, 6).dealias_cutoff == 2
 
-    def test_wavevector_enumeration(self):
-        g = make_grid(2, 8)
-        wv = g.wavevectors()
-        assert wv.shape == (64, 2)
-        tups = {tuple(row) for row in wv}
-        assert len(tups) == 64
-        assert all(-3 <= a <= 4 for t in tups for a in t)  # -M/2+1 .. M/2
-        # the zero (mean) vector appears exactly once
-        (pos,) = np.flatnonzero(~wv.any(axis=1))
-        # lexicographic order
-        assert all(
-            tuple(wv[i]) < tuple(wv[i + 1]) for i in range(len(wv) - 1)
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
             make_grid(2, 7)
