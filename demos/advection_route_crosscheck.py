@@ -13,12 +13,16 @@ dealias cutoff every product stays on the grid, so the two must agree
 to roundoff on every retained mode; that agreement is what certifies
 the transform path, masks and normalization included.
 
-The tail of the demo shows the one hole the mask has: when the modes
-count is divisible by 3 the cutoff M/3 is itself a retained wavenumber,
-and products of two boundary modes wrap around exactly onto the
-opposite boundary.  The direct convolution has no such images, which
-makes the disagreement easy to localize.
+The tail fills the whole retained band of 24^2, where 3 divides the
+modes count.  The cutoff c = 7 is the largest with 3c < 24: a product
+of two boundary modes reaches |k_i| = 14, and its alias 14 - 24 = -10
+lies outside the band, so the boundary shell agrees to roundoff too.
+(A cutoff of 24/3 = 8 would wrap such products exactly onto the
+opposite boundary.)  The script exits 1 if any printed deviation
+exceeds 1e-12.
 """
+
+import sys
 
 import numpy as np
 
@@ -57,28 +61,40 @@ def route_deviation(grid, u, v, where=None):
     return np.max(np.abs((fast - slow) * region)) / scale
 
 
+TOLERANCE = 1e-12
+deviations = []
+
+
+def report(label, deviation):
+    deviations.append(deviation)
+    print(f"{label} {deviation:18.3e}")
+
+
 print("inputs band-limited to half the cutoff (the guaranteed regime)")
 print(f"{'grid':>6} {'term':>12} {'max rel deviation':>18}")
 for dim, modes in ((2, 16), (2, 24), (3, 8)):
     grid = make_grid(dim, modes)
     u, theta = random_band_limited(grid, seed=dim, bandwidth=grid.dealias_cutoff // 2)
     for label, v in (("u.grad u", u), ("u.grad theta", theta)):
-        print(f"{modes}^{dim:<3} {label:>12} {route_deviation(grid, u, v):18.3e}")
+        report(f"{modes}^{dim:<3} {label:>12}", route_deviation(grid, u, v))
 
-print()
-print("aliasing probe: inputs filling the whole retained band on 24^2,")
-print("where the cutoff 8 = 24/3 lets boundary-mode products wrap back")
 grid = make_grid(2, 24)
-u, theta = random_band_limited(grid, seed=7, bandwidth=grid.dealias_cutoff)
+c = grid.dealias_cutoff
+print()
+print(f"inputs filling the whole retained band |k_i| <= {c} of 24^2: products")
+print(f"reach |k_i| = {2 * c}, whose aliases lie {24 - 2 * c} > {c} from zero")
+u, theta = random_band_limited(grid, seed=7, bandwidth=c)
 interior = np.ones(grid.shape, dtype=bool)
 for axis in range(grid.dim):
-    interior &= np.abs(grid.k[axis]) < grid.dealias_cutoff
+    interior &= np.abs(grid.k[axis]) < c
 boundary = grid.dealias_mask & ~interior
-print(f"deviation on interior modes (|k_i| < 8): "
-      f"{route_deviation(grid, u, u, interior):.3e}")
-print(f"deviation on the boundary shell (max |k_i| = 8): "
-      f"{route_deviation(grid, u, u, boundary):.3e}")
+report(f"interior modes (|k_i| < {c})".ljust(36),
+       route_deviation(grid, u, u, interior))
+report(f"boundary shell (max |k_i| = {c})".ljust(36),
+       route_deviation(grid, u, u, boundary))
 print()
-print("every aliased image lands on the boundary shell, so grids whose")
-print("modes count is not a multiple of 3 (as used throughout the test")
-print("suite) are alias-free across the entire retained band")
+if max(deviations) > TOLERANCE:
+    print(f"FAIL: a deviation exceeds {TOLERANCE:g}")
+    sys.exit(1)
+print(f"every deviation is below {TOLERANCE:g}: the routes agree across the")
+print("whole retained band")

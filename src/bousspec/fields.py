@@ -102,6 +102,18 @@ class SpectralVectorField:
         return SpectralVectorField(self.grid, self.coeffs.copy())
 
 
+def _check_grid(grid, *fields):
+    """The grid that ``fields`` live on; grids are equal when their dim
+    and modes are.  Raise ValueError unless every field's grid equals
+    the first one's and, when given, ``grid``."""
+    first = fields[0].grid
+    if grid is not None and first != grid:
+        raise ValueError("fields do not live on the supplied grid")
+    if any(field.grid != first for field in fields[1:]):
+        raise ValueError("fields live on different grids")
+    return first if grid is None else grid
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Viscosity and diffusivity; gravity acts along the last axis, so
@@ -178,11 +190,12 @@ def _from_half(grid, half):
     construction.  Leading (component) axes are kept.
     """
     m = grid.modes
+    # the labels m/2+1..m-1 are the reflections of m/2-1..1
+    upper = np.ix_(*[(-np.arange(m)) % m] * (grid.dim - 1),
+                   np.arange(m // 2 - 1, 0, -1))
     out = np.empty(half.shape[:-1] + (m,), dtype=complex)
     out[..., : m // 2 + 1] = half
-    flat = half.reshape(half.shape[: half.ndim - grid.dim] + (-1,))
-    np.conj(np.take(flat, grid._upper_index, axis=-1),
-            out=out[..., m // 2 + 1:])
+    np.conj(half[(Ellipsis,) + upper], out=out[..., m // 2 + 1:])
     return out
 
 
@@ -359,12 +372,11 @@ def l2_inner(f, g):
     """L2 inner product (2*pi)^N sum_j f_j conj(g_j) of real fields, a
     real number: the terms at j and -j are conjugates, so their sum is
     twice the real part of either (:func:`_fold`)."""
-    if f.grid != g.grid:
-        raise ValueError("inner product requires matching grids")
+    grid = _check_grid(None, f, g)
     prod = (f.coeffs * np.conj(g.coeffs)).real
     if isinstance(f, SpectralVectorField):
         prod = prod.sum(axis=0)
-    return TWO_PI**f.grid.dim * float(np.sum(_fold(f.grid, prod)))
+    return TWO_PI**grid.dim * float(np.sum(_fold(grid, prod)))
 
 
 # ----------------------------------------------------------------------

@@ -236,6 +236,10 @@ def _parse_header(blob, path):
         )
     if not (t >= 0 and math.isfinite(t)):
         raise SnapshotError(f"{path}: time t must be >= 0 and finite, got {t}")
+    try:
+        PhysicalParams(nu, kappa)
+    except ValueError as err:
+        raise SnapshotError(f"{path}: {err}") from None
     return SnapshotHeader(version, dim, modes, t, nu, kappa)
 
 

@@ -7,9 +7,8 @@ axis but the last, which keeps the labels 0..M/2 only; a coefficient at
 another last-axis label is the conjugate of its reflection's.  The grid
 object precomputes everything the operators need on that layout:
 integer wavevector meshes, |j|^2, the 2/3-rule dealiasing mask and the
-index maps that reflect the two last-axis planes holding both j and -j
-and rebuild the full spectrum where an oracle or the draw of rough data
-asks for it.  Snapshot files hold the half spectrum in this layout too.
+index map that reflects the two last-axis planes holding both j and -j.
+Snapshot files hold the half spectrum in this layout too.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ TWO_PI = 2.0 * np.pi
 _TAU_CAP_EXPONENT = 27.6
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridSpec:
     """Fourier grid for [0, 2*pi]^dim with ``modes`` points per axis.
 
@@ -43,9 +42,15 @@ class GridSpec:
         axis are -modes/2+1 .. modes/2, with the Nyquist slot shared by
         +modes/2 and -modes/2.
 
-    The dealiasing mask keeps |j_i| <= floor((2/3)(modes/2)) = modes // 3
-    per axis (the 2/3 rule), which makes quadratic products exact on the
-    retained modes.
+    The dealiasing mask keeps |j_i| <= c per axis, c = (modes - 1) // 3
+    the largest integer with 3c < modes (the 2/3 rule).  A product of
+    two retained modes has |j_i| <= 2c, and its alias j_i -+ modes lies
+    at least modes - 2c > c from zero, outside the mask, so quadratic
+    products are exact on the retained modes.  Unless 3 divides modes,
+    c = modes // 3 = floor((2/3)(modes/2)).
+
+    Grids compare equal when dim and modes are equal; the derived arrays
+    are not dataclass fields.
 
     Derived attributes
     ------------------
@@ -81,8 +86,8 @@ class GridSpec:
             k[axis] = freq1d[: shape[axis]].reshape(ax_shape)
         k2 = np.sum(k * k, axis=0)
 
-        # integer arithmetic: floor((2/3)(m/2)) for even m, no float rounding
-        cutoff = m // 3
+        # integer arithmetic, no float rounding: the largest c with 3c < m
+        cutoff = (m - 1) // 3
         mask = np.ones(shape, dtype=bool)
         for axis in range(self.dim):
             mask &= np.abs(k[axis]) <= cutoff
@@ -119,31 +124,10 @@ class GridSpec:
         return _read_only(self.k / np.where(self.k2 == 0, 1.0, self.k2))
 
     @functools.cached_property
-    def _upper_index(self):
-        """Flat indices into one field's half spectrum of the
-        reflections of the last-axis labels m/2+1..m-1, which the half
-        spectrum does not hold (they are those of m/2-1..1), in the
-        row-major order of those labels."""
-        m = self.modes
-        reflect = [(-np.arange(m)) % m] * (self.dim - 1)
-        return _read_only(np.ravel_multi_index(
-            np.ix_(*reflect, np.arange(m // 2 - 1, 0, -1)), self.shape))
-
-    @functools.cached_property
     def k_complex(self):
         """``k`` as complex numbers, whose products with coefficients
         need no cast."""
         return _read_only(self.k.astype(complex))
-
-    # grids carry large derived arrays, so equality compares the defining
-    # scalars only
-    def __eq__(self, other):
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return self.dim == other.dim and self.modes == other.modes
-
-    def __hash__(self):
-        return hash((self.dim, self.modes))
 
 
 def _read_only(array):

@@ -50,6 +50,7 @@ import numpy as np
 from .fields import (
     SpectralScalarField,
     SpectralVectorField,
+    _check_grid,
     _constrain,
     _from_half,
     _real_half,
@@ -80,14 +81,6 @@ class ConvectionResult:
 
     field: SpectralVectorField | SpectralScalarField
     aliasing_mode: AliasingMode
-
-
-def _check_grids(u, v, grid):
-    if grid is not None and u.grid != grid:
-        raise ValueError("u does not live on the supplied grid")
-    if u.grid != v.grid:
-        raise ValueError("u and v live on different grids")
-    return u.grid
 
 
 def _core_shape(grid):
@@ -351,7 +344,7 @@ def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):
     result is masked again and constrained, so it is real, zero-mean and
     supported on the retained modes.
     """
-    grid = _check_grids(u, v, grid)
+    grid = _check_grid(grid, u, v)
     mask, dim = grid.dealias_mask, grid.dim
     vector = isinstance(v, SpectralVectorField)
     comps = v.coeffs if vector else v.coeffs[np.newaxis]
@@ -379,7 +372,7 @@ def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):
     transforms are used anywhere, which keeps this path independent of
     the pseudospectral one.  Guarded to modes**dim <= 4096.
     """
-    grid = _check_grids(u, v, grid)
+    grid = _check_grid(grid, u, v)
     if grid.nmodes > CONVOLUTION_MODE_LIMIT:
         raise ValueError(
             f"direct convolution is limited to {CONVOLUTION_MODE_LIMIT} "

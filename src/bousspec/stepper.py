@@ -64,6 +64,7 @@ from .fields import (
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
+    _check_grid,
     _constrain,
     _leray_in_place,
     _stacked,
@@ -146,14 +147,6 @@ class StepperConfig:
             )
 
 
-def _check_grid(state, grid):
-    if grid is None:
-        grid = state.u.grid
-    if state.u.grid is not grid or state.theta.grid is not grid:
-        raise ValueError("state fields do not live on the supplied grid")
-    return grid
-
-
 def _unstack(y, grid):
     """(u, theta) fields, views of a stacked [u; theta]."""
     return (SpectralVectorField(grid, y[: grid.dim]),
@@ -174,7 +167,7 @@ def rhs_full(state: SimulationState, params: PhysicalParams,
     :func:`step` and ``synthesize_initial`` is: the advection terms are
     evaluated in divergence form.
     """
-    grid = _check_grid(state, grid)
+    grid = _check_grid(grid, state.u, state.theta)
     y = _stacked(state.u, state.theta)
     dy = _projected_rhs(grid, y)
     dy -= _diffusion_rates(grid, params) * grid.k2 * y
@@ -346,7 +339,7 @@ def step(state: SimulationState, params: PhysicalParams,
     The new state is Leray-projected and constrained, so it is
     divergence-free, zero-mean and real.
     """
-    grid = _check_grid(state, grid)
+    grid = _check_grid(grid, state.u, state.theta)
     integrator = _Integrator(grid, params, config,
                              _stacked(state.u, state.theta))
     t1 = state.t + config.dt
@@ -395,7 +388,7 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
     letting a caller stream snapshots to disk; the trajectory then keeps
     only the latest one.
     """
-    _check_grid(initial, grid)
+    _check_grid(grid, initial.u, initial.theta)
     integrator = _Integrator(grid, params, config,
                              _stacked(initial.u, initial.theta))
     t, index = initial.t, initial.step_index

@@ -198,6 +198,22 @@ class TestDiagnose:
         assert main(["diagnose", str(snap)]) == 1
         assert "t must be >= 0 and finite" in capsys.readouterr().err
 
+    def test_snapshot_nu_outside_range_exits_1(self, tmp_path, capsys):
+        # a header nu of NaN used to be read: one file gave an error that
+        # named no file, and two copies of it "differed" from each other
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
+        snap = out / "snapshot_00000005.bin"
+        blob = bytearray(snap.read_bytes())
+        struct.pack_into("<d", blob, 28, float("nan"))  # nu, after t
+        snap.write_bytes(bytes(blob))
+        capsys.readouterr()
+        for args in ([str(snap)], [str(snap), str(snap)]):
+            assert main(["diagnose", *args]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {snap}: nu must be > 0 and finite, got nan\n"
+
     def test_snapshot_that_is_not_real_exits_1(self, tmp_path, capsys):
         # a coefficient whose conjugate partner disagrees: fields hold
         # the half spectrum of a real state only, so it would be misread
@@ -289,6 +305,23 @@ class TestOracleCheck:
         assert main(["oracle-check", cfg]) == 0
         out = capsys.readouterr().out
         assert "solver vs Galerkin ODE (T = " in out
+        assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize("dim,modes", [(2, 24), (3, 6)])
+    def test_passes_when_three_divides_modes(self, tmp_path, capsys, dim,
+                                             modes):
+        # the cutoff is the largest c with 3c < M: at M = 3c the alias of
+        # a product of retained modes would land on the shell |j_i| = c
+        cfg = write_config(tmp_path, f"""
+            dim = {dim}
+            modes = {modes}
+            t_final = 0.01
+            dt = 1e-3
+            seed = 0
+        """)
+        assert main(["oracle-check", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "solver vs Galerkin ODE (T = 0.02): " in out
         assert "MISMATCH" not in out
 
     def test_skips_ode_above_truncation_limit(self, tmp_path, capsys):

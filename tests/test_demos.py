@@ -1,5 +1,7 @@
 """Every script under demos/, and the README's library quick start, runs
-to completion in a fresh interpreter."""
+to completion in a fresh interpreter.  A demo that checks a claim exits
+1 when the claim fails (``advection_route_crosscheck``: a deviation
+above 1e-12), so its exit status is checked too."""
 
 import os
 import subprocess

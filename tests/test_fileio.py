@@ -338,6 +338,22 @@ class TestSnapshots:
         with pytest.raises(SnapshotError, match="t must be >= 0 and finite"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("offset,key", [(28, "nu"), (36, "kappa")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_params_outside_range_refused(self, tmp_path, offset, key, value):
+        # nu and kappa follow the rule of PhysicalParams, and the error
+        # names the file
+        grid = make_grid(2, 8)
+        path = str(tmp_path / "state.bin")
+        write_snapshot(random_state(grid, 0), PhysicalParams(1.0, 1.0), path)
+        blob = bytearray(Path(path).read_bytes())
+        struct.pack_into("<d", blob, offset, value)
+        Path(path).write_bytes(bytes(blob))
+        for reader in (read_snapshot_header, read_snapshot):
+            with pytest.raises(SnapshotError,
+                               match=f"state.bin: {key} must be > 0"):
+                reader(path)
+
     @pytest.mark.parametrize("field,index", [("u", (0, 1, 0)),
                                              ("theta", (-3, 0))])
     def test_state_that_is_not_real_refused(self, tmp_path, field, index):

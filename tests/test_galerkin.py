@@ -135,7 +135,7 @@ class TestBasis:
         assert len(vel) == 24 and len(scal) == 24
         mags = [e.eigenvalue for e in vel]
         assert mags == sorted(mags)
-        grid3 = make_grid(3, 6)
+        grid3 = make_grid(3, 8)
         vel3, scal3 = build_basis(grid3)
         # 5^3 - 1 = 124 nonzero wavevectors in |j_i| <= 2 -> 62 pairs
         assert len(scal3) == 124

@@ -1,5 +1,7 @@
 """Grid bookkeeping, constraints, norm weights, norms, initial data."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -55,8 +57,12 @@ class TestGridSpec:
         assert g.physical_shape == (4, 4, 4)
 
     def test_cutoff_uses_exact_rational_arithmetic(self):
-        # float 2/3 * 3 rounds below 2; the integer cutoff modes // 3 must not
-        assert make_grid(2, 6).dealias_cutoff == 2
+        # c is the largest integer with 3c < M, so the alias of a product
+        # of retained modes (|j_i| <= 2c) lies at least M - 2c > c from
+        # zero, off the retained band, for every M
+        for modes in range(4, 301, 2):
+            c = make_grid(2, modes).dealias_cutoff
+            assert 3 * c < modes <= 3 * (c + 1), modes
 
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
@@ -349,6 +355,21 @@ class TestTransforms:
                 * g.nmodes, atol=1e-14 * np.max(np.abs(vals)))
             want = np.stack([np.fft.rfftn(v, norm="forward") for v in want])
             assert np.array_equal(back.coeffs, want.reshape(back.coeffs.shape))
+
+    @pytest.mark.parametrize("dim,modes", [(2, 16), (2, 32), (3, 8)])
+    def test_full_spectrum_label_by_label(self, dim, modes):
+        # each last-axis label above M/2 holds the conjugate of its
+        # reflection's coefficient, to the bit
+        g = make_grid(dim, modes)
+        for half in (random_scalar(g, modes).coeffs,
+                     random_vector(g, modes, solenoidal=False).coeffs):
+            want = np.empty(half.shape[:-1] + (modes,), dtype=complex)
+            want[..., : modes // 2 + 1] = half
+            for j in itertools.product(range(modes), repeat=dim):
+                if j[-1] > modes // 2:
+                    mirror = tuple((-np.array(j)) % modes)
+                    want[(Ellipsis,) + j] = np.conj(half[(Ellipsis,) + mirror])
+            assert _from_half(g, half).tobytes() == want.tobytes()
 
     def test_taylor_green_collocation_values(self):
         g = make_grid(2, 16)

@@ -436,3 +436,50 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="snapshot_every"):
             run_simulation(run_config(1e-2, 0.1, snapshot_every=0),
                            params, grid, initial)
+
+
+class TestGridCheck:
+    # a grid is its dim and modes: a state read back from a file lives
+    # on the grid object read_snapshot built, not on the caller's
+    def test_snapshot_state_runs_on_a_fresh_grid(self, tmp_path):
+        grid = make_grid(2, 16)
+        params = PhysicalParams(nu=1.0, kappa=1.0)
+        state = masked_rough_state(grid, 3)
+        path = str(tmp_path / "state.bin")
+        write_snapshot(state, params, path)
+        back = read_snapshot(path)
+        fresh = make_grid(2, 16)
+        assert back.u.grid is not fresh and back.u.grid == fresh
+        cfg = run_config(1e-3, 5e-3)
+        want = run_simulation(cfg, params, grid, state)
+        got = run_simulation(cfg, params, fresh, back)
+        assert got.status == "completed"
+        assert ([r.as_tuple() for r in got.records]
+                == [r.as_tuple() for r in want.records])
+        got_end, want_end = got.final_state, want.final_state
+        assert np.array_equal(_stacked(got_end.u, got_end.theta),
+                              _stacked(want_end.u, want_end.theta))
+        got_step, want_step = (step(back, params, cfg, fresh),
+                               step(state, params, cfg))
+        assert np.array_equal(_stacked(got_step.u, got_step.theta),
+                              _stacked(want_step.u, want_step.theta))
+        for got_f, want_f in zip(rhs_full(back, params, fresh),
+                                 rhs_full(state, params)):
+            assert np.array_equal(got_f.coeffs, want_f.coeffs)
+
+    def test_state_of_another_size_refused(self):
+        params = PhysicalParams(nu=1.0, kappa=1.0)
+        cfg = run_config(1e-3, 5e-3)
+        grid = make_grid(2, 16)
+        small = masked_rough_state(make_grid(2, 8), 3)
+        mixed = SimulationState(masked_rough_state(grid, 3).u, small.theta)
+        for state, supplied, match in ((small, grid, "supplied grid"),
+                                       (mixed, grid, "different grids"),
+                                       (mixed, None, "different grids")):
+            with pytest.raises(ValueError, match=match):
+                step(state, params, cfg, supplied)
+            with pytest.raises(ValueError, match=match):
+                rhs_full(state, params, supplied)
+            if supplied is not None:
+                with pytest.raises(ValueError, match=match):
+                    run_simulation(cfg, params, supplied, state)
