@@ -125,47 +125,34 @@ def _shell_plan(grid):
     """Shell bookkeeping of a grid's half spectrum, as read-only arrays:
     the stable order of the flat half modes by shell floor(|j| + 1/2),
     the start of each shell in it (every shell up to the outermost holds
-    a mode), in that order i times the rank of each half mode j by the
-    flat index in the full FFT layout of the later of j and -j, and the
-    |j| of each rank."""
+    a mode), and in that order i |j| of each half mode."""
     shell = np.floor(grid.kmag + 0.5).astype(int).ravel()
     order = np.argsort(shell, kind="stable")
     starts = np.flatnonzero(np.diff(shell[order], prepend=-1))
-    index = np.indices(grid.shape).reshape(grid.dim, -1)
-    last = np.maximum(
-        np.ravel_multi_index(index, grid.physical_shape),
-        np.ravel_multi_index(-index % grid.modes, grid.physical_shape))
-    by_rank = np.argsort(last, kind="stable")
-    rank = np.empty_like(by_rank)
-    rank[by_rank] = np.arange(by_rank.size)
-    plan = (order, starts, 1j * rank[order], grid.kmag.ravel()[by_rank])
+    plan = (order, starts, 1j * grid.kmag.ravel()[order])
     for value in plan:
         value.flags.writeable = False
     return plan
 
 
-def _envelope(grid, ranked):
-    """``shell_envelope`` from the amplitudes ``ranked`` of the half modes
-    of a real field in :func:`_shell_plan` order, which each mode shares
-    with its reflection.  Complex numbers compare by real part first, so
-    the largest amplitude + i rank of a shell is its loudest mode, and of
-    equal peaks the one last in flat full order."""
-    _, starts, i_rank, kmag = _shell_plan(grid)
-    loudest = np.maximum.reduceat(i_rank + ranked, starts)
-    envelope = np.empty((2, len(starts)))
-    envelope[0] = loudest.real
-    np.take(kmag, loudest.imag.astype(np.intp), out=envelope[1])
-    return envelope
+def _envelope(grid, amplitude):
+    """``shell_envelope`` from the amplitudes of the half modes of a real
+    field in :func:`_shell_plan` order, which each mode shares with its
+    reflection.  Complex numbers compare by real part first, so the
+    largest amplitude + i |j| of a shell is its loudest mode, and of
+    equal peaks the one of largest |j|."""
+    _, starts, i_kmag = _shell_plan(grid)
+    loudest = np.maximum.reduceat(i_kmag + amplitude, starts)
+    return loudest.real, loudest.imag
 
 
 def shell_envelope(field):
     """Peak amplitude per integer-radius shell [n - 1/2, n + 1/2) on |j|.
 
-    Returns (peak, peak_kmag), as the two rows of one array: the loudest
-    amplitude in each shell and the |j| where it sits, of equal peaks
-    the one last in flat full order.  Shell 0 holds only the (zero) mean
-    mode.  The amplitude of a vector mode is the magnitude over its
-    components.
+    Returns (peak, peak_kmag): the loudest amplitude in each shell and
+    the |j| where it sits, of equal peaks the largest |j|.  Shell 0
+    holds only the (zero) mean mode.  The amplitude of a vector mode is
+    the magnitude over its components.
     """
     grid = field.grid
     power = _power(field.coeffs, grid.dim)
@@ -223,7 +210,7 @@ def fit_radius(field):
     zero.  Returns None when fewer than 4 shells rise above the
     amplitude floor: too little spectrum to call it a fit.
     """
-    return _fit(*shell_envelope(field).tolist())
+    return _fit(*map(np.ndarray.tolist, shell_envelope(field)))
 
 
 def _tau(grid, t):
@@ -250,23 +237,29 @@ def gevrey_energy(state):
 def _exp_fitted_mean(a, b):
     """The exponential-fitted mean (a - b) / ln(a / b), entry by entry:
     the exact mean over a step of an entry that varies exponentially from
-    a to b.  ln(a / b) = log1p((a - b) / b) stays accurate as a -> b.
-    The mean lies between a and b and tends to a as b -> a and to 0 as a
-    or b -> 0, so the larger of the quotient and min(a, b) is the mean,
-    and its limit where the quotient is 0 / 0 (a == b) or 0 (a or b is
-    0).
+    a to b.  ln(a / b) = log1p((a - b) / b) stays accurate as a -> b; it
+    is ln a - ln b where log1p loses digits, as the quotient nears -1
+    (a < 2^-14 b), or the quotient overflows.  The mean lies between a
+    and b and tends to a as b -> a and to 0 as a or b -> 0, so the
+    larger of the quotient and min(a, b) is the mean, and its limit
+    where the quotient is 0 / 0 (a == b) or 0 (a or b is 0).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         diff = a - b
-        fitted = diff / np.log1p(diff / b)
+        ratio = diff / b
+        log_ratio = np.log1p(ratio)
+        far = ~((ratio >= 2.0**-14 - 1) & (ratio < np.inf))
+        log_ratio[far] = np.log(a[far]) - np.log(b[far])
+        fitted = diff / log_ratio
     return np.fmax(fitted, np.fmin(a, b))
 
 
 class BudgetAccumulator:
     """Running energy budget along a trajectory.
 
-    Feed it states in time order through :func:`build_record`, which
-    reports the signed residuals
+    Feed it states in time order through :func:`build_record` (an
+    earlier state than the last is refused), which reports the signed
+    residuals
 
         res_theta = ||theta(t)||^2 + 2 kappa I[||grad theta||^2] - ||theta_0||^2
         res_u     = ||u(t)||^2 + 2 nu I[||grad u||^2] - ||u_0||^2
@@ -307,6 +300,9 @@ class BudgetAccumulator:
             self._e0_theta = e_theta
         else:
             t_prev, dens_prev, cross_prev = self._prev
+            if t < t_prev:
+                raise ValueError(f"budget fed t = {t} after t = {t_prev}; "
+                                 "states must come in time order")
             h = t - t_prev
             scale = h * TWO_PI**grid.dim
             means = _exp_fitted_mean(dens_prev, dens).reshape(2, -1)
@@ -392,8 +388,8 @@ def _record(grid, t, y, budget, buffer):
         math.sqrt(scale * value) for value in norms2)
     res_theta, res_u = (0.0, 0.0) if budget is None else budget._advance(
         grid, t, l2_u**2, l2_theta**2, grid.k2 * folded[1:], scale * flux)
-    peak, peak_kmag = _envelope(grid, np.sqrt(
-        np.take(power[dim - 1], _shell_plan(grid)[0]))).tolist()
+    peak, peak_kmag = map(np.ndarray.tolist, _envelope(grid, np.sqrt(
+        np.take(power[dim - 1], _shell_plan(grid)[0]))))
     fit = _fit(peak, peak_kmag)
     return DiagnosticsRecord(
         t=t,

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bousspec
+from bousspec import make_grid
 from bousspec.cli import main
 from bousspec.fileio import read_diagnostics, read_snapshot
 
@@ -27,6 +29,15 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def child_env():
+    """The environment of a child Python that imports the same package as
+    this process, whether it comes from an install or from src/ on
+    pytest's path."""
+    src = str(Path(bousspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 class TestRun:
@@ -165,6 +176,28 @@ class TestDiagnose:
                      "--output-dir", str(dest)]) == 0
         assert ((dest / "diagnostics.csv").read_bytes()
                 == (out / "diagnostics.csv").read_bytes())
+
+    def test_steps_over_extreme_density_ratios_are_silent(self, tmp_path):
+        # between t = 0 and t = 3 at 32^2 the dissipation densities of
+        # most modes fall by far more than 2^14, and some by more than
+        # the range of a double: the budget's mean used to overflow and
+        # warn there (and so raise under -W error)
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(
+            "modes = 16", "modes = 32").replace(
+            "t_final = 0.01", "t_final = 3").replace(
+            "dt = 1e-3", "dt = 0.01").replace(
+            "snapshot_every = 5", "snapshot_every = 300"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
+        snaps = sorted(str(p) for p in out.glob("snapshot_*.bin"))
+        assert len(snaps) == 2
+        proc = subprocess.run(
+            [sys.executable, "-m", "bousspec", "diagnose", *snaps],
+            capture_output=True, env=child_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert len(proc.stdout.decode().splitlines()) == 3
 
     @pytest.mark.parametrize("change", [("modes = 16", "modes = 8"),
                                         ("seed = 3", "seed = 3\nnu = 5")])
@@ -378,19 +411,34 @@ class TestSpectrum:
         first = lines[1].split(",")
         assert first[0] == "1" and float(first[2]) > 0
 
+    def test_ties_go_to_the_largest_kmag(self, tmp_path, capsys):
+        # every mode of a zero field ties, so each shell reports the
+        # largest |j| it holds
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(
+            "initial_kind = rough_h1", "initial_kind = zero"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["spectrum", str(out / "snapshot_00000000.bin")]) == 0
+        rows = [line.split(",") for line
+                in capsys.readouterr().out.strip().splitlines()[1:]]
+        kmag = make_grid(2, 16).kmag
+        shell = np.floor(kmag + 0.5)
+        assert [int(row[0]) for row in rows] == list(
+            range(1, int(shell.max()) + 1))
+        for row in rows:
+            largest = "%.6g" % kmag[shell == int(row[0])].max()
+            assert row[1] == row[3] == largest
+            assert float(row[2]) == float(row[4]) == 0.0
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # the child imports the same package as this process, whether
-        # it comes from an install or from src/ on pytest's path
-        src = str(Path(bousspec.__file__).resolve().parents[1])
-        path = os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))
         cfg = write_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "bousspec", "run", cfg, "--quiet",
              "--output-dir", str(tmp_path / "out")],
-            capture_output=True, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, env=child_env(),
         )
         assert proc.returncode == 0
 

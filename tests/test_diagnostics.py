@@ -1,5 +1,7 @@
 """Energy budgets, Gevrey energy, radius fits, per-state records."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from bousspec import (
 from bousspec.diagnostics import (
     BudgetAccumulator,
     DiagnosticsRecord,
+    _exp_fitted_mean,
     build_record,
     fit_radius,
     gevrey_energy,
@@ -104,9 +107,9 @@ def full_meshes(grid):
 
 
 def lexsort_envelope(field):
-    """Shell envelope by a full lexsort on (shell, amplitude) over the
-    full spectrum: the loudest mode per shell, of equal ones the last in
-    flat order."""
+    """Shell envelope by a full lexsort on (shell, amplitude, |j|) over
+    the full spectrum: the loudest mode per shell, of equal ones the one
+    of largest |j|."""
     grid = field.grid
     coeffs = _from_half(grid, field.coeffs)
     power = coeffs.real**2 + coeffs.imag**2
@@ -118,7 +121,7 @@ def lexsort_envelope(field):
     kmag = kmag.ravel()
     peak = np.zeros(shell.max() + 1)
     peak_kmag = np.zeros(shell.max() + 1)
-    order = np.lexsort((amp, shell))
+    order = np.lexsort((kmag, amp, shell))
     last = order[np.flatnonzero(np.diff(shell[order], append=-1))]
     peak[shell[last]] = amp[last]
     peak_kmag[shell[last]] = kmag[last]
@@ -302,6 +305,35 @@ class TestEnergyBudget:
         # the imbalance would be of order t*||u||*||theta||)
         e0_u = norm(traj.snapshots[0].u) ** 2
         assert np.max(np.abs(budget[:, 1])) <= 1e-4 * e0_u
+
+    def test_fitted_mean_at_extreme_ratios(self):
+        # a / b from 1e310 (the quotient (a - b) / b overflows) down to
+        # 1e-300 (it rounds to -1), beside two moderate ratios; the
+        # reference is (a - b) / (ln a - ln b) in 40-digit decimals
+        a = np.array([1e-10, 1.0, 1e-300, 1e-300, 1e-16, 1e-14, 1.0, 3.0])
+        b = np.array([1e-320, 1e-300, 1.0, 1e-10, 1.0, 1.0, 2.0, 1.0])
+        with localcontext() as ctx:
+            ctx.prec = 40
+            want = [float((Decimal(x) - Decimal(y))
+                          / (Decimal(x).ln() - Decimal(y).ln()))
+                    for x, y in zip(a.tolist(), b.tolist())]
+        np.testing.assert_allclose(_exp_fitted_mean(a, b), want,
+                                   rtol=1e-12, atol=0)
+
+    def test_states_out_of_time_order_refused(self):
+        grid = make_grid(2, 16)
+        u, theta = synthesize_initial("rough_h1", grid, seed=1)
+        params = PhysicalParams(nu=1.0, kappa=1.0)
+        acc, fresh = BudgetAccumulator(params), BudgetAccumulator(params)
+        for t in (0.2, 0.2):  # equal times, as duplicate snapshots have
+            build_record(SimulationState(u, theta, t), acc)
+            build_record(SimulationState(u, theta, t), fresh)
+        with pytest.raises(ValueError, match=r"t = 0\.1 after t = 0\.2"):
+            build_record(SimulationState(u, theta, 0.1), acc)
+        # the refused state left the budget as it was
+        later = SimulationState(u, theta, 0.3)
+        assert build_record(later, acc) == build_record(later, fresh)
+
 
 
 class TestRecords:
