@@ -146,6 +146,14 @@ def _envelope(grid, amplitude):
     return loudest.real, loudest.imag
 
 
+def _amplitude(coeffs, power, dim):
+    """Amplitude of each mode of the half spectrum ``coeffs``, whose
+    ``_power`` is ``power``: sqrt(power), but from the coefficients
+    scaled by 2^600, which is exact, where the squares underflowed."""
+    scale = np.where(power < np.finfo(float).tiny, 2.0**600, 1.0)
+    return np.sqrt(_power(coeffs * scale, dim)) / scale
+
+
 def shell_envelope(field):
     """Peak amplitude per integer-radius shell [n - 1/2, n + 1/2) on |j|.
 
@@ -155,8 +163,9 @@ def shell_envelope(field):
     the magnitude over its components.
     """
     grid = field.grid
-    power = _power(field.coeffs, grid.dim)
-    return _envelope(grid, np.sqrt(np.take(power, _shell_plan(grid)[0])))
+    amplitude = _amplitude(field.coeffs, _power(field.coeffs, grid.dim),
+                           grid.dim)
+    return _envelope(grid, np.take(amplitude, _shell_plan(grid)[0]))
 
 
 def _tail(grid, peak):
@@ -388,8 +397,8 @@ def _record(grid, t, y, budget, buffer):
         math.sqrt(scale * value) for value in norms2)
     res_theta, res_u = (0.0, 0.0) if budget is None else budget._advance(
         grid, t, l2_u**2, l2_theta**2, grid.k2 * folded[1:], scale * flux)
-    peak, peak_kmag = map(np.ndarray.tolist, _envelope(grid, np.sqrt(
-        np.take(power[dim - 1], _shell_plan(grid)[0]))))
+    peak, peak_kmag = map(np.ndarray.tolist, _envelope(grid, np.take(
+        _amplitude(y[:dim], power[dim - 1], dim), _shell_plan(grid)[0])))
     fit = _fit(peak, peak_kmag)
     return DiagnosticsRecord(
         t=t,

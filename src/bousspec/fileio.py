@@ -22,6 +22,7 @@ see a half-written file.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import math
 import os
@@ -111,21 +112,13 @@ class RunConfig:
             raise ConfigError(str(err)) from None
 
 
-_CONFIG_PARSERS = {
-    "dim": int,
-    "modes": int,
-    "t_final": float,
-    "nu": float,
-    "kappa": float,
-    "dt": float,
-    "snapshot_every": int,
-    "initial_kind": str,
-    "seed": int,
-    "sobolev_exponent": float,
-    "scheme": str,
-    "output_dir": str,
-}
-_REQUIRED_KEYS = ("dim", "modes", "t_final")
+# a config file's keys are RunConfig's fields, each parsed by the type it
+# is annotated with and required when it has no default
+_PARSERS = {"int": int, "float": float, "str": str, "float | None": float}
+_CONFIG_PARSERS = {f.name: _PARSERS[f.type]
+                   for f in dataclasses.fields(RunConfig)}
+_REQUIRED_KEYS = [f.name for f in dataclasses.fields(RunConfig)
+                  if f.default is dataclasses.MISSING]
 
 
 def parse_config(path):

@@ -32,7 +32,6 @@ works on their full spectra, where each element's two modes sit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +48,7 @@ from .grid import TWO_PI, GridSpec
 from .stepper import _step_times
 
 __all__ = [
-    "BasisElement",
+    "Basis",
     "GalerkinSystem",
     "GalerkinState",
     "GalerkinTrajectory",
@@ -64,54 +63,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """One real basis function.
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """Real basis functions as the arrays of their Fourier modes.
 
-    ``wavevector`` is the canonical representative of the conjugate pair
-    (first nonzero component positive); ``parity`` is "cos" or "sin".
-    Velocity elements carry an integer ``tangent`` to the wavevector
-    and the unit ``direction`` along it; scalar elements carry neither.
-    ``amplitude`` normalizes the element to unit L2 norm.
+    Element e, a cos or a sin element at a canonical wavevector k (first
+    nonzero component positive), owns mode 2e at k and mode 2e + 1 at -k.
+    Row i of ``k`` is the wavevector of mode i, row i of ``w`` its
+    coefficient (along the unit direction of a velocity element, one
+    entry for a scalar one) and row i of ``tangent`` the integer vector
+    that direction is parallel to (1 for a scalar element).
     """
 
-    wavevector: tuple
-    parity: str
-    amplitude: float
-    direction: tuple | None = None
-    tangent: tuple | None = None
+    k: np.ndarray  # (2n, dim)
+    w: np.ndarray  # (2n, dim) velocity, (2n, 1) scalar
+    tangent: np.ndarray  # (2n, dim) velocity, (2n, 1) scalar
+
+    def __len__(self):
+        return len(self.k) // 2
 
     @property
-    def eigenvalue(self):
-        """|k|^2, the (minus-Laplacian) eigenvalue of the element."""
-        return float(sum(c * c for c in self.wavevector))
+    def owner(self):
+        """The element of each mode."""
+        return np.repeat(np.arange(len(self)), 2)
 
-    def plus_mode(self):
-        """Complex coefficient vector (or scalar) at +wavevector."""
-        factor = 0.5 if self.parity == "cos" else -0.5j
-        if self.direction is None:
-            return self.amplitude * factor
-        return self.amplitude * factor * np.asarray(self.direction)
-
-
-def _canonical(k):
-    """Representative of {k, -k} with the first nonzero component positive."""
-    for c in k:
-        if c > 0:
-            return tuple(int(v) for v in k)
-        if c < 0:
-            return tuple(int(-v) for v in k)
-    raise ValueError("zero wavevector has no canonical representative")
+    @property
+    def eigenvalues(self):
+        """|k|^2 of each element, its (minus-Laplacian) eigenvalue."""
+        return np.sum(self.k[::2] ** 2, axis=1).astype(float)
 
 
 def _pair_representatives(grid):
     """Canonical wavevectors of the dealias mask's box |k_i| <= cutoff,
     sorted by (|k|^2, lex)."""
     c = grid.dealias_cutoff
-    reps = {_canonical(k)
-            for k in itertools.product(range(-c, c + 1), repeat=grid.dim)
-            if any(k)}
-    return sorted(reps, key=lambda k: (sum(v * v for v in k), k))
+    box = np.indices((2 * c + 1,) * grid.dim).reshape(grid.dim, -1).T - c
+    # in lexicographic order, the rows after the zero at the centre are
+    # those whose first nonzero component is positive
+    reps = box[len(box) // 2 + 1:]
+    return reps[np.argsort(np.sum(reps * reps, axis=1), kind="stable")]
 
 
 def _tangents(k):
@@ -135,6 +125,21 @@ def _tangents(k):
     return tangents
 
 
+def _pairs(a, b):
+    """The rows a[0], b[0], a[1], b[1], ..."""
+    return np.stack([a, b], axis=1).reshape(-1, a.shape[1])
+
+
+def _basis(k, tangent, amp):
+    """The cos and then the sin element of amplitude ``amp`` at each row
+    of ``k``, along the same row of ``tangent`` (1 for a scalar)."""
+    d = tangent / np.linalg.norm(tangent, axis=1, keepdims=True)
+    w = _pairs(amp * 0.5 * d, amp * -0.5j * d)
+    k = np.repeat(k, 2, axis=0)
+    return Basis(_pairs(k, -k), _pairs(w, w.conj()),
+                 np.repeat(tangent, 4, axis=0))
+
+
 def build_basis(grid: GridSpec):
     """Velocity and scalar bases of every element the dealias mask admits,
     which is the truncation matching the spectral solver.
@@ -144,38 +149,10 @@ def build_basis(grid: GridSpec):
     (velocity), with cos before sin.
     """
     amp = float(np.sqrt(2.0 / TWO_PI**grid.dim))
-    vel = []
-    scal = []
-    for k in _pair_representatives(grid):
-        for t in _tangents(k):
-            d = tuple(t / np.linalg.norm(t))
-            for parity in ("cos", "sin"):
-                vel.append(BasisElement(k, parity, amp, d, tuple(t.tolist())))
-        for parity in ("cos", "sin"):
-            scal.append(BasisElement(wavevector=k, parity=parity, amplitude=amp))
-    return vel, scal
-
-
-def _flat_modes(basis, dim):
-    """Owner element, integer wavevector and coefficients of every mode:
-    element e owns mode 2e at its wavevector k and mode 2e + 1 at -k."""
-    n = len(basis)
-    ncomp = dim if n and basis[0].direction is not None else 1
-    k = np.array([e.wavevector for e in basis], dtype=np.int64).reshape(n, dim)
-    w = np.array([np.atleast_1d(e.plus_mode()) for e in basis],
-                 dtype=complex).reshape(n, ncomp)
-    return (np.repeat(np.arange(n), 2),
-            np.stack([k, -k], axis=1).reshape(2 * n, dim),
-            np.stack([w, w.conj()], axis=1).reshape(2 * n, ncomp))
-
-
-def _mode_tangents(basis):
-    """Integer vector every mode's direction is parallel to, ordered as
-    in ``_flat_modes``: the element's tangent, or 1 for scalar elements."""
-    if not basis or basis[0].direction is None:
-        return np.ones((2 * len(basis), 1), dtype=np.int64)
-    t = np.array([e.tangent for e in basis], dtype=np.int64)
-    return np.repeat(t, 2, axis=0)
+    reps = _pair_representatives(grid)
+    tangent = np.array([t for k in reps for t in _tangents(k)])
+    return (_basis(np.repeat(reps, grid.dim - 1, axis=0), tangent, amp),
+            _basis(reps, np.ones((len(reps), 1), dtype=np.int64), amp))
 
 
 def _at(k, grid):
@@ -184,22 +161,20 @@ def _at(k, grid):
     return (slice(None), *(k % grid.modes).T)
 
 
-def _synthesize(grid, basis, x, vector):
+def _synthesize(grid, basis, x):
     """The field sum_e x[e] (element e of ``basis``), through its full
     spectrum."""
-    owner, k, w = _flat_modes(basis, grid.dim)
-    full = np.zeros((grid.dim if vector else 1,) + grid.physical_shape,
-                    dtype=complex)
-    np.add.at(full, _at(k, grid), x[owner] * w.T)
+    ncomp = basis.w.shape[1]
+    full = np.zeros((ncomp,) + grid.physical_shape, dtype=complex)
+    np.add.at(full, _at(basis.k, grid), x[basis.owner] * basis.w.T)
     half = full[..., : grid.modes // 2 + 1].copy()
-    return (SpectralVectorField(grid, half) if vector
-            else SpectralScalarField(grid, half[0]))
+    return (SpectralScalarField(grid, half[0]) if ncomp == 1
+            else SpectralVectorField(grid, half))
 
 
-def basis_field(element: BasisElement, grid: GridSpec):
-    """Spectral field of a basis element (two conjugate modes)."""
-    return _synthesize(grid, [element], np.ones(1),
-                       element.direction is not None)
+def basis_field(basis: Basis, e: int, grid: GridSpec):
+    """Spectral field of element ``e`` of ``basis`` (two conjugate modes)."""
+    return _synthesize(grid, basis, np.eye(1, len(basis), e)[0])
 
 
 @dataclass
@@ -214,8 +189,8 @@ class GalerkinSystem:
     """
 
     grid: GridSpec
-    vel_basis: list
-    scalar_basis: list
+    vel_basis: Basis
+    scalar_basis: Basis
     A: np.ndarray  # (nnz_A,) values
     A_index: np.ndarray  # (nnz_A, 3) int: (a, b, c)
     B: np.ndarray  # (nnz_B,) values
@@ -266,13 +241,14 @@ def _shells(k):
     return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(k)])]
 
 
-def _advection_coo(vmodes, vtangents, modes, tangents, table, half, vol):
-    """COO values and (a, b, c) keys of (E_a . grad f_b, f_c).
+def _advection_coo(vel, basis, table, half, vol):
+    """COO values and (a, b, c) keys of (E_a . grad f_b, f_c), E of the
+    basis ``vel`` and f of ``basis``, whose modes ``table`` looks up.
 
     Every pair of modes (p of E_a, q of f_b) meets the modes r = -(p + q)
     of f, each triad adding vol Re[i (w_a . q)(w_b . w_c)].  The two dot
     products are exactly 0 where the integer vectors the directions are
-    parallel to (``vtangents`` of E_a, ``tangents`` of f) are orthogonal
+    parallel to (the ``tangent`` rows of E_a and of f) are orthogonal
     to q or to each other; such triads add nothing, where floating point
     would leave roundoff.  Triads are summed per key in the order
     (a, p, b, q, c); zero sums are dropped.
@@ -284,13 +260,13 @@ def _advection_coo(vmodes, vtangents, modes, tangents, table, half, vol):
     each key is summed whole within its shell, and the shells' keys, led
     by a, concatenate sorted.
     """
-    owner_a, p, wa = vmodes
-    owner, q, w = modes
-    wbc = _dots(w, w, tangents, tangents)
+    owner_a, p, wa = vel.owner, vel.k, vel.w
+    owner, q, w = basis.owner, basis.k, basis.w
+    wbc = _dots(w, w, basis.tangent, basis.tangent)
     shape = (len(p) // 2, len(q) // 2, len(q) // 2)
     values, keys = [], []
     for shell in _shells(p):
-        waq = _dots(wa[shell], q, vtangents[shell], q)
+        waq = _dots(wa[shell], q, vel.tangent[shell], q)
         i, j = np.indices(waq.shape).reshape(2, -1)
         pair, r = _receivers(p[shell][i] + q[j], table, half)
         i, j = i[pair], j[pair]
@@ -306,7 +282,7 @@ def _advection_coo(vmodes, vtangents, modes, tangents, table, half, vol):
             np.stack(np.unravel_index(np.concatenate(keys), shape), axis=1))
 
 
-def assemble_tensors(vel_basis, scalar_basis, grid: GridSpec):
+def assemble_tensors(vel: Basis, scal: Basis, grid: GridSpec):
     """Interaction tensors by analytic triad matching.
 
     The mode pairs of A and B are formed one |p|^2 shell of advecting
@@ -316,27 +292,18 @@ def assemble_tensors(vel_basis, scalar_basis, grid: GridSpec):
     """
     vol = TWO_PI**grid.dim
     half = 2 * grid.dealias_cutoff
-    vmodes = _flat_modes(vel_basis, grid.dim)
-    smodes = _flat_modes(scalar_basis, grid.dim)
-    vtangents = _mode_tangents(vel_basis)
-    vtable = _lookup(vmodes[1], half)
-    A, A_index = _advection_coo(vmodes, vtangents, vmodes, vtangents, vtable,
-                                half, vol)
-    B, B_index = _advection_coo(vmodes, vtangents, smodes,
-                                _mode_tangents(scalar_basis),
-                                _lookup(smodes[1], half), half, vol)
+    vtable = _lookup(vel.k, half)
+    A, A_index = _advection_coo(vel, vel, vtable, half, vol)
+    B, B_index = _advection_coo(vel, scal, _lookup(scal.k, half), half, vol)
 
     # scalar mode p forces the velocity modes at -p, through their
     # component along gravity (the last axis)
-    g, c = _receivers(smodes[1], vtable, half)
-    C = np.zeros((len(scalar_basis), len(vel_basis)))
-    np.add.at(C, (smodes[0][g], vmodes[0][c]),
-              vol * (smodes[2][g, 0] * vmodes[2][c, -1]).real)
-
-    lam = np.array([e.eigenvalue for e in vel_basis])
-    tau_eig = np.array([e.eigenvalue for e in scalar_basis])
-    return GalerkinSystem(grid, list(vel_basis), list(scalar_basis),
-                          A, A_index, B, B_index, C, lam, tau_eig)
+    g, c = _receivers(scal.k, vtable, half)
+    C = np.zeros((len(scal), len(vel)))
+    np.add.at(C, (scal.owner[g], vel.owner[c]),
+              vol * (scal.w[g, 0] * vel.w[c, -1]).real)
+    return GalerkinSystem(grid, vel, scal, A, A_index, B, B_index, C,
+                          vel.eigenvalues, scal.eigenvalues)
 
 
 @dataclass
@@ -449,9 +416,8 @@ def project_state(u: SpectralVectorField, theta: SpectralScalarField,
     grid = system.grid
 
     def coords(field, basis):
-        _, k, w = _flat_modes(basis, grid.dim)
         full = _from_half(grid, field.coeffs.reshape((-1,) + grid.shape))
-        total = np.sum(full[_at(k, grid)].T * w.conj(),
+        total = np.sum(full[_at(basis.k, grid)].T * basis.w.conj(),
                        axis=1).reshape(-1, 2).sum(1)
         return TWO_PI**grid.dim * total.real
 
@@ -461,5 +427,5 @@ def project_state(u: SpectralVectorField, theta: SpectralScalarField,
 
 def reconstruct(state: GalerkinState, system: GalerkinSystem):
     """Spectral fields u = sum xi_j E_j, theta = sum eta_a e_a."""
-    return (_synthesize(system.grid, system.vel_basis, state.xi, True),
-            _synthesize(system.grid, system.scalar_basis, state.eta, False))
+    return (_synthesize(system.grid, system.vel_basis, state.xi),
+            _synthesize(system.grid, system.scalar_basis, state.eta))

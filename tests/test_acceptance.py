@@ -237,7 +237,7 @@ def test_04_interaction_tensor_identities():
     A = _dense(system.A_index, system.A, (m, m, m))
     B = _dense(system.B_index, system.B, (m, ms, ms))
 
-    covered = {e.wavevector for e in scalar_basis}
+    covered = {tuple(k) for k in scalar_basis.k[::2].tolist()}
     wanted = {
         (a, b)
         for a in range(-3, 4)

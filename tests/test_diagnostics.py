@@ -212,6 +212,22 @@ class TestShellEnvelope:
                                  lexsort_envelope(field)):
                 assert np.array_equal(got, want)
 
+    def test_peaks_whose_squares_underflow(self):
+        # one mode of amplitude 1e-170 at j = (3, 4) on shell 5: its
+        # square underflows to 0, yet it is its shell's peak, for a
+        # scalar and a vector, and the record's tail reads it
+        grid = make_grid(2, 16)
+        theta = SpectralScalarField(grid, np.zeros(grid.shape, complex))
+        theta.coeffs[3, 4] = 1e-170
+        u = SpectralVectorField(grid, np.zeros(grid.vshape, complex))
+        u.coeffs[:, 3, 4] = (0.8e-170, -0.6e-170j)
+        for field in (theta, u):
+            peak, peak_kmag = shell_envelope(field)
+            assert peak[5] == pytest.approx(1e-170, rel=1e-15)
+            assert peak_kmag[5] == 5.0
+            assert np.count_nonzero(peak) == 1
+        assert build_record(SimulationState(u, theta)).tail == 1.0
+
 
 class TestGevreyEnergy:
     def test_zero_fields(self):
