@@ -7,8 +7,9 @@ by enumerating the wavevector triads p + q + r = 0 (no quadrature) and
 stored as COO values beside (a, b, c) keys.  Two structural identities
 pin the tensors down: antisymmetry in the advected slots, and exact
 cancellation of the cubic energy fluxes.  Integrating the ODE system
-with plain RK4 and comparing against the spectral solver on the same
-truncation then cross-validates the entire time-stepping path.
+with the solver's scheme, Lawson's integrating-factor RK4, written on
+the mode amplitudes, and comparing against the spectral solver on the
+same truncation then cross-validates the entire time-stepping path.
 """
 
 import numpy as np
@@ -93,5 +94,5 @@ for snap in traj.snapshots:
           f"{norm(dth) / norm(snap.theta):20.3e}")
 
 print()
-print("both integrators are fourth order on the same finite system, so")
-print("the trajectories agree far beyond the accuracy of either one")
+print("both run integrating-factor RK4 on the same finite system, so")
+print("the trajectories agree to roundoff, far beyond the accuracy of either")

@@ -316,22 +316,25 @@ class GalerkinState:
         return GalerkinState(self.xi.copy(), self.eta.copy(), self.t)
 
 
-def galerkin_rhs(state: GalerkinState, system: GalerkinSystem,
-                 params: PhysicalParams):
-    """Right-hand sides (dxi/dt, deta/dt) of the truncated system."""
-    xi, eta = state.xi, state.eta
+def _transfer(xi, eta, system):
+    """The right-hand sides without diffusion: advection and buoyancy."""
     a, b, c = system.A_index.T
     j, g, h = system.B_index.T
     dxi = (
-        -params.nu * system.lam * xi
+        np.einsum("gc,g->c", system.C, eta)
         - np.bincount(c, weights=system.A * xi[a] * xi[b], minlength=len(xi))
-        + np.einsum("gc,g->c", system.C, eta)
     )
-    deta = (
-        -params.kappa * system.tau_eig * eta
-        - np.bincount(h, weights=system.B * xi[j] * eta[g], minlength=len(eta))
-    )
+    deta = -np.bincount(h, weights=system.B * xi[j] * eta[g],
+                        minlength=len(eta))
     return dxi, deta
+
+
+def galerkin_rhs(state: GalerkinState, system: GalerkinSystem,
+                 params: PhysicalParams):
+    """Right-hand sides (dxi/dt, deta/dt) of the truncated system."""
+    dxi, deta = _transfer(state.xi, state.eta, system)
+    return (dxi - params.nu * system.lam * state.xi,
+            deta - params.kappa * system.tau_eig * state.eta)
 
 
 @dataclass
@@ -342,7 +345,7 @@ class GalerkinTrajectory:
     kinetic-energy balance d/dt(|xi|^2/2) = -nu sum lam xi^2 + xi.C.eta
     (Simpson quadrature of the power along the step); ``eta_residuals``
     is the temperature analogue.  Both shrink like dt^5 per step for the
-    RK4 integrator.
+    fourth-order integrator.
     """
 
     states: list
@@ -350,18 +353,17 @@ class GalerkinTrajectory:
     eta_residuals: np.ndarray
 
 
-def _rk4_step(state, system, params, dt, k1):
-    """One RK4 step of ``dt`` from ``state``, whose right-hand side
-    ``k1`` the caller has taken (it serves several step sizes)."""
-    def add(s, dxi, deta, h):
-        return GalerkinState(s.xi + h * dxi, s.eta + h * deta, s.t)
-
-    k2 = galerkin_rhs(add(state, *k1, dt / 2), system, params)
-    k3 = galerkin_rhs(add(state, *k2, dt / 2), system, params)
-    k4 = galerkin_rhs(add(state, *k3, dt), system, params)
-    xi = state.xi + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    eta = state.eta + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return GalerkinState(xi, eta, state.t + dt)
+def _lawson_step(y0, f, rates, dt, k1):
+    """One step of ``dt`` of Lawson's integrating-factor RK4 from the
+    coordinates ``y0``, for dy/dt = -rates y + f(y); ``k1`` = f(y0) is
+    taken by the caller (it serves several step sizes).  The stage
+    formulas are those of the solver's integrator."""
+    e_h = np.exp(-0.5 * dt * rates)
+    e = e_h * e_h
+    k2 = f(e_h * (y0 + 0.5 * dt * k1))
+    k3 = f(e_h * y0 + 0.5 * dt * k2)
+    k4 = f(e * y0 + dt * e_h * k3)
+    return e * y0 + dt / 6 * (e * k1 + 2 * e_h * (k2 + k3) + k4)
 
 
 def _powers(state, system, params):
@@ -376,26 +378,42 @@ def _powers(state, system, params):
 
 def integrate_galerkin(system: GalerkinSystem, initial: GalerkinState,
                        T: float, dt: float, params: PhysicalParams):
-    """Fixed-step RK4 integration to the end time T counted from
+    """Fixed-step integration to the end time T counted from
     ``initial.t``, sampling every step: ``run_simulation``'s steps to
-    that end time, so state n is at the time of the solver's step n."""
+    that end time, so state n is at the time of the solver's step n.
+
+    The diagonal diffusion is integrated exactly, by its integrating
+    factors exp(-dt nu lam) and exp(-dt kappa tau_eig), and the rest by
+    Lawson's RK4, so that stiff settings (nu lam dt of order one) keep
+    the scheme's accuracy.
+    """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be > 0 and finite, got {dt}")
     if not (T >= dt and math.isfinite(T)):
         raise ValueError(
             f"T must be finite and at least dt, got T={T}, dt={dt}"
         )
+    n = system.m
+    rates = np.concatenate([params.nu * system.lam,
+                            params.kappa * system.tau_eig])
+
+    def f(y):
+        return np.concatenate(_transfer(y[:n], y[n:], system))
+
     state = initial.copy()
     states = [state]
     xi_res, eta_res = [], []
     # the half step and the step share their first stage, and each step
     # starts from the power at the end of the one before
     p1 = _powers(state, system, params)
-    for _ in _step_times(initial.t, initial.t + T, dt):
-        k1 = galerkin_rhs(state, system, params)
-        mid = _rk4_step(state, system, params, dt / 2, k1)
-        new = _rk4_step(state, system, params, dt, k1)
-        if not (np.all(np.isfinite(new.xi)) and np.all(np.isfinite(new.eta))):
+    for t in _step_times(initial.t, initial.t + T, dt):
+        y0 = np.concatenate([state.xi, state.eta])
+        k1 = f(y0)
+        y_mid = _lawson_step(y0, f, rates, dt / 2, k1)
+        y1 = _lawson_step(y0, f, rates, dt, k1)
+        mid = GalerkinState(y_mid[:n], y_mid[n:], t - dt / 2)
+        new = GalerkinState(y1[:n], y1[n:], t)
+        if not np.all(np.isfinite(y1)):
             raise NonFiniteStateError(new.t, state)
         p0 = p1
         pm = _powers(mid, system, params)

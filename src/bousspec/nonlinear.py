@@ -40,7 +40,6 @@ and is guarded to small grids.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 from dataclasses import dataclass
@@ -59,7 +58,6 @@ from .fields import (
 from .grid import GridSpec, _read_only
 
 __all__ = [
-    "AliasingMode",
     "ConvectionResult",
     "convect_pseudospectral",
     "convect_convolution",
@@ -70,17 +68,12 @@ __all__ = [
 CONVOLUTION_MODE_LIMIT = 4096
 
 
-class AliasingMode(enum.Enum):
-    DEALIASED_2_3 = "dealiased_2_3"
-    NONE = "none"
-
-
 @dataclass
 class ConvectionResult:
-    """Advection coefficients plus a tag saying how aliasing was handled."""
+    """Advection coefficients.  The wrapper is kept because the
+    benchmark's workloads read ``.field``."""
 
     field: SpectralVectorField | SpectralScalarField
-    aliasing_mode: AliasingMode
 
 
 def _core_shape(grid):
@@ -156,7 +149,7 @@ class _Work:
         self.dim, self.modes, self.cutoff = dim, grid.modes, c
         self.pairs = _traceless_pairs(dim)
         self.rows = _retained_rows(grid)
-        self.velocity, self.scalar, lift = _projection_maps(grid)
+        self.velocity, self.scalar, lift = _projection_maps(grid)[:3]
         self.lift = _core(grid, lift)
         n_in, n_out = dim + 1, len(self.pairs) + dim
         core = _core_shape(grid)
@@ -248,7 +241,8 @@ def _projection_maps(grid):
     sum_p velocity[c, p] T_p^.  ``scalar`` (dim, *core) is -i k.  Both
     are on the retained modes (:func:`_core`).  ``lift`` (dim, *half)
     is the real b = e_N - k k_N / |k|^2 (e_N at k = 0) on the whole half
-    spectrum, held as complex numbers: P(theta e_N) = b theta.
+    spectrum: P(theta e_N) = b theta.  Last come the core's ``k`` and
+    ``k_over_k2``, from which the maps are built.
     """
     k = _core(grid, grid.k)
     k_over_k2 = _core(grid, grid.k_over_k2)
@@ -263,8 +257,7 @@ def _projection_maps(grid):
         velocity[:, p].imag = -column
     lift = -grid.k * grid.k_over_k2[-1]
     lift[-1] += 1.0
-    return (_read_only(velocity), _read_only(-(1j * k)),
-            _read_only(lift.astype(complex)))
+    return tuple(map(_read_only, (velocity, -(1j * k), lift, k, k_over_k2)))
 
 
 def _core_rhs(work, core, out):
@@ -360,7 +353,7 @@ def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):
                                                norm="forward"))
     field = (SpectralVectorField(grid, out) if vector
              else SpectralScalarField(grid, out[0]))
-    return ConvectionResult(field, AliasingMode.DEALIASED_2_3)
+    return ConvectionResult(field)
 
 
 def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):
@@ -415,7 +408,7 @@ def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):
     field = (SpectralVectorField(grid, real)
              if isinstance(v, SpectralVectorField)
              else SpectralScalarField(grid, real[0]))
-    return ConvectionResult(field, AliasingMode.NONE)
+    return ConvectionResult(field)
 
 
 def buoyancy(theta: SpectralScalarField):

@@ -184,8 +184,9 @@ class _Integrator:
     b e_k,h theta0, b e_k,h theta0, b e_k theta0 for u (",h" marks the
     factors of half a step), so a step is theta <- e_k theta and
     u <- e_n u + g theta with g = dt / 6 b (e_n + 4 e_n,h e_k,h + e_k);
-    Euler's is u <- e_n (u + dt b theta).  ``advance`` applies that map
-    to the whole half spectrum and then writes the core over it.
+    Euler's has g = dt e_n b.  ``advance`` applies that map, on real
+    factors, to the whole half spectrum and then writes the core over
+    it.
 
     The integrator holds the factors of both parts, the kernel's work
     arrays, a second state array and one block for the core's stages,
@@ -208,23 +209,21 @@ class _Integrator:
         self.e_h, self.e = _core(grid, e_h), _core(grid, e)
         self.dt_e_h = dt * self.e_h
         self.two_e_h = 2 * self.e_h
-        self.k = _core(grid, grid.k)
-        self.k_over_k2 = _core(grid, grid.k_over_k2)
         self.blocks = _core_blocks(grid)
         # the label-0 plane of the core and the reflection j -> -j in it
         # (the FFT layout of length 2c + 1 on every leading axis)
         rows = 2 * grid.dealias_cutoff + 1
         self.reflect = (Ellipsis,) + np.ix_(
             *[(-np.arange(rows)) % rows] * (dim - 1), [0])
-        # the tail map on interleaved (re, im) pairs, as real factors:
-        # e_n (the same for every velocity row) and e_k, and g
-        lift = _projection_maps(grid)[2].real
+        # the tail map's factors, e row by row and g; the core's k and
+        # k / |k|^2 for its Leray projection
+        lift, self.k, self.k_over_k2 = _projection_maps(grid)[2:]
         if self.scheme == "if_euler":
-            gain = dt * lift
+            self.tail_gain = dt * e[0] * lift
         else:
-            gain = dt / 6 * lift * (e[0] + 4 * e_h[0] * e_h[dim] + e[dim])
-        self.tail_e = np.repeat(e[dim - 1 :], 2, axis=-1)
-        self.tail_gain = np.repeat(gain, 2, axis=-1)
+            self.tail_gain = dt / 6 * lift * (e[0] + 4 * e_h[0] * e_h[dim]
+                                              + e[dim])
+        self.tail_e = e
         self._next = np.empty_like(y)
         # one block, free between steps (a record takes part of it); in a
         # step it holds first the tail map's term, then the core of y,
@@ -235,7 +234,7 @@ class _Integrator:
             dtype=complex)
         self._stages = self.free_between_steps[: math.prod(stages)].reshape(
             stages)
-        self._tail_term = self.free_between_steps.view(float)[
+        self._tail_term = self.free_between_steps[
             : self.tail_gain.size].reshape(self.tail_gain.shape)
         self._work = _Work(grid)
 
@@ -292,17 +291,9 @@ class _Integrator:
     def _step_tail(self, y0, y1):
         """The tail map from ``y0`` into ``y1``, over the whole half
         spectrum (the core's values are overwritten afterwards)."""
-        dim, term = self.dim, self._tail_term
-        e_n, e_k = self.tail_e
-        a0, a1 = y0.view(float), y1.view(float)
-        np.multiply(self.tail_gain, a0[dim], out=term)
-        np.multiply(e_k, a0[dim], out=a1[dim])
-        if self.scheme == "if_euler":
-            np.add(a0[:dim], term, out=term)
-            np.multiply(e_n, term, out=a1[:dim])
-        else:
-            np.multiply(e_n, a0[:dim], out=a1[:dim])
-            np.add(a1[:dim], term, out=a1[:dim])
+        np.multiply(self.tail_e, y0, out=y1)
+        y1[: self.dim] += np.multiply(self.tail_gain, y0[self.dim],
+                                      out=self._tail_term)
 
     def advance(self):
         """One step of ``dt``; returns False, leaving ``y`` as it was,

@@ -310,6 +310,27 @@ class TestOracleCheck:
         assert "solver vs Galerkin ODE (T = 0.02): " in out
         assert "MISMATCH" not in out
 
+    # nu |j|^2 dt reaches 1.0 and 0.8 on the retained modes: the ODE
+    # integrates diffusion exactly too, so the deviation is roundoff
+    @pytest.mark.parametrize("modes,dt,diffusivity",
+                             [(16, 0.02, 1.0), (32, 1e-3, 4.0)])
+    def test_passes_at_stiff_settings(self, tmp_path, capsys, modes, dt,
+                                      diffusivity):
+        cfg = write_config(tmp_path, f"""
+            dim = 2
+            modes = {modes}
+            t_final = 0.02
+            dt = {dt}
+            nu = {diffusivity}
+            kappa = {diffusivity}
+            seed = 0
+        """)
+        assert main(["oracle-check", cfg]) == 0
+        out = capsys.readouterr().out
+        line = next(s for s in out.splitlines()
+                    if s.startswith("solver vs Galerkin ODE (T = 0.02): "))
+        assert float(line.split()[-2]) < 1e-12
+
     def test_skips_ode_when_dt_exceeds_its_horizon(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
             dim = 2

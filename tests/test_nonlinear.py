@@ -15,7 +15,6 @@ from bousspec import (
     synthesize_initial,
 )
 from bousspec.nonlinear import (
-    AliasingMode,
     CONVOLUTION_MODE_LIMIT,
     _core,
     _core_blocks,
@@ -58,7 +57,6 @@ class TestPseudospectral:
         g = make_grid(2, 16)
         u = shear_flow(g)
         res = convect_pseudospectral(u, u, g)
-        assert res.aliasing_mode is AliasingMode.DEALIASED_2_3
         assert np.max(np.abs(res.field.coeffs)) <= 1e-15
 
     def test_shear_advecting_scalar(self):
@@ -147,7 +145,7 @@ def unpruned_projected_rhs(grid, y):
     axes = tuple(range(-dim, 0))
     flux = _core(grid, np.fft.rfftn(np.array(products), axes=axes,
                                     norm="forward"))
-    velocity, scalar, lift = _projection_maps(grid)
+    velocity, scalar, lift = _projection_maps(grid)[:3]
     n = len(products) - dim
     part_u = velocity[:, 0] * flux[0]
     for p in range(1, n):
@@ -257,7 +255,6 @@ class TestConvolutionOracle:
         g = make_grid(2, 8)
         u = SpectralVectorField(g)
         res = convect_convolution(u, u, g)
-        assert res.aliasing_mode is AliasingMode.NONE
         assert np.max(np.abs(res.field.coeffs)) == 0.0
 
     def test_two_mode_hand_computation(self):

@@ -167,15 +167,20 @@ class TestStep:
         assert err.value.last_state is state
         assert np.all(np.isfinite(err.value.last_state.u.coeffs))
 
-    @pytest.mark.parametrize("dim,modes", [(2, 64), (3, 16)])
-    def test_matches_full_spectrum_reference(self, dim, modes):
-        # the same IF-RK4 written with the public operators on whole
+    @pytest.mark.parametrize(
+        "dim,modes,scheme",
+        [(2, 64, "if_rk4"), (3, 16, "if_rk4"),
+         (2, 64, "if_euler"), (3, 16, "if_euler")],
+        ids=["2-64", "3-16", "2-64-if_euler", "3-16-if_euler"])
+    def test_matches_full_spectrum_reference(self, dim, modes, scheme):
+        # the same scheme written with the public operators on whole
         # arrays: two Leray projections per stage, constraints enforced
-        # after the step; the integrator's step on the pruned kernel must
-        # agree to roundoff over 20 steps of rough data
+        # after the step; the integrator's step on the pruned kernel and
+        # the tail map must agree to roundoff over 20 steps of rough data
         grid = make_grid(dim, modes)
         params = PhysicalParams(nu=1.0, kappa=1.0)
         dt = 1e-3
+        config = StepperConfig(dt=dt, scheme=scheme)
         eu_h = np.exp(-0.5 * dt * params.nu * grid.k2)
         et_h = np.exp(-0.5 * dt * params.kappa * grid.k2)
         eu, et = eu_h * eu_h, et_h * et_h
@@ -191,15 +196,23 @@ class TestStep:
         state = SimulationState(u0, th0)
         u, th = u0.coeffs, th0.coeffs
         for _ in range(20):
-            state = step(state, params, StepperConfig(dt=dt), grid)
+            state = step(state, params, config, grid)
             k1u, k1t = F(u, th)
-            k2u, k2t = F(eu_h * (u + 0.5 * dt * k1u),
-                         et_h * (th + 0.5 * dt * k1t))
-            k3u, k3t = F(eu_h * u + 0.5 * dt * k2u,
-                         et_h * th + 0.5 * dt * k2t)
-            k4u, k4t = F(eu * u + dt * eu_h * k3u, et * th + dt * et_h * k3t)
-            u = eu * u + dt / 6 * (eu * k1u + 2 * eu_h * (k2u + k3u) + k4u)
-            th = et * th + dt / 6 * (et * k1t + 2 * et_h * (k2t + k3t) + k4t)
+            if scheme == "if_euler":
+                # y1 = e * (y0 + dt * F(y0))
+                u = eu * (u + dt * k1u)
+                th = et * (th + dt * k1t)
+            else:
+                k2u, k2t = F(eu_h * (u + 0.5 * dt * k1u),
+                             et_h * (th + 0.5 * dt * k1t))
+                k3u, k3t = F(eu_h * u + 0.5 * dt * k2u,
+                             et_h * th + 0.5 * dt * k2t)
+                k4u, k4t = F(eu * u + dt * eu_h * k3u,
+                             et * th + dt * et_h * k3t)
+                u = eu * u + dt / 6 * (eu * k1u + 2 * eu_h * (k2u + k3u)
+                                       + k4u)
+                th = et * th + dt / 6 * (et * k1t + 2 * et_h * (k2t + k3t)
+                                         + k4t)
             u = leray_project(
                 enforce_constraints(SpectralVectorField(grid, u))).coeffs
             th = enforce_constraints(SpectralScalarField(grid, th)).coeffs
