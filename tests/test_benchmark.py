@@ -18,7 +18,7 @@ FINGERPRINT_RTOL = 1e-12  # as perfbench/run.py gates it
 def check_repetition(tmp_path, workload):
     result = tmp_path / "result.json"
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "worker.py"),
+        [sys.executable, "-W", "error", str(PERFBENCH / "worker.py"),
          "--workload", workload, "--seed", "0", "--mode", "plain",
          "--workdir", str(tmp_path), "--result", str(result)],
         capture_output=True, text=True, timeout=300)

@@ -192,7 +192,8 @@ class TestDiagnose:
         snaps = sorted(str(p) for p in out.glob("snapshot_*.bin"))
         assert len(snaps) == 2
         proc = subprocess.run(
-            [sys.executable, "-m", "bousspec", "diagnose", *snaps],
+            [sys.executable, "-W", "error", "-m", "bousspec", "diagnose",
+             *snaps],
             capture_output=True, env=child_env(),
         )
         assert proc.returncode == 0
@@ -457,7 +458,8 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
         proc = subprocess.run(
-            [sys.executable, "-m", "bousspec", "run", cfg, "--quiet",
+            [sys.executable, "-W", "error", "-m", "bousspec", "run", cfg,
+             "--quiet",
              "--output-dir", str(tmp_path / "out")],
             capture_output=True, env=child_env(),
         )

@@ -20,8 +20,9 @@ def run_python(args, tmp_path):
     src = str(Path(bousspec.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-W", "error", *args],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

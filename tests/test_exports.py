@@ -43,7 +43,7 @@ def test_numpy_is_the_only_runtime_dependency():
         "roots = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(*sorted(roots - set(sys.stdlib_module_names)))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path),
-                          check=True)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
     assert proc.stdout.split() == ["bousspec", "numpy"]

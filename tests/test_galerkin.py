@@ -16,6 +16,7 @@ from bousspec import (
     norm,
     synthesize_initial,
 )
+from bousspec import galerkin
 from bousspec.galerkin import (
     GalerkinState,
     NonFiniteStateError,
@@ -25,7 +26,6 @@ from bousspec.galerkin import (
     assemble_tensors,
     basis_field,
     build_basis,
-    galerkin_rhs,
     integrate_galerkin,
     project_state,
     reconstruct,
@@ -403,6 +403,36 @@ class TestIntegration:
             assert order >= 3.9, (
                 f"{name} order {order:.2f}, residuals {res}")
 
+    def test_four_transfers_per_step(self, small_system, monkeypatch):
+        sys = small_system
+        transfer = galerkin._transfer
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return transfer(*args)
+
+        monkeypatch.setattr(galerkin, "_transfer", counting)
+        rng = np.random.default_rng(5)
+        initial = GalerkinState(rng.standard_normal(sys.m),
+                                rng.standard_normal(len(sys.scalar_basis)))
+        traj = integrate_galerkin(sys, initial, T=0.01, dt=1e-3,
+                                  params=PhysicalParams(1.0, 1.0))
+        steps = len(traj.states) - 1
+        assert steps == 10
+        assert len(calls) == 4 * steps
+
+    @pytest.mark.parametrize("T", [1e-3, 2e-3, 0.01])
+    def test_one_residual_per_pair_of_steps(self, small_system, T):
+        sys = small_system
+        rng = np.random.default_rng(6)
+        initial = GalerkinState(rng.standard_normal(sys.m),
+                                rng.standard_normal(len(sys.scalar_basis)))
+        traj = integrate_galerkin(sys, initial, T=T, dt=1e-3,
+                                  params=PhysicalParams(1.0, 1.0))
+        assert (len(traj.xi_residuals) == len(traj.eta_residuals)
+                == len(traj.states) - 2)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_abort_keeps_last_state(self, small_system):
         sys = small_system
@@ -417,43 +447,57 @@ class TestIntegration:
         assert np.all(np.isfinite(err.value.last_state.xi))
 
 
+def _solver_vs_ode(grid, seed, dt, T, snapshot_every):
+    """Max relative L2 deviation between the solver's snapshots and the
+    ODE's states at the same steps, from retained rough data, nu = kappa
+    = 1."""
+    from bousspec.stepper import SimulationState, StepperConfig, run_simulation
+
+    params = PhysicalParams(nu=1.0, kappa=1.0)
+    vel, scal = build_basis(grid)
+    system = assemble_tensors(vel, scal, grid)
+
+    u0, th0 = synthesize_initial("rough_h1", grid, seed=seed)
+    u0.coeffs *= grid.dealias_mask
+    th0.coeffs *= grid.dealias_mask
+    u0 = leray_project(u0)
+
+    traj_ode = integrate_galerkin(
+        system, project_state(u0, th0, system), T=T, dt=dt, params=params
+    )
+    cfg = StepperConfig(dt=dt, t_final=T, snapshot_every=snapshot_every)
+    traj_pde = run_simulation(cfg, params, grid,
+                              SimulationState(u0, th0, 0.0, 0))
+    assert traj_pde.status == "completed"
+    worst = 0.0
+    for snap in traj_pde.snapshots:
+        u_ode, th_ode = reconstruct(traj_ode.states[snap.step_index], system)
+        du = norm(SpectralVectorField(grid, snap.u.coeffs - u_ode.coeffs))
+        dth = norm(SpectralScalarField(grid,
+                                       snap.theta.coeffs - th_ode.coeffs))
+        ref = max(norm(snap.u), norm(snap.theta))
+        worst = max(worst, du / ref, dth / ref)
+    return worst
+
+
 class TestSolverEquivalence:
     def test_matched_truncation_trajectories_agree(self):
         # the basis spans exactly the dealias-retained modes, so the ODE
         # system and the dealiased spectral solver integrate the same
-        # dynamics; RK4 vs integrating-factor RK4 differences are O(dt^4)
-        from bousspec.stepper import SimulationState, StepperConfig, run_simulation
-
-        grid = make_grid(2, 8)
-        params = PhysicalParams(nu=1.0, kappa=1.0)
-        vel, scal = build_basis(grid)
-        system = assemble_tensors(vel, scal, grid)
-
-        u0, th0 = synthesize_initial("rough_h1", grid, seed=21)
-        u0.coeffs *= grid.dealias_mask
-        th0.coeffs *= grid.dealias_mask
-        u0 = leray_project(u0)
-
-        dt = 1e-3
-        T = 0.05
-        traj_ode = integrate_galerkin(
-            system, project_state(u0, th0, system), T=T, dt=dt, params=params
-        )
-
-        cfg = StepperConfig(dt=dt, t_final=T, snapshot_every=10)
-        traj_pde = run_simulation(cfg, params, grid,
-                                  SimulationState(u0, th0, 0.0, 0))
-        assert traj_pde.status == "completed"
-        worst = 0.0
-        for snap in traj_pde.snapshots:
-            u_ode, th_ode = reconstruct(traj_ode.states[snap.step_index],
-                                        system)
-            du = norm(SpectralVectorField(grid, snap.u.coeffs - u_ode.coeffs))
-            dth = norm(SpectralScalarField(grid,
-                                           snap.theta.coeffs - th_ode.coeffs))
-            ref = max(norm(snap.u), norm(snap.theta))
-            worst = max(worst, du / ref, dth / ref)
+        # dynamics
+        worst = _solver_vs_ode(make_grid(2, 8), seed=21, dt=1e-3, T=0.05,
+                               snapshot_every=10)
         assert worst <= 1e-6, f"trajectory deviation {worst:.3e}"
+
+    @pytest.mark.parametrize("dim, modes, dt", [
+        (2, 16, 0.02), (2, 16, 1e-3), (3, 4, 1e-3)])
+    def test_trajectories_agree_to_roundoff(self, dim, modes, dt):
+        # both integrate diffusion exactly with the same Lawson stages, so
+        # they differ by roundoff at every step; a slip of any order in
+        # the ODE's scheme shows far above 1e-13 at these step sizes
+        worst = _solver_vs_ode(make_grid(dim, modes), seed=0, dt=dt, T=0.02,
+                               snapshot_every=1)
+        assert worst <= 1e-13, f"trajectory deviation {worst:.3e}"
 
     @pytest.mark.parametrize("dt", [1e-3, 7e-4, 1.5e-3, 3e-3])
     def test_ode_takes_the_solver_steps(self, small_system, dt):
