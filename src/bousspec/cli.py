@@ -132,7 +132,7 @@ def _cmd_diagnose(args):
     # snapshot at a time, so only one state is held
     order = sorted(range(len(headers)), key=lambda i: headers[i].t)
     params = PhysicalParams(nu=first.nu, kappa=first.kappa)
-    budget = BudgetAccumulator(params) if len(headers) >= 2 else None
+    budget = BudgetAccumulator(params)
     records = [build_record(read_snapshot(args.snapshots[i]), budget)
                for i in order]
     if args.output_dir is not None:

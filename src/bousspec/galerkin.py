@@ -5,8 +5,8 @@ eigenfunctions of the Stokes operator,
 
     E = a * d * cos(k . x)   and   a * d * sin(k . x),
 
-one conjugate pair of wavevectors {k, -k} at a time, with d a unit vector
-tangent to k (one choice in 2D, two in 3D) and a = sqrt(2 / (2 pi)^N).
+one conjugate pair of wavevectors {k, -k} at a time, with d = t / |t| for
+an integer t tangent to k (one in 2D, two in 3D) and a = sqrt(2 / (2 pi)^N).
 Temperature uses the scalar analogues a * cos(n . x), a * sin(n . x).
 Expanding u = sum xi_j E_j, theta = sum eta_a e_a turns the PDE into
 
@@ -20,8 +20,9 @@ their wavevectors form a triad p + q + r = 0 (Waleffe 1992, Phys. Fluids A
 with no quadrature and no FFT, one |p|^2 shell of advecting modes at a
 time, so that no step holds all (2m)^2 mode pairs; since about one entry
 in a hundred is non-zero, A and B are stored in COO form.  Advection only
-reshuffles energy, which shows up here as exact antisymmetry of A and B
-in their last two slots.
+reshuffles energy, which shows up here as antisymmetry of A and B in
+their last two slots; every dot product being an integer dot times the
+modes' scalar coefficients, it holds to the bit.
 
 When the basis covers exactly the dealias-retained modes of a grid, this
 ODE system is the same dynamical system the dealiased pseudospectral
@@ -68,18 +69,22 @@ class Basis:
 
     Element e, a cos or a sin element at a canonical wavevector k (first
     nonzero component positive), owns mode 2e at k and mode 2e + 1 at -k.
-    Row i of ``k`` is the wavevector of mode i, row i of ``w`` its
-    coefficient (along the unit direction of a velocity element, one
-    entry for a scalar one) and row i of ``tangent`` the integer vector
-    that direction is parallel to (1 for a scalar element).
+    Row i of ``k`` is the wavevector of mode i; its vector coefficient
+    ``w[i]`` is the complex ``coef[i]`` times the integer ``tangent[i]``
+    (tangent to k, or 1 for a scalar element).
     """
 
     k: np.ndarray  # (2n, dim)
-    w: np.ndarray  # (2n, dim) velocity, (2n, 1) scalar
+    coef: np.ndarray  # (2n,)
     tangent: np.ndarray  # (2n, dim) velocity, (2n, 1) scalar
 
     def __len__(self):
         return len(self.k) // 2
+
+    @property
+    def w(self):
+        """The vector coefficient of each mode, coef times tangent."""
+        return self.coef[:, None] * self.tangent
 
     @property
     def owner(self):
@@ -126,16 +131,17 @@ def _tangents(k):
 
 def _pairs(a, b):
     """The rows a[0], b[0], a[1], b[1], ..."""
-    return np.stack([a, b], axis=1).reshape(-1, a.shape[1])
+    return np.stack([a, b], axis=1).reshape(-1, *a.shape[1:])
 
 
 def _basis(k, tangent, amp):
     """The cos and then the sin element of amplitude ``amp`` at each row
-    of ``k``, along the same row of ``tangent`` (1 for a scalar)."""
-    d = tangent / np.linalg.norm(tangent, axis=1, keepdims=True)
-    w = _pairs(amp * 0.5 * d, amp * -0.5j * d)
+    of ``k``, along the same row t of ``tangent`` (1 for a scalar): coef
+    amp / 2 / |t| and -i amp / 2 / |t| at k, the conjugates at -k."""
+    c = amp / 2 / np.linalg.norm(tangent, axis=1)
+    coef = _pairs(c, -1j * c)
     k = np.repeat(k, 2, axis=0)
-    return Basis(_pairs(k, -k), _pairs(w, w.conj()),
+    return Basis(_pairs(k, -k), _pairs(coef, coef.conj()),
                  np.repeat(tangent, 4, axis=0))
 
 
@@ -163,7 +169,7 @@ def _at(k, grid):
 def _synthesize(grid, basis, x):
     """The field sum_e x[e] (element e of ``basis``), through its full
     spectrum."""
-    ncomp = basis.w.shape[1]
+    ncomp = basis.tangent.shape[1]
     full = np.zeros((ncomp,) + grid.physical_shape, dtype=complex)
     np.add.at(full, _at(basis.k, grid), x[basis.owner] * basis.w.T)
     half = full[..., : grid.modes // 2 + 1].copy()
@@ -226,14 +232,6 @@ def _receivers(s, table, half):
     return row, hits[row, slot]
 
 
-def _dots(x, y, tx, ty):
-    """x @ y.T, exactly 0 where the integer rows tx and ty that the rows of
-    x and y are parallel to are orthogonal."""
-    dots = x @ y.T
-    dots[tx @ ty.T == 0] = 0.0
-    return dots
-
-
 def _shells(k):
     """Slices of the runs of rows of ``k`` with equal |k|^2."""
     cuts = np.flatnonzero(np.diff(np.sum(k * k, axis=1))) + 1
@@ -245,35 +243,36 @@ def _advection_coo(vel, basis, table, half, vol):
     basis ``vel`` and f of ``basis``, whose modes ``table`` looks up.
 
     Every pair of modes (p of E_a, q of f_b) meets the modes r = -(p + q)
-    of f, each triad adding vol Re[i (w_a . q)(w_b . w_c)].  The two dot
-    products are exactly 0 where the integer vectors the directions are
-    parallel to (the ``tangent`` rows of E_a and of f) are orthogonal
-    to q or to each other; such triads add nothing, where floating point
-    would leave roundoff.  Triads are summed per key in the order
-    (a, p, b, q, c); zero sums are dropped.
+    of f, each triad adding vol Re[i (w_a . q)(w_b . w_c)].  Both dot
+    products are integer dots of tangents and wavevectors times the
+    modes' scalar coefficients, so a triad whose exact value is 0 adds
+    an exact 0, and the partner triad (p, r, q) of (a, c, b), whose
+    t_a . r is -t_a . q, adds the exact negative.  Triads are summed per
+    key in the order (a, p, b, q, c); zero sums are dropped.
 
     The pairs, and the w_a . q products, are formed one |p|^2 shell of
     advecting modes at a time, so those temporaries scale with a shell,
-    not with all (2m)^2 pairs; only the w_b . w_c table covers every
-    pair of modes of f.  Both modes of an element lie in one shell, so
-    each key is summed whole within its shell, and the shells' keys, led
-    by a, concatenate sorted.
+    not with all (2m)^2 pairs; only the integer table of t_b . t_c covers
+    every pair of modes of f.  Both modes of an element lie in one shell,
+    so each key is summed whole within its shell, and the shells' keys,
+    led by a, concatenate sorted.
     """
-    owner_a, p, wa = vel.owner, vel.k, vel.w
-    owner, q, w = basis.owner, basis.k, basis.w
-    wbc = _dots(w, w, basis.tangent, basis.tangent)
+    owner_a, p = vel.owner, vel.k
+    owner, q, coef = basis.owner, basis.k, basis.coef
+    tt = (basis.tangent @ basis.tangent.T).astype(np.int32)
     shape = (len(p) // 2, len(q) // 2, len(q) // 2)
     values, keys = [], []
     for shell in _shells(p):
-        waq = _dots(wa[shell], q, vel.tangent[shell], q)
+        waq = vel.coef[shell, None] * (vel.tangent[shell] @ q.T)
         i, j = np.indices(waq.shape).reshape(2, -1)
         pair, r = _receivers(p[shell][i] + q[j], table, half)
         i, j = i[pair], j[pair]
         shell_keys, inverse = np.unique(np.ravel_multi_index(
             (owner_a[shell][i], owner[j], owner[r]), shape),
             return_inverse=True)
-        sums = np.bincount(
-            inverse, weights=vol * (1j * waq[i, j] * wbc[j, r]).real)
+        # Re[i z] = -Im z
+        sums = np.bincount(inverse, weights=-vol * (
+            waq[i, j] * (coef[j] * coef[r] * tt[j, r])).imag)
         keep = sums != 0
         values.append(sums[keep])
         keys.append(shell_keys[keep])
@@ -300,7 +299,7 @@ def assemble_tensors(vel: Basis, scal: Basis, grid: GridSpec):
     g, c = _receivers(scal.k, vtable, half)
     C = np.zeros((len(scal), len(vel)))
     np.add.at(C, (scal.owner[g], vel.owner[c]),
-              vol * (scal.w[g, 0] * vel.w[c, -1]).real)
+              vol * (scal.coef[g] * vel.coef[c] * vel.tangent[c, -1]).real)
     return GalerkinSystem(grid, vel, scal, A, A_index, B, B_index, C,
                           vel.eigenvalues, scal.eigenvalues)
 

@@ -1,7 +1,8 @@
 """Every script under demos/, and the README's library quick start, runs
 to completion in a fresh interpreter.  A demo that checks a claim exits
 1 when the claim fails (``advection_route_crosscheck``: a deviation
-above 1e-12), so its exit status is checked too."""
+above 1e-12; ``mode_truncation_ode``: an antisymmetry defect other than
+0, or a deviation above 1e-12), so its exit status is checked too."""
 
 import os
 import subprocess

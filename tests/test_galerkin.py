@@ -20,7 +20,6 @@ from bousspec import galerkin
 from bousspec.galerkin import (
     GalerkinState,
     NonFiniteStateError,
-    _dots,
     _lookup,
     _receivers,
     assemble_tensors,
@@ -83,15 +82,16 @@ def _cubic_flux(index, values, x, y):
 
 def _all_pairs_coo(vel, basis, table, half, vol):
     """Advection COO from all (2m)^2 mode pairs at once, with the dense
-    dot-product matrices: the reference the shell-by-shell assembly must
-    match bit for bit."""
-    owner_a, p, wa = vel.owner, vel.k, vel.w
-    owner, q, w = basis.owner, basis.k, basis.w
+    integer dot-product matrices: the reference the shell-by-shell
+    assembly must match bit for bit."""
+    owner_a, p = vel.owner, vel.k
+    owner, q, coef = basis.owner, basis.k, basis.coef
     i, j = np.indices((len(p), len(q))).reshape(2, -1)
     pair, r = _receivers(p[i] + q[j], table, half)
     i, j = i[pair], j[pair]
-    values = vol * (1j * _dots(wa, q, vel.tangent, q)[i, j]
-                    * _dots(w, w, basis.tangent, basis.tangent)[j, r]).real
+    waq = vel.coef[:, None] * (vel.tangent @ q.T)
+    tt = basis.tangent @ basis.tangent.T
+    values = -vol * (waq[i, j] * (coef[j] * coef[r] * tt[j, r])).imag
     shape = (len(p) // 2, len(q) // 2, len(q) // 2)
     keys, inverse = np.unique(np.ravel_multi_index(
         (owner_a[i], owner[j], owner[r]), shape), return_inverse=True)
@@ -110,7 +110,7 @@ def _all_pairs_tensors(vel, scal, grid):
     g, c = _receivers(scal.k, vtable, half)
     C = np.zeros((len(scal), len(vel)))
     np.add.at(C, (scal.owner[g], vel.owner[c]),
-              vol * (scal.w[g, 0] * vel.w[c, -1]).real)
+              vol * (scal.coef[g] * vel.coef[c] * vel.tangent[c, -1]).real)
     return (*A, *B, C)
 
 
@@ -231,16 +231,30 @@ class TestTensors:
 
     def test_assembly_memory_bound(self):
         # 16^2 has 240 velocity modes: formed one shell at a time, the
-        # pairs peak at about 2.6 MB traced; all 240^2 at once take 6.6 MB
-        grid = make_grid(2, 16)
-        vel, scal = build_basis(grid)
-        tracemalloc.start()
-        try:
-            assemble_tensors(vel, scal, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4e6
+        # pairs peak at about 1.9 MB traced; all 240^2 at once take 8.3 MB.
+        # 32^2 has 880 and peaks at about 25.6 MB, of which the int32
+        # table of tangent dots over every mode pair is 3.1 MB; a complex
+        # table of w . w in its place would take 12.4 MB
+        for modes, bound in ((16, 4e6), (32, 30e6)):
+            grid = make_grid(2, modes)
+            vel, scal = build_basis(grid)
+            tracemalloc.start()
+            try:
+                assemble_tensors(vel, scal, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, modes
+
+    @pytest.mark.parametrize("dim,modes", [(2, 10), (2, 16), (3, 8)])
+    def test_partners_cancel_exactly(self, dim, modes):
+        # each triad of (a, c, b) is the exact negative of one of (a, b, c),
+        # both summed in the same order, so partners cancel to the bit
+        grid = make_grid(dim, modes)
+        sys = assemble_tensors(*build_basis(grid), grid)
+        assert _partner_gaps(sys.A_index, sys.A, sys.m) == (0, 0.0)
+        assert _partner_gaps(sys.B_index, sys.B,
+                             len(sys.scalar_basis)) == (0, 0.0)
 
     def test_velocity_tensor_against_quadrature(self, small_system,
                                                 small_system_3d):
