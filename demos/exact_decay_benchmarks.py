@@ -11,8 +11,6 @@ Both runs should track the analytic solution to near machine precision.
 
 import math
 
-import numpy as np
-
 from bousspec import (
     PhysicalParams,
     SpectralScalarField,

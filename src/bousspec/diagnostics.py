@@ -22,13 +22,15 @@ a read-only analysis of states.  Three families:
   of that analyticity on a finite grid, beside the envelope's tail, how
   far it has decayed by the edge of the retained modes.
 
-Everything here reads the half spectrum of real fields.  A per-mode
-quantity is folded (its terms at j and -j summed, ``fields._fold``),
-summed per class of equal |j|^2 (``fields._class_sums``) and only then
-weighted, since every weight here is a function of |j|^2; the envelope
-takes the loudest half mode per shell.  The per-step record and the
-public functions share this one path, so they agree to the last bit, and
-a budget is fed only through ``build_record``.
+Everything here reads the half spectrum of real fields, row by row
+through a field's ``components`` (one row for theta, dim for u) or the
+rows of a stacked [u; theta].  A per-mode quantity is folded (its terms
+at j and -j summed, ``fields._fold``), summed per class of equal |j|^2
+(``fields._class_sums``) and only then weighted, since every weight
+here is a function of |j|^2; the envelope takes the loudest half mode
+per shell.  The per-step record and the public functions share this one
+path, so they agree to the last bit, and a budget is fed only through
+``build_record``.
 """
 
 from __future__ import annotations
@@ -146,12 +148,12 @@ def _envelope(grid, amplitude):
     return loudest.real, loudest.imag
 
 
-def _amplitude(coeffs, power, dim):
-    """Amplitude of each mode of the half spectrum ``coeffs``, whose
-    ``_power`` is ``power``: sqrt(power), but from the coefficients
-    scaled by 2^600, which is exact, where the squares underflowed."""
+def _amplitude(components, power):
+    """Amplitude of each mode of a field's ``components``, whose ``_power``
+    is ``power``: sqrt(power), but from the coefficients scaled by 2^600,
+    which is exact, where the squares underflowed."""
     scale = np.where(power < np.finfo(float).tiny, 2.0**600, 1.0)
-    return np.sqrt(_power(coeffs * scale, dim)) / scale
+    return np.sqrt(_power(components * scale)) / scale
 
 
 def shell_envelope(field):
@@ -163,8 +165,7 @@ def shell_envelope(field):
     the magnitude over its components.
     """
     grid = field.grid
-    amplitude = _amplitude(field.coeffs, _power(field.coeffs, grid.dim),
-                           grid.dim)
+    amplitude = _amplitude(field.components, _power(field.components))
     return _envelope(grid, np.take(amplitude, _shell_plan(grid)[0]))
 
 
@@ -398,7 +399,7 @@ def _record(grid, t, y, budget, buffer):
     res_theta, res_u = (0.0, 0.0) if budget is None else budget._advance(
         grid, t, l2_u**2, l2_theta**2, grid.k2 * folded[1:], scale * flux)
     peak, peak_kmag = map(np.ndarray.tolist, _envelope(grid, np.take(
-        _amplitude(y[:dim], power[dim - 1], dim), _shell_plan(grid)[0])))
+        _amplitude(y[:dim], power[dim - 1]), _shell_plan(grid)[0])))
     fit = _fit(peak, peak_kmag)
     return DiagnosticsRecord(
         t=t,

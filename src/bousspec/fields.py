@@ -4,8 +4,12 @@ A scalar field theta and a velocity field u are real, so they are
 represented by the half spectrum of their complex coefficients, the
 ``rfftn`` layout of ``grid.shape`` and ``grid.vshape`` (see ``GridSpec``):
 a coefficient at a last-axis label above M/2 is the conjugate of its
-reflection's, so it is not stored.  Valid states satisfy three
-constraints throughout:
+reflection's, so it is not stored.  Both classes share one body, whose
+``components`` view the coefficients with a component axis first (one
+row for theta, dim for u), so that every per-component operation reads
+the two alike; ``_field`` makes the field of given rows, and the state
+[u; theta] is one array of dim + 1 rows (``_stacked``) whose fields
+``_unstack`` views.  Valid states satisfy three constraints throughout:
 
 * reality:        coeff(-j) == conj(coeff(j)) on the last-axis planes 0
                   and M/2, which hold both j and -j, and no content at
@@ -56,50 +60,60 @@ __all__ = [
 ]
 
 
-class SpectralScalarField:
+class _Field:
+    """A real field given by the half spectrum of its Fourier coefficients
+    on ``grid``, of the shape that the grid attribute named ``_shape``
+    gives; ``components`` views them with a leading component axis, so
+    that scalars and vectors share every per-component operation."""
+
+    __slots__ = ("grid", "coeffs")
+
+    def __init__(self, grid: GridSpec, coeffs=None):
+        self.grid = grid
+        shape = getattr(grid, self._shape)
+        if coeffs is None:
+            coeffs = np.zeros(shape, dtype=complex)
+        else:
+            coeffs = np.asarray(coeffs, dtype=complex)
+            if coeffs.shape != shape:
+                raise ValueError(
+                    f"{self._kind} coefficients must have shape {shape}, "
+                    f"got {coeffs.shape}"
+                )
+        self.coeffs = coeffs
+
+    @property
+    def components(self):
+        """``coeffs`` of shape (rows, *grid.shape), a view: one row for a
+        scalar, dim for a vector."""
+        return self.coeffs.reshape((-1,) + self.grid.shape)
+
+    def copy(self):
+        return type(self)(self.grid, self.coeffs.copy())
+
+
+class SpectralScalarField(_Field):
     """Real scalar field given by the half spectrum of its Fourier
     coefficients on ``grid``."""
 
-    __slots__ = ("grid", "coeffs")
-
-    def __init__(self, grid: GridSpec, coeffs=None):
-        self.grid = grid
-        if coeffs is None:
-            coeffs = np.zeros(grid.shape, dtype=complex)
-        else:
-            coeffs = np.asarray(coeffs, dtype=complex)
-            if coeffs.shape != grid.shape:
-                raise ValueError(
-                    f"scalar coefficients must have shape {grid.shape}, "
-                    f"got {coeffs.shape}"
-                )
-        self.coeffs = coeffs
-
-    def copy(self):
-        return SpectralScalarField(self.grid, self.coeffs.copy())
+    __slots__ = ()
+    _kind, _shape = "scalar", "shape"
 
 
-class SpectralVectorField:
+class SpectralVectorField(_Field):
     """Real velocity field on the half spectrum; component axis first, so
     ``coeffs[i]`` is u_i."""
 
-    __slots__ = ("grid", "coeffs")
+    __slots__ = ()
+    _kind, _shape = "vector", "vshape"
 
-    def __init__(self, grid: GridSpec, coeffs=None):
-        self.grid = grid
-        if coeffs is None:
-            coeffs = np.zeros(grid.vshape, dtype=complex)
-        else:
-            coeffs = np.asarray(coeffs, dtype=complex)
-            if coeffs.shape != grid.vshape:
-                raise ValueError(
-                    f"vector coefficients must have shape {grid.vshape}, "
-                    f"got {coeffs.shape}"
-                )
-        self.coeffs = coeffs
 
-    def copy(self):
-        return SpectralVectorField(self.grid, self.coeffs.copy())
+def _field(grid, components):
+    """The field whose ``components`` are ``components``: a scalar for one
+    row, a vector for dim rows."""
+    if len(components) == 1:
+        return SpectralScalarField(grid, components[0])
+    return SpectralVectorField(grid, components)
 
 
 def _check_grid(grid, *fields):
@@ -180,7 +194,12 @@ def _plane_defect(grid, half):
 
 def _stacked(u, theta):
     """[u; theta] in one array, shape (dim + 1, *grid.shape)."""
-    return np.concatenate([u.coeffs, theta.coeffs[np.newaxis]])
+    return np.concatenate([u.components, theta.components])
+
+
+def _unstack(grid, y):
+    """(u, theta) fields, views of a stacked [u; theta]."""
+    return _field(grid, y[: grid.dim]), _field(grid, y[grid.dim:])
 
 
 def _from_half(grid, half):
@@ -334,15 +353,12 @@ def _weigh(grid, sums, r=0.0, tau=0.0):
     return sums
 
 
-def _power(coeffs, dim):
-    """Per-mode |c_j|^2 as re^2 + im^2 of a scalar's coefficients, or
-    summed over the components (leading axis) of a vector's; ``dim`` is
-    the grid's dimension, which tells the two apart."""
-    power = np.square(coeffs.real)
-    power += np.square(coeffs.imag)
-    if coeffs.ndim > dim:
-        power = power.sum(axis=0)
-    return power
+def _power(components):
+    """Per-mode |c_j|^2 as re^2 + im^2, summed over the rows (leading
+    axis) of a field's ``components``."""
+    power = np.square(components.real)
+    power += np.square(components.imag)
+    return power.sum(axis=0)
 
 
 def norm(field, r: float = 0.0, tau: float = 0.0):
@@ -362,7 +378,7 @@ def norm(field, r: float = 0.0, tau: float = 0.0):
             f"tau={tau} exceeds tau_cap={grid.tau_cap:.6g} for this grid; "
             "the weight would overflow the spectrum range"
         )
-    power = _power(field.coeffs, grid.dim)
+    power = _power(field.components)
     sums = _class_sums(grid, _fold(grid, power))
     return math.sqrt(TWO_PI**grid.dim * float(np.sum(
         _weigh(grid, sums, r, tau))))
@@ -373,9 +389,7 @@ def l2_inner(f, g):
     real number: the terms at j and -j are conjugates, so their sum is
     twice the real part of either (:func:`_fold`)."""
     grid = _check_grid(None, f, g)
-    prod = (f.coeffs * np.conj(g.coeffs)).real
-    if isinstance(f, SpectralVectorField):
-        prod = prod.sum(axis=0)
+    prod = (f.components * np.conj(g.components)).real.sum(axis=0)
     return TWO_PI**grid.dim * float(np.sum(_fold(grid, prod)))
 
 
@@ -401,17 +415,15 @@ def from_physical(grid: GridSpec, values):
     values of shape ``grid.physical_shape`` a scalar one.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape == (grid.dim,) + grid.physical_shape:
-        cls = SpectralVectorField
-    elif values.shape == grid.physical_shape:
-        cls = SpectralScalarField
-    else:
+    shape = grid.physical_shape
+    if values.shape not in (shape, (grid.dim,) + shape):
         raise ValueError(
-            f"values must have shape {grid.physical_shape} or "
-            f"{(grid.dim,) + grid.physical_shape}, got {values.shape}"
+            f"values must have shape {shape} or "
+            f"{(grid.dim,) + shape}, got {values.shape}"
         )
-    return cls(grid, np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)),
-                                  norm="forward"))
+    return _field(grid, np.fft.rfftn(values.reshape((-1,) + shape),
+                                     axes=tuple(range(-grid.dim, 0)),
+                                     norm="forward"))
 
 
 # ----------------------------------------------------------------------
@@ -485,8 +497,7 @@ def _rough_h1(grid, seed, p):
     y[(Ellipsis,) + grid.zero_index] = 0.0
     _leray_in_place(grid.k, grid.k_over_k2, y[: grid.dim],
                     np.empty((2,) + grid.shape, dtype=complex))
-    return (SpectralVectorField(grid, y[: grid.dim]),
-            SpectralScalarField(grid, y[grid.dim]))
+    return _unstack(grid, y)
 
 
 def synthesize_initial(kind, grid, seed=0, sobolev_exponent=None):

@@ -35,12 +35,11 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord
 from .fields import (
     PhysicalParams,
-    SpectralScalarField,
-    SpectralVectorField,
     _check_initial,
     _nyquist_slots,
     _plane_defect,
     _stacked,
+    _unstack,
 )
 from .grid import _check_size, _half_shape, make_grid
 from .stepper import SimulationState, StepperConfig
@@ -291,9 +290,7 @@ def read_snapshot(path):
             f"{path}: content at label -{modes // 2}, where the "
             "spectrum of a real state is empty"
         )
-    return SimulationState(SpectralVectorField(grid, coeffs[:dim]),
-                           SpectralScalarField(grid, coeffs[dim]),
-                           header.t, 0)
+    return SimulationState(*_unstack(grid, coeffs), header.t, 0)
 
 
 # ----------------------------------------------------------------------

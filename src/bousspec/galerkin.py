@@ -43,6 +43,7 @@ from .fields import (
     PhysicalParams,
     SpectralScalarField,
     SpectralVectorField,
+    _field,
     _from_half,
 )
 from .grid import TWO_PI, GridSpec
@@ -172,9 +173,7 @@ def _synthesize(grid, basis, x):
     ncomp = basis.tangent.shape[1]
     full = np.zeros((ncomp,) + grid.physical_shape, dtype=complex)
     np.add.at(full, _at(basis.k, grid), x[basis.owner] * basis.w.T)
-    half = full[..., : grid.modes // 2 + 1].copy()
-    return (SpectralScalarField(grid, half[0]) if ncomp == 1
-            else SpectralVectorField(grid, half))
+    return _field(grid, full[..., : grid.modes // 2 + 1].copy())
 
 
 def basis_field(basis: Basis, e: int, grid: GridSpec):
@@ -417,7 +416,7 @@ def project_state(u: SpectralVectorField, theta: SpectralScalarField,
     grid = system.grid
 
     def coords(field, basis):
-        full = _from_half(grid, field.coeffs.reshape((-1,) + grid.shape))
+        full = _from_half(grid, field.components)
         total = np.sum(full[_at(basis.k, grid)].T * basis.w.conj(),
                        axis=1).reshape(-1, 2).sum(1)
         return TWO_PI**grid.dim * total.real

@@ -51,6 +51,7 @@ from .fields import (
     SpectralVectorField,
     _check_grid,
     _constrain,
+    _field,
     _from_half,
     _real_half,
     leray_project,
@@ -339,8 +340,7 @@ def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):
     """
     grid = _check_grid(grid, u, v)
     mask, dim = grid.dealias_mask, grid.dim
-    vector = isinstance(v, SpectralVectorField)
-    comps = v.coeffs if vector else v.coeffs[np.newaxis]
+    comps = v.components
     grads = 1j * grid.k * comps[:, np.newaxis]
     spec = np.concatenate([u.coeffs, grads.reshape((-1,) + grid.shape)])
     axes = tuple(range(-dim, 0))
@@ -351,9 +351,7 @@ def convect_pseudospectral(u: SpectralVectorField, v, grid: GridSpec = None):
         phys[dim:].reshape((len(comps), dim) + grid.physical_shape))
     out = _constrain(grid, mask * np.fft.rfftn(products, axes=axes,
                                                norm="forward"))
-    field = (SpectralVectorField(grid, out) if vector
-             else SpectralScalarField(grid, out[0]))
-    return ConvectionResult(field)
+    return ConvectionResult(_field(grid, out))
 
 
 def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):
@@ -379,7 +377,7 @@ def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):
     lex = (np.arange(m) + half) % m
     ix = (Ellipsis,) + np.ix_(*([lex] * d))
     U = _from_half(grid, u.coeffs)[ix]
-    V = _from_half(grid, v.coeffs.reshape((-1,) + grid.shape))[ix]
+    V = _from_half(grid, v.components)[ix]
     labels = np.arange(m) - half
 
     out = np.zeros(V.shape, dtype=complex)
@@ -405,10 +403,7 @@ def convect_convolution(u: SpectralVectorField, v, grid: GridSpec = None):
     full = np.zeros_like(out)
     full[ix] = out
     real = _constrain(grid, _real_half(grid, full))
-    field = (SpectralVectorField(grid, real)
-             if isinstance(v, SpectralVectorField)
-             else SpectralScalarField(grid, real[0]))
-    return ConvectionResult(field)
+    return ConvectionResult(_field(grid, real))
 
 
 def buoyancy(theta: SpectralScalarField):

@@ -49,6 +49,7 @@ guaranteed lifespan is an admissible result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,7 @@ from .fields import (
     _constrain,
     _leray_in_place,
     _stacked,
+    _unstack,
 )
 from .grid import GridSpec
 from .nonlinear import (
@@ -141,16 +143,11 @@ class StepperConfig:
                 f"t_final must be finite and at least dt, "
                 f"got t_final={self.t_final}, dt={self.dt}"
             )
-        if self.snapshot_every < 1:
+        every = self.snapshot_every
+        if not (isinstance(every, numbers.Integral) and every >= 1):
             raise ValueError(
-                f"snapshot_every must be >= 1, got {self.snapshot_every}"
+                f"snapshot_every must be an integer >= 1, got {every!r}"
             )
-
-
-def _unstack(y, grid):
-    """(u, theta) fields, views of a stacked [u; theta]."""
-    return (SpectralVectorField(grid, y[: grid.dim]),
-            SpectralScalarField(grid, y[grid.dim]))
 
 
 def _diffusion_rates(grid, params):
@@ -171,7 +168,7 @@ def rhs_full(state: SimulationState, params: PhysicalParams,
     y = _stacked(state.u, state.theta)
     dy = _projected_rhs(grid, y)
     dy -= _diffusion_rates(grid, params) * grid.k2 * y
-    return _unstack(_constrain(grid, dy), grid)
+    return _unstack(grid, _constrain(grid, dy))
 
 
 class _Integrator:
@@ -336,7 +333,7 @@ def step(state: SimulationState, params: PhysicalParams,
     t1 = state.t + config.dt
     if not integrator.advance():
         raise NonFiniteStateError(t1, state)
-    return SimulationState(*_unstack(integrator.y, grid), t1,
+    return SimulationState(*_unstack(grid, integrator.y), t1,
                            state.step_index + 1)
 
 
@@ -393,7 +390,7 @@ def run_simulation(config, params: PhysicalParams, grid: GridSpec,
             on_snapshot(snapshot)
 
     def current():
-        return SimulationState(*_unstack(integrator.y.copy(), grid), t,
+        return SimulationState(*_unstack(grid, integrator.y.copy()), t,
                                index)
 
     # each record is taken from the state the integrator holds, which is

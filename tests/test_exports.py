@@ -1,10 +1,13 @@
-"""Every name a module exports in ``__all__`` is an attribute of it, and
-the package imports nothing outside the standard library but numpy.
+"""Every name a module exports in ``__all__`` is an attribute of it, the
+package imports nothing outside the standard library but numpy, and no
+module imports a name that it never uses.
 
 Tools that wrap the public functions find them through ``__all__``, so a
-stale entry left behind when a name is removed must fail here.
+stale entry left behind when a name is removed must fail here; so must
+an import left behind when the last use of a name moves elsewhere.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -22,6 +25,58 @@ MODULES = ["bousspec"] + [
     for info in pkgutil.iter_modules(bousspec.__path__)
     if info.name != "__main__"
 ]
+
+
+SOURCES = sorted(Path(bousspec.__file__).resolve().parent.glob("*.py"))
+
+
+def _unused_imports(source):
+    """Names that the module ``source`` imports but never uses; a name in
+    ``__all__`` or in an annotation, string annotations included, counts
+    as used."""
+    tree = ast.parse(source)
+    imported, used, annotations = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name
+                            for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    for note in annotations:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(note.value))
+                        if isinstance(n, ast.Name))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_every_kind_of_use():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .grid import GridSpec, make_grid, _check_size\n"
+        "from .fields import norm, l2_inner\n"
+        "__all__ = ['make_grid']\n"
+        "def f(x: GridSpec, y: 'l2_inner') -> None:\n"
+        "    return np.sum(x)\n"
+    )
+    assert _unused_imports(source) == ["_check_size", "norm", "os"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -20,7 +20,7 @@ from bousspec import (
     synthesize_initial,
     to_physical,
 )
-from bousspec.fields import _from_half
+from bousspec.fields import _field, _from_half, _stacked, _unstack
 
 TWO_PI = 2.0 * np.pi
 
@@ -379,6 +379,53 @@ class TestTransforms:
         vals = to_physical(u)
         np.testing.assert_allclose(vals[0], np.cos(x1) * np.sin(x2), atol=1e-14)
         np.testing.assert_allclose(vals[1], -np.sin(x1) * np.cos(x2), atol=1e-14)
+
+
+class TestComponentView:
+    # a scalar is one row of half spectra and a vector dim rows, so that
+    # every per-component operation reads both alike
+    @pytest.mark.parametrize("dim,modes", [(2, 8), (3, 6)])
+    def test_shape_and_write_through(self, dim, modes):
+        g = make_grid(dim, modes)
+        mode = (1,) * dim
+        for f, rows in ((random_scalar(g, 4), 1), (random_vector(g, 4), dim)):
+            view = f.components
+            assert view.shape == (rows,) + g.shape
+            view[(rows - 1,) + mode] = 7.0 + 3.0j
+            assert np.atleast_1d(f.coeffs[(Ellipsis,) + mode])[-1] == 7 + 3j
+            view[...] = 0.0
+            assert not np.any(f.coeffs)
+            with pytest.raises(AttributeError):
+                f.components = view
+
+    @pytest.mark.parametrize("dim,modes", [(2, 8), (3, 6)])
+    def test_field_from_components(self, dim, modes):
+        g = make_grid(dim, modes)
+        for f in (random_scalar(g, 5), random_vector(g, 5)):
+            back = _field(g, f.components)
+            assert type(back) is type(f)
+            assert back.coeffs.shape == f.coeffs.shape
+            assert back.coeffs.tobytes() == f.coeffs.tobytes()
+
+    @pytest.mark.parametrize("dim,modes", [(2, 8), (3, 6)])
+    def test_unstack_views_the_stacked_array(self, dim, modes):
+        g = make_grid(dim, modes)
+        u, theta = synthesize_initial("rough_h1", g, seed=6)
+        y = _stacked(u, theta)
+        assert y.shape == (dim + 1,) + g.shape
+        u2, theta2 = _unstack(g, y)
+        assert type(u2) is SpectralVectorField
+        assert type(theta2) is SpectralScalarField
+        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+        assert theta2.coeffs.tobytes() == theta.coeffs.tobytes()
+        assert u2.coeffs.base is y and theta2.coeffs.base is y
+
+    def test_shape_errors_name_the_kind(self):
+        g = make_grid(2, 8)
+        with pytest.raises(ValueError, match="scalar coefficients"):
+            SpectralScalarField(g, np.zeros(g.vshape))
+        with pytest.raises(ValueError, match="vector coefficients"):
+            SpectralVectorField(g, np.zeros(g.shape))
 
 
 class TestInitialData:

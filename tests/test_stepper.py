@@ -446,9 +446,10 @@ class TestRunSimulation:
         )
         with pytest.raises(ValueError, match="t_final"):
             run_simulation(run_config(1e-2, 1e-3), params, grid, initial)
-        with pytest.raises(ValueError, match="snapshot_every"):
-            run_simulation(run_config(1e-2, 0.1, snapshot_every=0),
-                           params, grid, initial)
+        for every in (0, 2.5):
+            with pytest.raises(ValueError, match="snapshot_every"):
+                run_simulation(run_config(1e-2, 0.1, snapshot_every=every),
+                               params, grid, initial)
 
 
 class TestGridCheck:
