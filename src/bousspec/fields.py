@@ -193,7 +193,9 @@ def _plane_defect(grid, half):
 
 
 def _stacked(u, theta):
-    """[u; theta] in one array, shape (dim + 1, *grid.shape)."""
+    """[u; theta] in one array, shape (dim + 1, *grid.shape); raise
+    ValueError unless both live on one grid."""
+    _check_grid(None, u, theta)
     return np.concatenate([u.components, theta.components])
 
 

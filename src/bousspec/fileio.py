@@ -229,6 +229,7 @@ def _parse_header(blob, path):
     if not (t >= 0 and math.isfinite(t)):
         raise SnapshotError(f"{path}: time t must be >= 0 and finite, got {t}")
     try:
+        _check_size(dim, modes)
         PhysicalParams(nu, kappa)
     except ValueError as err:
         raise SnapshotError(f"{path}: {err}") from None
@@ -264,7 +265,6 @@ def read_snapshot(path):
         # the payload length is checked before any grid or array is
         # built, so a corrupt header cannot ask for arrays of its size
         dim, modes = header.dim, header.modes
-        _check_size(dim, modes)
         shape = (dim + 1,) + _half_shape(dim, modes)
         expected = _HEADER.size + 16 * math.prod(shape)
         size = os.fstat(fh.fileno()).st_size

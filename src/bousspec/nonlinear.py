@@ -22,9 +22,10 @@ against 15 and 4.  The divergence and P act together as one fixed map
 per retained mode, and the projected buoyancy P(theta e_N) as one fixed
 real vector per mode, so the kernel needs no separate projection.  It
 runs on the transforms of ``irfftn``/``rfftn`` pruned of the masked
-columns and, in 3D, of the masked rows (Orszag 1971; Markel 1971),
-which give the same bits; the core goes in by block copies into arrays
-whose masked rows stay zero, so no mask is multiplied.
+columns and rows (Orszag 1971; Markel 1971), which give the same bits:
+one stage per leading axis, two buffers.  The core goes in by block
+copies into one zero pad per leading axis whose masked rows stay zero,
+so no mask is multiplied.
 
 ``convect_convolution`` is the oracle: the truncated convolution
 
@@ -131,46 +132,49 @@ def _shared(*arrays):
 
 class _Work:
     """Everything :func:`_core_rhs` needs on one grid, bound once: the
-    per-mode maps of :func:`_projection_maps` on the core, the row
-    slices of the core, and the arrays that the pruned transforms write
-    into, n_in = dim + 1 fields [u; theta] to the grid and their n_out
-    products (:func:`_traceless_pairs`, then u_j theta) back.
+    per-mode maps of :func:`_projection_maps` on the core, and the
+    arrays that the pruned transforms write into, n_in = dim + 1 fields
+    [u; theta] to the grid and their n_out products
+    (:func:`_traceless_pairs`, then u_j theta) back.
 
-    ``spec_in`` (n_in, m, *core[1:]) is the core with the masked rows of
-    axis -dim put back as zeros, and in 3D ``rows_in`` holds the
-    transformed lines with the masked rows of axis -2 as zeros; only the
-    retained rows of both are ever written, so no mask is applied.  The
-    other arrays are written by the ``out=`` of the FFTs, so a caller
-    that keeps one ``_Work`` allocates no array of this size again, and
-    arrays that a call holds at different times are views of one buffer.
+    The transforms take one stage per leading axis a = 1 .. dim - 1 of
+    the batched arrays, on arrays of shape (m,) * a + core[a:]: the axes
+    before a at all m rows, the axes after it at the 2c + 1 retained
+    rows only.  ``rows[a - 1]`` holds the (core, padded) index pairs of
+    the retained rows along axis a.  Going in, stage a copies them into
+    the zero pad ``pads[a - 1]`` and transforms it into ``lines[a - 1]``;
+    only the retained rows of a pad are ever written, so no mask is
+    applied.  Coming back, it transforms into ``cols[a - 1]`` and picks
+    the retained rows into ``picks[a - 1]``; ``picks[0]`` is the flux.
+    Every transform reads from one of two buffers and writes into the
+    other, so ``lines`` (the first n_in fields of ``cols``),
+    ``products``, ``cols`` and ``term`` are views of one and ``phys``,
+    ``half`` and ``picks`` of the other.  The FFTs write through
+    ``out=``, so a caller that keeps one ``_Work`` allocates no array of
+    this size again.
     """
 
     def __init__(self, grid):
-        dim, c = grid.dim, grid.dealias_cutoff
-        self.dim, self.modes, self.cutoff = dim, grid.modes, c
+        dim, m = grid.dim, grid.modes
+        self.dim, self.modes, self.cutoff = dim, m, grid.dealias_cutoff
         self.pairs = _traceless_pairs(dim)
-        self.rows = _retained_rows(grid)
         self.velocity, self.scalar, lift = _projection_maps(grid)[:3]
         self.lift = _core(grid, lift)
         n_in, n_out = dim + 1, len(self.pairs) + dim
-        core = _core_shape(grid)
-        padded = (grid.modes,) + core[1:]
-        points = grid.physical_shape
-        cols = points[:-1] + (c + 1,)
-        self.spec_in = np.zeros((n_in,) + padded, dtype=complex)
-        if dim == 3:
-            self.rows_in = np.zeros((n_in,) + cols, dtype=complex)
-        # three buffers, each holding its arrays one after another in the
-        # order of use; the 2D transforms use no kept, cols_in or
-        # spec_out
-        self.phys, self.half, self.kept, self.term = _shared(
+        core, points = _core_shape(grid), grid.physical_shape
+        stages = [(m,) * a + core[a:] for a in range(1, dim)]
+        self.rows = [[((np.s_[:],) * a + (kept,), (np.s_[:],) * a + (padded,))
+                      for kept, padded in _retained_rows(grid)]
+                     for a in range(1, dim)]
+        self.pads = [np.zeros((n_in,) + shape, dtype=complex)
+                     for shape in stages]
+        *self.cols, self.products, self.term = _shared(
+            *[((n_out,) + shape, complex) for shape in stages],
+            ((n_out,) + points, float), ((dim,) + core, complex))
+        self.lines = [cols[:n_in] for cols in self.cols]
+        self.phys, self.half, *self.picks = _shared(
             ((n_in,) + points, float), ((n_out,) + grid.shape, complex),
-            ((n_out,) + padded, complex), ((dim,) + core, complex))
-        self.lines, self.cols_in, self.products, self.flux = _shared(
-            ((n_in,) + padded, complex), ((n_in,) + cols, complex),
-            ((n_out,) + points, float), ((n_out,) + core, complex))
-        self.cols, self.spec_out = _shared(((n_out,) + cols, complex),
-                                           ((n_out,) + padded, complex))
+            *[((n_out,) + shape, complex) for shape in [core] + stages[:-1]])
 
 
 def _to_grid(work, core):
@@ -179,47 +183,42 @@ def _to_grid(work, core):
     zero elsewhere.
 
     The transforms of ``irfftn``, one axis at a time and in its order,
-    pruned of what is zero (Orszag 1971; Markel 1971): the leading-axis
-    inverse transforms skip the last-axis columns above the cutoff,
-    which ``irfft`` pads back, and in 3D the first one, along axis -3,
-    also skips the axis -2 rows above it.  Every transform that runs
-    sees the same numbers as in ``irfftn`` of the full half spectra, so
-    the result is the same to the last bit.
+    pruned of what is zero (Orszag 1971; Markel 1971): the inverse
+    transform along each leading axis skips the last-axis columns above
+    the cutoff, which ``irfft`` pads back, and the rows above it along
+    every later leading axis.  Every transform that runs sees the same
+    numbers as in ``irfftn`` of the full half spectra, so the result is
+    the same to the last bit.
     """
-    for kept, half in work.rows:
-        work.spec_in[:, half] = core[:, kept]
-    spec = np.fft.ifft(work.spec_in, axis=1, norm="forward", out=work.lines)
-    if work.dim == 3:
-        for kept, half in work.rows:
-            work.rows_in[:, :, half] = spec[:, :, kept]
-        spec = np.fft.ifft(work.rows_in, axis=-2, norm="forward",
-                           out=work.cols_in)
+    spec = core
+    for a, (pad, lines, rows) in enumerate(
+            zip(work.pads, work.lines, work.rows), start=1):
+        for kept, padded in rows:
+            pad[padded] = spec[kept]
+        spec = np.fft.ifft(pad, axis=a, norm="forward", out=lines)
     return np.fft.irfft(spec, n=work.modes, axis=-1, norm="forward",
                         out=work.phys)
 
 
 def _from_grid(work):
-    """The retained modes ``work.flux`` (b, *core), unmasked, of the
+    """The retained modes ``work.picks[0]`` (b, *core), unmasked, of the
     collocation values ``work.products``: the inverse of
     :func:`_to_grid`.
 
     The transforms of ``rfftn``, in its order, computing only the
-    last-axis columns up to the cutoff and, in the last one (along axis
-    -3 in 3D), only the axis -2 rows up to it.  Each kept coefficient is
-    bit-identical to ``rfftn``'s.
+    last-axis columns up to the cutoff and, along each leading axis,
+    only the rows of the later leading axes up to it; the rows of the
+    axis itself are picked after its transform.  Each kept coefficient
+    is bit-identical to ``rfftn``'s.
     """
     spec = np.fft.rfft(work.products, axis=-1, norm="forward",
-                       out=work.half)
-    spec = np.fft.fft(spec[..., : work.cutoff + 1], axis=-2,
-                      norm="forward", out=work.cols)
-    if work.dim == 3:
-        for kept, half in work.rows:
-            work.kept[:, :, kept] = spec[:, :, half]
-        spec = np.fft.fft(work.kept, axis=-3, norm="forward",
-                          out=work.spec_out)
-    for kept, half in work.rows:
-        work.flux[:, kept] = spec[:, half]
-    return work.flux
+                       out=work.half)[..., : work.cutoff + 1]
+    for a in range(work.dim - 1, 0, -1):
+        cols = np.fft.fft(spec, axis=a, norm="forward", out=work.cols[a - 1])
+        spec = work.picks[a - 1]
+        for kept, padded in work.rows[a - 1]:
+            spec[kept] = cols[padded]
+    return spec
 
 
 @functools.lru_cache(maxsize=2)

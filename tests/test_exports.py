@@ -1,10 +1,12 @@
 """Every name a module exports in ``__all__`` is an attribute of it, the
-package imports nothing outside the standard library but numpy, and no
-module imports a name that it never uses.
+package imports nothing outside the standard library but numpy, no
+module imports a name that it never uses, and every private module-level
+name is used somewhere in the package.
 
 Tools that wrap the public functions find them through ``__all__``, so a
 stale entry left behind when a name is removed must fail here; so must
-an import left behind when the last use of a name moves elsewhere.
+an import left behind when the last use of a name moves elsewhere, and a
+private helper left behind when its last caller goes.
 """
 
 import ast
@@ -77,6 +79,71 @@ def test_unused_import_check_sees_every_kind_of_use():
         "    return np.sum(x)\n"
     )
     assert _unused_imports(source) == ["_check_size", "norm", "os"]
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unreferenced_private_names(sources):
+    """``module.name`` of each private function, class or constant that
+    a module of ``sources`` (module name to source text) defines at
+    module level and that no module uses: a use is a name read in its
+    own module outside its own definition, or an import of it into
+    another module (where the unused-import check holds it to a use)."""
+    defined, used = set(), set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ImportFrom):
+                used.update((node.module, alias.name) for alias in node.names)
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                own = {n.id for target in targets for n in ast.walk(target)
+                       if isinstance(n, ast.Name)}
+            else:
+                own = set()
+            defined.update((module, name) for name in own if _private(name))
+            used.update((module, n.id) for n in ast.walk(node)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load) and n.id not in own)
+    return sorted(f"{module}.{name}" for module, name in defined - used)
+
+
+def test_no_unreferenced_private_names():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_check_sees_every_kind_of_use():
+    sources = {
+        "grid": (
+            "_LIMIT = 4\n"
+            "_UNUSED: int = 5\n"
+            "def _check(n):\n"
+            "    return n <= _LIMIT\n"
+            "def _exported():\n"
+            "    return _exported\n"
+            "class _Dead:\n"
+            "    def f(self):\n"
+            "        return _Dead()\n"
+            "def __getattr__(name):\n"
+            "    raise AttributeError(name)\n"
+        ),
+        "fields": (
+            "from .grid import _exported\n"
+            "def _helper():\n"
+            "    pass\n"
+            "def run():\n"
+            "    return _check, _exported\n"
+        ),
+    }
+    assert _unreferenced_private_names(sources) == [
+        "fields._helper", "grid._Dead", "grid._UNUSED", "grid._check"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -354,6 +354,25 @@ class TestSnapshots:
                                match=f"state.bin: {key} must be > 0"):
                 reader(path)
 
+    @pytest.mark.parametrize("offset,value,message", [
+        (12, 1, "dim must be 2 or 3, got 1"),
+        (12, 5, "dim must be 2 or 3, got 5"),
+        (16, 2, "modes must be even and >= 4, got 2"),
+        (16, 7, "modes must be even and >= 4, got 7")])
+    def test_size_outside_range_refused(self, tmp_path, offset, value,
+                                        message):
+        # dim and modes follow the rule of make_grid, and the error names
+        # the file
+        grid = make_grid(2, 8)
+        path = str(tmp_path / "state.bin")
+        write_snapshot(random_state(grid, 0), PhysicalParams(1.0, 1.0), path)
+        blob = bytearray(Path(path).read_bytes())
+        struct.pack_into("<I", blob, offset, value)
+        Path(path).write_bytes(bytes(blob))
+        for reader in (read_snapshot_header, read_snapshot):
+            with pytest.raises(SnapshotError, match=f"state.bin: {message}"):
+                reader(path)
+
     @pytest.mark.parametrize("field,index", [("u", (0, 1, 0)),
                                              ("theta", (-3, 0))])
     def test_state_that_is_not_real_refused(self, tmp_path, field, index):

@@ -1,5 +1,7 @@
 """Advection terms: dealiased transform path vs direct convolution oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from bousspec.nonlinear import (
     _core_blocks,
     _projected_rhs,
     _projection_maps,
+    _Work,
     buoyancy,
     convect_convolution,
     convect_pseudospectral,
@@ -189,14 +192,31 @@ def rough_stack(grid, seed):
 
 
 class TestKernel:
-    @pytest.mark.parametrize("dim,modes", [(2, 16), (2, 64), (3, 8), (3, 16)])
+    @pytest.mark.parametrize("dim,modes", [(2, 16), (2, 24), (2, 64), (3, 8),
+                                           (3, 16), (3, 18), (3, 32)])
     def test_pruned_transforms_match_whole_array_transforms(self, dim, modes):
         # rough data fills the masked columns and rows, so the pruning
-        # is exercised
+        # is exercised; 3 divides M at 24 and 18
         g = make_grid(dim, modes)
         y = rough_stack(g, seed=modes)
         assert np.array_equal(_projected_rhs(g, y),
                               unpruned_projected_rhs(g, y))
+
+    @pytest.mark.parametrize("dim,modes,bound", [(2, 64, 375_000),
+                                                 (3, 32, 6.0e6)])
+    def test_work_allocation_bounded(self, dim, modes, bound):
+        # one zero pad per leading axis and two buffers that the
+        # transforms alternate between; the bounds are 0.85 of what a
+        # layout with a third buffer and 3D-only work arrays allocated
+        g = make_grid(dim, modes)
+        _projection_maps(g)  # cached, shared by every _Work of the grid
+        tracemalloc.start()
+        try:
+            _Work(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     @pytest.mark.parametrize("dim,modes", [(2, 32), (2, 64), (3, 8), (3, 16)])
     def test_divergence_form_equals_advective_form(self, dim, modes):

@@ -16,6 +16,7 @@ from bousspec import (
     norm,
     synthesize_initial,
 )
+from bousspec.diagnostics import build_record
 from bousspec.fields import _stacked
 from bousspec.fileio import read_snapshot, write_snapshot
 from bousspec.nonlinear import (
@@ -481,7 +482,7 @@ class TestGridCheck:
                                  rhs_full(state, params)):
             assert np.array_equal(got_f.coeffs, want_f.coeffs)
 
-    def test_state_of_another_size_refused(self):
+    def test_state_of_another_size_refused(self, tmp_path):
         params = PhysicalParams(nu=1.0, kappa=1.0)
         cfg = run_config(1e-3, 5e-3)
         grid = make_grid(2, 16)
@@ -497,3 +498,10 @@ class TestGridCheck:
             if supplied is not None:
                 with pytest.raises(ValueError, match=match):
                     run_simulation(cfg, params, supplied, state)
+        # every site that stacks [u; theta] checks the grids first
+        path = tmp_path / "state.bin"
+        with pytest.raises(ValueError, match="different grids"):
+            build_record(mixed)
+        with pytest.raises(ValueError, match="different grids"):
+            write_snapshot(mixed, params, str(path))
+        assert not path.exists()
