@@ -29,13 +29,18 @@ The weight is a function of |j|^2, so a norm folds the powers onto the
 half spectrum (``_fold``), sums them per class of equal |j|^2 and weights
 those sums (``_class_plan``), as records do.  The full spectrum is
 rebuilt (``_from_half``) only where an oracle or the draw of rough data
-asks for it.
+asks for it.  The phases of rough data come from the package's own copy
+of numpy's default stream (``_Phases``: PCG64 seeded by SeedSequence),
+so that a seed gives the same data whatever the numpy version and no run
+imports numpy's random module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -447,8 +452,8 @@ def _check_initial(kind, dim, seed, sobolev_exponent):
     if kind == "taylor_green" and dim != 2:
         raise ValueError("initial_kind taylor_green is two-dimensional, "
                          f"got dim = {dim}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be >= 0 and an integer, got {seed!r}")
     p = sobolev_exponent
     if kind == "rough_h1" and p is not None and not (
             math.isfinite(p) and p > dim / 2 + 1):
@@ -480,10 +485,122 @@ def _single_mode_theta(grid):
     return u, theta
 
 
+# PCG64 (O'Neill 2014) and SeedSequence as numpy defines them
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_CHUNK = 1 << 14
+
+
+def _seed_words(seed):
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` on Python ints:
+    the seed's 32-bit words hashed into a pool of four, mixed, and the
+    pool hashed out to eight words, paired low word first."""
+    entropy = [seed >> shift & _M32
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _words(x):
+    """The 128-bit Python int x as a (high, low) column of uint64 words."""
+    return np.array([[x >> 64], [x & _M64]], np.uint64)
+
+
+def _last(words):
+    """The last 128-bit integer of (high, low) rows of uint64 words."""
+    return int(words[0, -1]) << 64 | int(words[1, -1])
+
+
+def _affine(a, s, c):
+    """(a·s + c) mod 2^128 for a Python int s and arrays a and c of
+    128-bit integers as (high, low) rows of uint64 words, which wrap."""
+    s_hi, s_lo = s >> 64, s & _M64
+    # the high word of a_lo·s_lo, from 32-bit halves
+    x0, x1 = a[1] & _M32, a[1] >> 32
+    y0, y1 = s_lo & _M32, s_lo >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = (a[0] * s_lo + a[1] * s_hi + x1 * y1
+          + (p01 >> 32) + (p10 >> 32) + (mid >> 32))
+    lo = a[1] * s_lo
+    out = np.empty_like(a)
+    np.add(lo, c[1], out=out[1])
+    np.add(hi, c[0] + (out[1] < lo), out=out[0])
+    return out
+
+
+class _Phases:
+    """The stream of numpy's ``default_rng(seed).uniform(0, 2*pi)``,
+    bit for bit: PCG64, a 128-bit LCG with XSL-RR output, seeded from
+    ``SeedSequence(seed)``.  A chunk of up to ``_CHUNK`` states comes
+    from the one before it by the affine maps of 1, 2, ... steps, which
+    ``_steps`` holds as the multipliers and increments of a table grown
+    by doubling, as far as the largest chunk drawn yet needs."""
+
+    def __init__(self, seed):
+        s_hi, s_lo, i_hi, i_lo = _seed_words(operator.index(seed))
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        # from state 0: step, add the seed, step
+        self._state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
+        self._steps = _words(_PCG_MULT), _words(inc)
+
+    def draw(self, shape):
+        """The next phases in [0, 2*pi), as an array of ``shape`` in C
+        order."""
+        out = np.empty(shape)
+        flat = out.reshape(-1)
+        mult, step = self._steps
+        # k + j steps are j steps after k: A_j·A_k and A_j·C_k + C_j
+        while mult.shape[1] < min(flat.size, _CHUNK):
+            a_k, c_k = _last(mult), _last(step)
+            mult, step = (
+                np.concatenate([mult, _affine(mult, a_k, 0 * mult)], axis=1),
+                np.concatenate([step, _affine(mult, c_k, step)], axis=1))
+        self._steps = mult, step
+        for start in range(0, flat.size, _CHUNK):
+            n = min(_CHUNK, flat.size - start)
+            state = _affine(mult[:, :n], self._state, step[:, :n])
+            self._state = _last(state)
+            # XSL-RR: the halves' xor, rotated right by the top six bits
+            x, rot = state[0] ^ state[1], state[0] >> 58
+            bits = x >> rot | x << ((64 - rot) & 63)
+            # numpy's next_double, scaled as uniform(0, 2*pi) scales it
+            np.multiply(bits >> 11, 2.0 ** -53, out=flat[start:start + n])
+            flat[start:start + n] *= TWO_PI
+        return out
+
+
 def _rough_h1(grid, seed, p):
     if p is None:
         p = _default_sobolev_exponent(grid.dim)
-    rng = np.random.default_rng(seed)
+    rng = _Phases(seed)
     # the phases are drawn on the full spectrum, one field at a time (u's
     # components, then theta); Nyquist slots cannot carry the reality
     # symmetry through the Leray projection, so they are left empty (the
@@ -492,7 +609,7 @@ def _rough_h1(grid, seed, p):
     draw = np.empty(grid.physical_shape, dtype=complex)
     y = np.empty((grid.dim + 1,) + grid.shape, dtype=complex)
     for row in y:
-        np.multiply(1j, rng.uniform(0.0, TWO_PI, size=draw.shape), out=draw)
+        np.multiply(1j, rng.draw(draw.shape), out=draw)
         np.exp(draw, out=draw)
         np.multiply(amp, draw, out=draw)
         _real_half(grid, draw, out=row)
@@ -512,7 +629,11 @@ def synthesize_initial(kind, grid, seed=0, sobolev_exponent=None):
     ``single_mode_theta``
         u = 0, theta = cos x_N (last coordinate).
     ``rough_h1``
-        |coeff(j)| = (1 + |j|)^(-p) with phases drawn from ``seed``;
+        |coeff(j)| = (1 + |j|)^(-p) with phases uniform on [0, 2*pi),
+        drawn on the full spectrum of u's components, then theta's, in C
+        order, from the stream of numpy's ``default_rng(seed)`` as
+        ``_Phases`` rebuilds it bit for bit, without numpy's random
+        module;
         p defaults to 2.6 in 2D and 3.1 in 3D and must be finite and
         exceed dim/2 + 1.
         Constraints and the Leray projection are applied afterwards, so
@@ -523,7 +644,7 @@ def synthesize_initial(kind, grid, seed=0, sobolev_exponent=None):
     Every kind's u is divergence-free.  Repeated calls with the same
     arguments are bit-identical.  The settings are checked as
     ``RunConfig`` checks them (:func:`_check_initial`): ``seed`` must
-    be >= 0 whatever the kind.
+    be an integer >= 0 (numpy integers included) whatever the kind.
     """
     _check_initial(kind, grid.dim, seed, sobolev_exponent)
     if kind == "taylor_green":

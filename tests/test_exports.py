@@ -1,7 +1,7 @@
 """Every name a module exports in ``__all__`` is an attribute of it, the
-package imports nothing outside the standard library but numpy, no
-module imports a name that it never uses, and every private module-level
-name is used somewhere in the package.
+package imports nothing outside the standard library but numpy, and not
+``numpy.random`` either, no module imports a name that it never uses,
+and every private module-level name is used somewhere in the package.
 
 Tools that wrap the public functions find them through ``__all__``, so a
 stale entry left behind when a name is removed must fail here; so must
@@ -153,10 +153,18 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def test_numpy_is_the_only_runtime_dependency():
-    # a fresh interpreter, so that modules the tests import do not count
+def _fresh_python(code):
+    """Standard output of ``code`` run by a fresh interpreter with every
+    warning an error, so that modules the tests import do not count."""
     src = str(Path(bousspec.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    return proc.stdout
+
+
+def test_numpy_is_the_only_runtime_dependency():
     code = (
         "import importlib, sys\n"
         "before = set(sys.modules)\n"
@@ -165,7 +173,65 @@ def test_numpy_is_the_only_runtime_dependency():
         "roots = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(*sorted(roots - set(sys.stdlib_module_names)))\n"
     )
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert proc.stdout.split() == ["bousspec", "numpy"]
+    assert _fresh_python(code).split() == ["bousspec", "numpy"]
+
+
+def test_runs_do_not_import_numpy_random():
+    # rough data, a few steps and the oracle check: the paths of a run
+    code = (
+        "import os, sys, tempfile\n"
+        "from bousspec import PhysicalParams, make_grid, synthesize_initial\n"
+        "from bousspec.cli import main\n"
+        "from bousspec.stepper import (SimulationState, StepperConfig,\n"
+        "                              run_simulation)\n"
+        "grid = make_grid(2, 8)\n"
+        "u, theta = synthesize_initial('rough_h1', grid, seed=3)\n"
+        "run_simulation(StepperConfig(1e-3, t_final=5e-3),\n"
+        "               PhysicalParams(0.05, 0.05), grid,\n"
+        "               SimulationState(u, theta))\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    cfg = os.path.join(tmp, 'run.cfg')\n"
+        "    with open(cfg, 'w') as fh:\n"
+        "        fh.write('dim = 2\\nmodes = 8\\nt_final = 0.01\\n')\n"
+        "    assert main(['oracle-check', cfg, '--quiet']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert _fresh_python(code).split() == ["False"]
+
+
+def _numpy_random_uses(source):
+    """Line numbers of ``np.random`` or ``numpy.random`` in ``source``,
+    as an attribute or as an imported module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value,
+                                                          ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[:2] in (["np", "random"], ["numpy", "random"])
+               for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_numpy_random(path):
+    assert _numpy_random_uses(path.read_text()) == []
+
+
+def test_numpy_random_check_sees_every_kind_of_use():
+    source = (
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy import random\n"
+        "from numpy.random import default_rng\n"
+        "rng = np.random.default_rng(0)\n"
+        "x = np.randomize, numpy.linalg\n"
+    )
+    assert _numpy_random_uses(source) == [2, 3, 4, 5]

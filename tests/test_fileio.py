@@ -134,6 +134,8 @@ class TestConfigParsing:
             RunConfig(dim=2, modes=8, t_final=1.0, initial_kind="vortex")
         with pytest.raises(ConfigError, match="seed"):
             RunConfig(dim=2, modes=8, t_final=1.0, seed=-1)
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(dim=2, modes=8, t_final=1.0, seed=1.5)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("key", ["dt", "t_final", "nu", "kappa"])

@@ -1,6 +1,8 @@
 """Grid bookkeeping, constraints, norm weights, norms, initial data."""
 
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,14 @@ from bousspec import (
     synthesize_initial,
     to_physical,
 )
-from bousspec.fields import _field, _from_half, _stacked, _unstack
+from bousspec.fields import (
+    _CHUNK,
+    _Phases,
+    _field,
+    _from_half,
+    _stacked,
+    _unstack,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -485,6 +494,9 @@ class TestInitialData:
         assert np.array_equal(t1.coeffs, t2.coeffs)
         u3, _ = synthesize_initial("rough_h1", g, seed=6)
         assert not np.array_equal(u1.coeffs, u3.coeffs)
+        u4, t4 = synthesize_initial("rough_h1", g, seed=np.int64(5))
+        assert u4.coeffs.tobytes() == u1.coeffs.tobytes()
+        assert t4.coeffs.tobytes() == t1.coeffs.tobytes()
 
     def test_rough_h1_rejects_shallow_spectrum(self):
         g = make_grid(2, 16)
@@ -504,3 +516,56 @@ class TestInitialData:
         assert np.max(np.abs(theta.coeffs)) == 0.0
         with pytest.raises(ValueError, match="unknown initial kind"):
             synthesize_initial("vortex", g)
+        with pytest.raises(ValueError, match="seed"):
+            synthesize_initial("zero", g, seed=1.5)
+
+    # SHA-256 of u's then theta's half-spectrum bytes, computed (numpy
+    # 2.4, x86-64 Linux) when numpy's default_rng drew the phases: they
+    # pin the map from seed to data, which a new numpy must not move and
+    # a new draw moves on purpose
+    ROUGH_SHA256 = {
+        (2, 64, 0): "a9123e1a8ac1d8b88e76c37aa6aa13026237ef0cd27051a0b5b3ecc99ff9c59b",
+        (2, 64, 7): "d073697ce1f015241c5b1603c0e6cd2f2946bb22c598c6f33e968cf0f7ae6b05",
+        (2, 30, 0): "9b43f4d38055c1d11b7ff02c7d2555c9b810d94543e75cf867d75270d8cb27ed",
+        (2, 30, 7): "68e8827bb9e99eb86c0e1751e5c5644eee156c8d3b75572739d747baa8b3d91b",
+        (3, 8, 0): "02fa1a3b3fc020f43b3a6c335a7a80f72073bfed3ff6e69e114b8ed02e996073",
+        (3, 8, 7): "f05771e9d8576e170693cee1a61a02f744fcd6edcda0055d07cca7d3571c272a",
+        (3, 18, 0): "73dabe817d5042d6d41a46aec045799d7fbd54905c2ba5197f68b7b20119eaee",
+        (3, 18, 7): "c81dfb41c06668be4e8f1345f76d8b362db6d32aef729ac18ff13d2cc68e7ac8",
+    }
+
+    @pytest.mark.parametrize("dim,modes,seed", sorted(ROUGH_SHA256))
+    def test_rough_h1_bytes_are_pinned(self, dim, modes, seed):
+        u, theta = synthesize_initial("rough_h1", make_grid(dim, modes),
+                                      seed=seed)
+        digest = hashlib.sha256(u.coeffs.tobytes() + theta.coeffs.tobytes())
+        assert digest.hexdigest() == self.ROUGH_SHA256[dim, modes, seed]
+
+
+class TestPhaseStream:
+    SEEDS = [0, 1, 7, 2**32 + 5, 2**70 + 3, np.int64(9), 2**130 + 17]
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    @pytest.mark.parametrize(
+        "n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * 64**2, 50_000])
+    def test_equals_numpy_default_stream(self, seed, n):
+        expect = np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
+        assert _Phases(seed).draw(n).tobytes() == expect.tobytes()
+
+    def test_draws_continue_the_stream(self):
+        rng, phases = np.random.default_rng(11), _Phases(11)
+        for shape in [(5,), (_CHUNK + 3,), (4, 7), (2, 3, 5)]:
+            expect = rng.uniform(0.0, TWO_PI, shape)
+            got = phases.draw(shape)
+            assert got.shape == shape
+            assert got.tobytes() == expect.tobytes()
+
+    def test_traced_peak_is_the_output_and_one_chunk(self):
+        shape = (4, 32, 32, 32)
+        tracemalloc.start()
+        try:
+            _Phases(0).draw(shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * np.prod(shape) + 3 * 2**20
