@@ -13,9 +13,9 @@ a read-only analysis of states.  Three families:
   carries an O(h^2) quadrature error from the nonlinear dynamics only,
   on top of the integrator error;
 
-* Gevrey energy X(t) = 1 + ||L e^{tau L} u||^2 + ||L e^{tau L} theta||^2
-  with tau = t capped at tau_cap, the quantity whose boundedness expresses
-  that the flow has become analytic with radius at least tau;
+* Gevrey energy X_tau(t) = 1 + ||L e^{tau L} u||^2 + ||L e^{tau L} theta||^2
+  and tau*(t), the largest tau with X_tau(t) <= 2 X(0): the flow is
+  analytic with radius at least t while tau* >= t (Foias & Temam 1989);
 
 * radius fits — a least-squares estimate of the decay rate tau in the
   coefficient envelope |u_j| ~ e^{-tau |j|}, the measurable trace
@@ -43,6 +43,7 @@ import numpy as np
 
 from .fields import (
     PhysicalParams,
+    _class_plan,
     _class_sums,
     _divergence_max,
     _fold,
@@ -63,8 +64,8 @@ __all__ = [
     "build_record",
 ]
 
-# shells whose peak coefficient sits below this fraction of the global
-# peak are double-precision noise and are excluded from radius fits
+# shells (modes for tau*) whose peak sits below this fraction of their
+# field's peak are double-precision noise, left out of fits and tau*
 AMPLITUDE_FLOOR_RATIO = 1e-14
 MIN_FIT_SHELLS = 4
 
@@ -74,14 +75,15 @@ class DiagnosticsRecord:
     """One row of run diagnostics at time ``t``.
 
     ``h1_u``/``h1_theta`` are the Zygmund seminorms ||Lambda . ||;
-    ``gevrey_X`` is X(t) at the radius ``tau_used``, t capped at
-    ``tau_cap``; the radius fields come from ``fit_radius`` on the
-    velocity spectrum and are reported as 0.0/0.0 when the spectrum has
-    too few usable shells to fit; ``tail`` is the velocity envelope's
-    peak on shell ``grid.dealias_cutoff`` over its global peak (0.0 for
-    a zero field), which says whether the retained modes resolve the
-    spectrum; the energy residuals accumulate over the cadence the
-    records were produced at, by the rules of :class:`BudgetAccumulator`.
+    ``tau_star`` is the largest tau with X_tau(t) <= 2 X(0) over the modes
+    above the amplitude floor (< 0 once the bound's interval has ended,
+    +inf for a zero state); the radius fields come from ``fit_radius`` on
+    the velocity spectrum, 0.0/0.0 when it has too few usable shells to
+    fit; ``tail`` is the velocity envelope's peak on shell
+    ``grid.dealias_cutoff`` over its global peak (0.0 for a zero field),
+    which says whether the retained modes resolve the spectrum; the
+    energy residuals accumulate over the cadence the records were
+    produced at, by the rules of :class:`BudgetAccumulator`.
     """
 
     t: float
@@ -89,8 +91,7 @@ class DiagnosticsRecord:
     l2_theta: float
     h1_u: float
     h1_theta: float
-    gevrey_X: float
-    tau_used: float
+    tau_star: float
     radius_fit: float
     radius_fit_quality: float
     tail: float
@@ -223,21 +224,30 @@ def fit_radius(field):
     return _fit(*map(np.ndarray.tolist, shell_envelope(field)))
 
 
-def _tau(grid, t):
-    """The weight's radius at a time ``t`` >= 0: t, the linear-in-time
-    radius the smoothing theory predicts, capped at ``tau_cap``, past
-    which the weight would amplify roundoff at the top grid mode."""
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
-    return min(t, grid.tau_cap)
-
-
-def gevrey_energy(state):
-    """X(t) = 1 + ||L e^{tau L} u||^2 + ||L e^{tau L} theta||^2, with
-    the weight's radius tau of :func:`_tau`."""
-    tau = _tau(state.u.grid, state.t)
+def gevrey_energy(state, tau):
+    """X_tau = 1 + ||L e^{tau L} u||^2 + ||L e^{tau L} theta||^2."""
     return (1.0 + norm(state.u, r=1.0, tau=tau) ** 2
             + norm(state.theta, r=1.0, tau=tau) ** 2)
+
+
+def _tau_star(kmag, weights, bound, tau):
+    """The tau where 1 + sum weights e^{2 tau kmag} = ``bound`` (+inf if
+    every weight is 0), by Newton on its logarithm, which is convex, from
+    ``tau`` or, if smaller, the root of the class that alone meets it."""
+    live = weights > 0
+    if not live.any():
+        return math.inf
+    log_w, two_k = np.log(weights[live]), 2.0 * kmag[live]
+    tau = min(tau, float(np.min((math.log(bound - 1.0) - log_w) / two_k)))
+    while True:
+        z = log_w + two_k * tau
+        top = max(float(z.max()), 0.0)
+        e = np.exp(z - top)
+        total = math.exp(-top) + float(e.sum())
+        step = (top + math.log(total / bound)) * total / float(e @ two_k)
+        tau -= step
+        if abs(step) <= 1e-12 * max(1.0, abs(tau)):
+            return tau
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +297,8 @@ class BudgetAccumulator:
     cross term changes sign, so it keeps the trapezoidal rule (second
     order).  Both residuals vanish for the exact flow; numerically they
     hold the integrator and quadrature error, so their size depends on
-    the sampling cadence.
+    the sampling cadence.  It also keeps X(0) and the last tau*, where
+    the next record's Newton solve starts.
     """
 
     def __init__(self, params: PhysicalParams):
@@ -298,16 +309,16 @@ class BudgetAccumulator:
         self._int_u = 0.0
         self._int_theta = 0.0
         self._int_cross = 0.0
+        self._tau_star = math.inf
 
-    def _advance(self, grid, t, e_u, e_theta, dens, cross):
+    def _advance(self, grid, t, e_u, e_theta, x, dens, cross):
         """Take the state at time ``t`` from its energies ||u||^2 and
-        ||theta||^2, its dissipation densities |j|^2 |c_j|^2 of u and of
-        theta, folded (``fields._fold``) and stacked, and its buoyancy
-        flux, and return the residuals (res_theta, res_u).  On a real
-        state the mean of a folded pair is twice that of each mode."""
+        ||theta||^2, X_0, dissipation densities |j|^2 |c_j|^2 of u and of
+        theta, folded (``fields._fold``) and stacked, and buoyancy flux,
+        and return the residuals (res_theta, res_u).  On a real state the
+        mean of a folded pair is twice that of each mode."""
         if self._prev is None:
-            self._e0_u = e_u
-            self._e0_theta = e_theta
+            self._e0_u, self._e0_theta, self._x0 = e_u, e_theta, x
         else:
             t_prev, dens_prev, cross_prev = self._prev
             if t < t_prev:
@@ -340,9 +351,12 @@ def build_record(state, budget: BudgetAccumulator | None = None):
 
     ``t`` must be finite and at least 0.  Feeds ``budget`` when given,
     so calling this once per step on a shared accumulator yields
-    per-step energy residuals.
+    per-step energy residuals, and tau* against X(0) of the first state
+    fed to it.  Without one the state is its own initial state, the first
+    of a fresh accumulator: its residuals are 0.0 whatever nu and kappa.
     """
     grid = state.u.grid
+    budget = budget or BudgetAccumulator(PhysicalParams(nu=1.0, kappa=1.0))
     return _record(grid, state.t, _stacked(state.u, state.theta), budget,
                    np.empty(_record_scratch_size(grid), dtype=complex))
 
@@ -365,8 +379,9 @@ def _record(grid, t, y, budget, buffer):
     the same sums on each field's half spectrum, so each equals its field
     here bit for bit.
     """
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     dim = grid.dim
-    tau = _tau(grid, t)
     size = y[0].size
     work = buffer.view(float)
     square = work[: 2 * y.size].reshape(y.shape[:-1] + (-1,))
@@ -387,17 +402,21 @@ def _record(grid, t, y, budget, buffer):
     np.add(product[..., ::2], product[..., 1::2], out=power[dim - 2])
     _fold(grid, power[dim - 2:], folded)
     sums = _class_sums(grid, folded)
-    # L2, H1 and X: the class sums weighted by 1, |j|^2 and then also by
-    # e^{2 tau |j|}, in the order of fields._weigh
-    h1_sums = _weigh(grid, sums[1:], r=1.0)
+    # L2 and H1: the class sums weighted by 1 and |j|^2
     flux, *norms2 = sums.sum(axis=-1).tolist()
-    norms2 += h1_sums.sum(axis=-1).tolist()
-    norms2 += _weigh(grid, h1_sums, tau=tau).sum(axis=-1).tolist()
+    norms2 += _weigh(grid, sums[1:], r=1.0).sum(axis=-1).tolist()
     scale = TWO_PI**dim
-    l2_u, l2_theta, h1_u, h1_theta, x_u, x_theta = (
+    l2_u, l2_theta, h1_u, h1_theta = (
         math.sqrt(scale * value) for value in norms2)
-    res_theta, res_u = (0.0, 0.0) if budget is None else budget._advance(
-        grid, t, l2_u**2, l2_theta**2, grid.k2 * folded[1:], scale * flux)
+    res_theta, res_u = budget._advance(
+        grid, t, l2_u**2, l2_theta**2, 1.0 + h1_u**2 + h1_theta**2,
+        grid.k2 * folded[1:], scale * flux)
+    # tau* from the modes above the fit's floor of their field's peak
+    kept = [mode * (row > AMPLITUDE_FLOOR_RATIO**2 * row.max())
+            for row, mode in zip(power[dim - 1:], folded[1:])]
+    budget._tau_star = tau = _tau_star(_class_plan(grid)[3], scale * _weigh(
+        grid, _class_sums(grid, kept[0] + kept[1]), r=1.0),
+        2.0 * budget._x0, budget._tau_star)
     peak, peak_kmag = map(np.ndarray.tolist, _envelope(grid, np.take(
         _amplitude(y[:dim], power[dim - 1]), _shell_plan(grid)[0])))
     fit = _fit(peak, peak_kmag)
@@ -407,8 +426,7 @@ def _record(grid, t, y, budget, buffer):
         l2_theta=l2_theta,
         h1_u=h1_u,
         h1_theta=h1_theta,
-        gevrey_X=1.0 + x_u**2 + x_theta**2,
-        tau_used=tau,
+        tau_star=tau,
         radius_fit=0.0 if fit is None else fit.tau_est,
         radius_fit_quality=0.0 if fit is None else fit.quality,
         tail=_tail(grid, peak),

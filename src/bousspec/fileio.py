@@ -320,4 +320,7 @@ def read_diagnostics(path):
             raise ValueError(
                 f"{path}: unexpected CSV header {header}, expected {names}"
             )
-        return [DiagnosticsRecord(*map(float, row)) for row in reader]
+        try:
+            return [DiagnosticsRecord(*map(float, row)) for row in reader]
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None

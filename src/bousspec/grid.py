@@ -22,11 +22,6 @@ __all__ = ["GridSpec", "make_grid", "TWO_PI"]
 
 TWO_PI = 2.0 * np.pi
 
-# exp(27.6) ~ 9.7e11, so Gevrey weights stay below 1e12 whenever
-# tau <= 27.6 / k_max.  Larger tau would let the weighted norms overflow
-# long before they say anything meaningful about the spectrum.
-_TAU_CAP_EXPONENT = 27.6
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -66,7 +61,6 @@ class GridSpec:
     dealias_cutoff : int, per-axis bound of the mask.
     dealias_mask : boolean mesh, True on retained modes.
     nmodes : total number of wavevectors, modes**dim.
-    tau_cap : largest Gevrey radius representable without overflow.
     """
 
     dim: int
@@ -76,7 +70,6 @@ class GridSpec:
         _check_size(self.dim, self.modes)
 
         m = self.modes
-        half = m // 2
         freq1d = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
         shape = _half_shape(self.dim, m)
         k = np.zeros((self.dim,) + shape)
@@ -103,8 +96,6 @@ class GridSpec:
         object.__setattr__(self, "dealias_mask", mask)
         object.__setattr__(self, "nmodes", m**self.dim)
         object.__setattr__(self, "zero_index", (0,) * self.dim)
-        kmax = np.sqrt(self.dim) * half
-        object.__setattr__(self, "tau_cap", _TAU_CAP_EXPONENT / kmax)
 
         # grids are shared (``read_snapshot`` keeps one per size), so no
         # caller may write into their meshes

@@ -12,6 +12,7 @@ import pytest
 import bousspec
 from bousspec import make_grid
 from bousspec.cli import main
+from bousspec.diagnostics import DiagnosticsRecord
 from bousspec.fileio import read_diagnostics, read_snapshot
 
 BASE_CONFIG = """
@@ -177,6 +178,30 @@ class TestDiagnose:
         assert ((dest / "diagnostics.csv").read_bytes()
                 == (out / "diagnostics.csv").read_bytes())
 
+    def test_every_tenth_snapshot_gives_the_run_rows(self, tmp_path):
+        # diagnose over every 10th step of a 32^2 run reproduces the run's
+        # rows at those steps: tau*, whose Newton solve starts from the
+        # record before, to 1e-12 relative, and every other column bit
+        # for bit but the two energy residuals, whose quadrature follows
+        # the cadence
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(
+            "modes = 16", "modes = 32").replace(
+            "t_final = 0.01", "t_final = 0.05").replace(
+            "snapshot_every = 5", "snapshot_every = 10"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
+        snaps = sorted(str(p) for p in out.glob("snapshot_*.bin"))
+        dest = tmp_path / "diag"
+        assert main(["diagnose", *snaps, "--output-dir", str(dest)]) == 0
+        want = read_diagnostics(str(out / "diagnostics.csv"))[::10]
+        got = read_diagnostics(str(dest / "diagnostics.csv"))
+        assert len(got) == len(want) == len(snaps) == 6
+        for rec, ref in zip(got, want):
+            assert rec.tau_star == pytest.approx(ref.tau_star, rel=1e-12)
+            for name in DiagnosticsRecord.field_names():
+                if name != "tau_star" and "residual" not in name:
+                    assert getattr(rec, name) == getattr(ref, name), name
+
     def test_steps_over_extreme_density_ratios_are_silent(self, tmp_path):
         # between t = 0 and t = 3 at 32^2 the dissipation densities of
         # most modes fall by far more than 2^14, and some by more than
@@ -219,8 +244,8 @@ class TestDiagnose:
 
     @pytest.mark.parametrize("t", [-0.5, float("nan")])
     def test_snapshot_time_outside_range_exits_1(self, tmp_path, capsys, t):
-        # a header time of -0.5 used to give a row with tau_used = -0.5,
-        # and NaN a row of NaNs, both with exit status 0
+        # a header time of -0.5 or NaN is refused with exit status 1,
+        # not written as a row
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0

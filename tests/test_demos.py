@@ -2,7 +2,8 @@
 to completion in a fresh interpreter.  A demo that checks a claim exits
 1 when the claim fails (``advection_route_crosscheck``: a deviation
 above 1e-12; ``mode_truncation_ode``: an antisymmetry defect other than
-0, or a deviation above 1e-12), so its exit status is checked too."""
+0, or a deviation above 1e-12; ``smoothing_radius_growth``: tau* < t at
+a printed record), so its exit status is checked too."""
 
 import os
 import subprocess

@@ -136,11 +136,31 @@ def plain_fitted_mean(a, b):
     return np.where(a == b, a, np.where((a > 0) & (b > 0), mean, 0.0))
 
 
+def bisected_tau_star(kmag, weights, bound):
+    """The largest tau with 1 + sum weights e^{2 tau kmag} <= ``bound``,
+    entry by entry over full arrays, by bisection to adjacent doubles:
+    +inf when every weight is 0."""
+    if not weights.any():
+        return np.inf
+
+    def x(tau):
+        return 1.0 + np.sum(weights * np.exp(2.0 * tau * kmag))
+
+    lo, hi = -1.0, 1.0
+    while x(lo) > bound:
+        lo *= 2.0
+    while x(hi) <= bound:
+        hi *= 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if x(mid) <= bound else (lo, mid)
+    return lo
+
+
 def plain_records(states, params):
     """The fields of the records of ``states``, fed in order to one
-    budget, from plain ``np.sum`` over the full arrays and
-    :func:`lexsort_envelope`, and for each residual the initial energy,
-    the scale of its cancellations."""
+    budget, from plain ``np.sum`` over the full arrays,
+    :func:`lexsort_envelope` and :func:`bisected_tau_star`, and for each
+    residual the initial energy, the scale of its cancellations."""
     grid = states[0].u.grid
     k, k2, kmag = full_meshes(grid)
     vol = (2 * np.pi) ** grid.dim
@@ -150,13 +170,16 @@ def plain_records(states, params):
         theta = _from_half(grid, state.theta.coeffs)
         power_u = np.sum(u.real**2 + u.imag**2, axis=0)
         power_theta = theta.real**2 + theta.imag**2
-        tau = min(state.t, grid.tau_cap)
-        weight = k2 * np.exp(2 * tau * kmag)
         dens = (k2 * power_u, k2 * power_theta)
+        # tau* counts the modes above 1e-14 of their field's peak amplitude
+        weights = vol * sum(
+            np.where(np.sqrt(p) > 1e-14 * np.sqrt(p).max(), d, 0.0)
+            for p, d in zip((power_u, power_theta), dens))
         cross = vol * np.sum((theta * np.conj(u[-1])).real)
         energy = (vol * np.sum(power_u), vol * np.sum(power_theta))
         if n == 0:
             first = energy
+            x0 = 1.0 + vol * np.sum(dens[0] + dens[1])
         else:
             h = state.t - states[n - 1].t
             for i in (0, 1):
@@ -177,8 +200,7 @@ def plain_records(states, params):
             l2_theta=np.sqrt(energy[1]),
             h1_u=np.sqrt(vol * np.sum(dens[0])),
             h1_theta=np.sqrt(vol * np.sum(dens[1])),
-            gevrey_X=1.0 + vol * np.sum(weight * (power_u + power_theta)),
-            tau_used=tau,
+            tau_star=bisected_tau_star(kmag, weights, 2.0 * x0),
             radius_fit=-slope,
             radius_fit_quality=1.0 - np.dot(resid, resid) / np.dot(dy, dy),
             tail=peak[grid.modes // 3] / peak.max(),
@@ -235,31 +257,44 @@ class TestGevreyEnergy:
         state = SimulationState(
             SpectralVectorField(grid), SpectralScalarField(grid), t=0.7
         )
-        assert gevrey_energy(state) == 1.0
+        assert gevrey_energy(state, 0.7) == 1.0
+        rec = build_record(state)
+        assert rec.tau_star == np.inf
 
     def test_initial_time_reduces_to_h1(self):
         grid = make_grid(2, 16)
         u, theta = synthesize_initial("rough_h1", grid, seed=5)
         state = SimulationState(u, theta, t=0.0)
         want = 1.0 + norm(u, r=1.0) ** 2 + norm(theta, r=1.0) ** 2
-        assert gevrey_energy(state) == want
+        assert gevrey_energy(state, 0.0) == want
 
     def test_zero_tau_schedule_matches_h1_exactly(self):
-        # at t = 0 the weight tau = t is zero: X is the H1 measure, in 3D
+        # at tau = 0 X is the H1 measure, in 3D
         grid = make_grid(3, 8)
         u, theta = synthesize_initial("rough_h1", grid, seed=6)
         state = SimulationState(u, theta, t=0.0)
         want = 1.0 + norm(u, r=1.0) ** 2 + norm(theta, r=1.0) ** 2
-        assert gevrey_energy(state) == want
+        assert gevrey_energy(state, 0.0) == want
 
-    def test_tau_clamped_at_cap(self):
+    def test_tau_star_is_exact_on_heat_flow(self):
+        # u0 = 0 and theta0 = a cos(2 x_N): the buoyancy e_N theta is a
+        # gradient, so the Leray projection removes it and theta decays
+        # by the heat semigroup, X_tau(t) = 1 + H e^{2 tau |j| - 2 kappa
+        # |j|^2 t} with |j| = 2 and H = h1_theta(0)^2; tau* solves
+        # X_tau(t) = 2 (1 + H) in closed form, past t = 3
         grid = make_grid(2, 16)
-        u, theta = synthesize_initial("rough_h1", grid, seed=7)
-        state = SimulationState(u, theta, t=1e9)
-        capped = gevrey_energy(state)
-        assert np.isfinite(capped)
-        state.t = grid.tau_cap
-        assert gevrey_energy(state) == capped
+        params = PhysicalParams(nu=1.0, kappa=0.5)
+        theta = SpectralScalarField(grid)
+        theta.coeffs[0, 2] = 0.35  # a / 2 at j = (0, 2), a = 0.7
+        cfg = StepperConfig(dt=0.05, t_final=3.2, snapshot_every=100)
+        traj = run_simulation(cfg, params, grid, SimulationState(
+            SpectralVectorField(grid), theta))
+        h = traj.records[0].h1_theta ** 2
+        assert traj.records[-1].t > 3.0
+        for rec in traj.records:
+            want = (np.log((1 + 2 * h) / h)
+                    + 2 * params.kappa * 4 * rec.t) / 4
+            assert rec.tau_star == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestEnergyBudget:
@@ -360,8 +395,11 @@ class TestRecords:
         rec = build_record(state)
         assert rec.t == 0.05
         assert rec.h1_u == norm(u, r=1.0)
-        assert rec.gevrey_X >= 1.0
-        assert rec.tau_used == pytest.approx(0.05)
+        # without an accumulator the state is its own initial state
+        x0 = 1.0 + rec.h1_u ** 2 + rec.h1_theta ** 2
+        assert rec.tau_star > 0.0
+        assert gevrey_energy(state, rec.tau_star) == pytest.approx(
+            2.0 * x0, rel=1e-12)
         assert rec.radius_fit_quality > 0.0
         assert all(np.isfinite(v) for v in rec.as_tuple())
         assert rec.energy_residual_theta == 0.0  # no accumulator attached
@@ -369,8 +407,9 @@ class TestRecords:
     @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
     def test_record_equals_the_public_functions(self, dim, modes):
         # every field of every record along a run, bit for bit, against
-        # the functions that compute it one at a time, the residuals
-        # against an accumulator fed the same states by build_record
+        # the functions that compute it one at a time, the residuals and
+        # tau* against an accumulator fed the same states by build_record;
+        # at tau* the Gevrey energy is 2 X(0)
         grid = make_grid(dim, modes)
         params = PhysicalParams(nu=0.5, kappa=0.7)
         u0, th0 = synthesize_initial("rough_h1", grid, seed=4)
@@ -389,8 +428,7 @@ class TestRecords:
                 l2_theta=norm(theta),
                 h1_u=norm(u, r=1.0),
                 h1_theta=norm(theta, r=1.0),
-                gevrey_X=gevrey_energy(state),
-                tau_used=min(state.t, grid.tau_cap),
+                tau_star=replay.tau_star,
                 radius_fit=fit.tau_est,
                 radius_fit_quality=fit.quality,
                 tail=peak[modes // 3] / peak.max(),
@@ -398,7 +436,9 @@ class TestRecords:
                 energy_residual_u=replay.energy_residual_u,
                 div_max=divergence_max(u),
             )
-        assert rec.tau_used > 0.0 and rec.energy_residual_u != 0.0
+            assert gevrey_energy(state, rec.tau_star) == pytest.approx(
+                2.0 * gevrey_energy(traj.snapshots[0], 0.0), rel=1e-12)
+        assert rec.tau_star > rec.t and rec.energy_residual_u != 0.0
         assert 0.0 < rec.tail < 1.0
 
     @pytest.mark.parametrize("dim,modes", [(2, 64), (3, 16)])
@@ -407,22 +447,26 @@ class TestRecords:
         # every field of a chain of records against plain sums over the
         # full coefficient arrays, mode by mode, and the lexsort envelope:
         # a path that shares no fold, class sum or shell plan with the
-        # records.  The last state sits at tau = tau_cap and repeats the
-        # one before it, so every density keeps its value over that step
+        # records.  The last state repeats the one before it at t = 3, so
+        # every density keeps its value over that step, and its tau*,
+        # from another Newton start, is the one before it.  tau* is held
+        # to 3e-15 relative, 4.5x the largest difference measured
+        # (6.7e-16, 3D 16^3 at t = 0)
         grid = make_grid(dim, modes)
         params = PhysicalParams(nu=0.5, kappa=0.7)
         u0, th0 = synthesize_initial("rough_h1", grid, seed=3)
         s0 = SimulationState(u0, th0)
         s1 = step(s0, params, StepperConfig(dt=1e-3))
-        states = [s0, s1, SimulationState(s1.u, s1.theta, t=grid.tau_cap)]
+        states = [s0, s1, SimulationState(s1.u, s1.theta, t=3.0)]
         budget = BudgetAccumulator(params)
         got = [build_record(state, budget) for state in states]
         want, scales = plain_records(states, params)
-        assert got[-1].tau_used == grid.tau_cap
+        assert got[-1].tau_star == pytest.approx(got[-2].tau_star,
+                                                 rel=1e-14)
         for rec, ref in zip(got, want):
             for name in DiagnosticsRecord.field_names():
                 assert getattr(rec, name) == pytest.approx(
-                    ref[name], rel=1e-14,
+                    ref[name], rel=3e-15 if name == "tau_star" else 1e-14,
                     abs=1e-14 * scales.get(name, 0.0)), name
 
     @pytest.mark.parametrize("dim,modes", [(2, 32), (3, 8)])
@@ -447,16 +491,33 @@ class TestRecords:
 
     @pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf")])
     def test_time_outside_the_weight_range_refused(self, t):
-        # a state's time must be >= 0 and finite, as in gevrey_energy; a
-        # negative t used to give tau_used = t and a weight e^{-|j|}, a
-        # NaN t a row of NaNs, and an infinite t a record at t = inf
+        # a record's time must be >= 0 and finite: a NaN t would give a
+        # row of NaNs, and an infinite t a record at t = inf
         grid = make_grid(2, 16)
         u, theta = synthesize_initial("rough_h1", grid, seed=1)
         state = SimulationState(u, theta, t=t)
         with pytest.raises(ValueError, match="^t must be >= 0 and finite"):
-            gevrey_energy(state)
-        with pytest.raises(ValueError, match="^t must be >= 0 and finite"):
             build_record(state)
+
+    def test_tau_star_leaves_out_modes_below_the_floor(self):
+        # theta = a cos x_2 with a small enough that tau* is near 21,
+        # beside a mode at |j| = 7, whose weight e^{2 tau |j|} there is
+        # e^{252} times that at |j| = 1: at 1e-15 of the peak amplitude
+        # it is noise, left out as the radius fit leaves it out, and tau*
+        # is the one-mode closed form; at 1e-13 it counts, and tau* falls
+        # to about 7
+        grid = make_grid(2, 16)
+        got = []
+        for ratio in (1e-15, 1e-13):
+            theta = SpectralScalarField(grid)
+            theta.coeffs[0, 1] = 1e-10
+            theta.coeffs[0, 7] = ratio * 1e-10
+            got.append(build_record(SimulationState(
+                SpectralVectorField(grid), theta)))
+        h = got[0].h1_theta ** 2
+        assert got[0].tau_star == pytest.approx(np.log((1 + 2 * h) / h) / 2,
+                                                rel=1e-12)
+        assert got[0].tau_star > 20.0 and got[1].tau_star < 8.0
 
     def test_record_when_spectrum_unfittable(self):
         # Taylor-Green occupies a single shell: no radius fit, reported
@@ -471,7 +532,7 @@ class TestRecords:
         names = DiagnosticsRecord.field_names()
         assert names[0] == "t"
         assert names == [
-            "t", "l2_u", "l2_theta", "h1_u", "h1_theta", "gevrey_X",
-            "tau_used", "radius_fit", "radius_fit_quality", "tail",
+            "t", "l2_u", "l2_theta", "h1_u", "h1_theta", "tau_star",
+            "radius_fit", "radius_fit_quality", "tail",
             "energy_residual_theta", "energy_residual_u", "div_max",
         ]

@@ -1,6 +1,7 @@
 """Config parsing, snapshot binary layout, diagnostics CSV."""
 
 import hashlib
+import re
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -421,10 +422,10 @@ class TestSnapshots:
 
 
 class TestDiagnosticsCsv:
-    def make_record(self, t):
+    def make_record(self, t, tau_star=0.25):
         return DiagnosticsRecord(
             t=t, l2_u=1.0 / 3.0, l2_theta=0.1, h1_u=2.0, h1_theta=0.2,
-            gevrey_X=1.5, tau_used=t, radius_fit=0.3,
+            tau_star=tau_star, radius_fit=0.3,
             radius_fit_quality=0.99, tail=1e-5, energy_residual_theta=-1e-17,
             energy_residual_u=1e-16, div_max=1e-15,
         )
@@ -437,7 +438,10 @@ class TestDiagnosticsCsv:
 
     def test_round_trip_exact(self, tmp_path):
         path = str(tmp_path / "diag.csv")
-        records = [self.make_record(t) for t in (0.0, 1e-3, 2e-3)]
+        # tau* is +inf for a zero state and negative once the Gevrey
+        # bound's interval has ended
+        records = [self.make_record(t, tau) for t, tau in
+                   ((0.0, float("inf")), (1e-3, 0.1), (2e-3, -0.05))]
         write_diagnostics(records, path)
         back = read_diagnostics(path)
         assert back == records  # 17 digits round-trips doubles exactly
@@ -449,7 +453,29 @@ class TestDiagnosticsCsv:
         assert ts == sorted(ts) and len(set(ts)) == 3
 
     def test_reader_rejects_foreign_header(self, tmp_path):
+        # a made-up header, and the header of files written before
+        # tau_star replaced two Gevrey columns
         path = tmp_path / "diag.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="unexpected CSV header"):
-            read_diagnostics(str(path))
+        old = ("t,l2_u,l2_theta,h1_u,h1_theta,gevrey_X,tau_used,radius_fit,"
+               "radius_fit_quality,tail,energy_residual_theta,"
+               "energy_residual_u,div_max")
+        for header in ("a,b,c", old):
+            row = ",".join(["1"] * len(header.split(",")))
+            path.write_text(f"{header}\n{row}\n")
+            with pytest.raises(ValueError, match="unexpected CSV header"):
+                read_diagnostics(str(path))
+
+    @pytest.mark.parametrize("spoil", [
+        lambda row: row.rsplit(",", 1)[0],  # its last field missing
+        lambda row: "0,1",
+        lambda row: row.replace("0.25", "abc"),
+    ], ids=["short", "two-fields", "not-a-number"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, spoil):
+        # a ValueError that names the file and the line, not a TypeError
+        # from the record's constructor or float's bare ValueError
+        path = str(tmp_path / "diag.csv")
+        write_diagnostics([self.make_record(t) for t in (0.0, 1e-3)], path)
+        header, first, second = Path(path).read_text().splitlines()
+        Path(path).write_text(f"{header}\n{first}\n{spoil(second)}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:3: "):
+            read_diagnostics(path)
